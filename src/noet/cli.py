@@ -18,7 +18,8 @@ from . import examples as examples_mod
 from . import oracles
 from .errors import (BodyNotSubsetOfOrder, DomainMismatch, EmptySpace,
                      InitEscapesSpace, LimitExceeded, MalformedExpr,
-                     MalformedInput, NoetError, OrderNotNoetherian)
+                     MalformedInput, NoetError, NotNoetherian,
+                     OrderNotNoetherian)
 from .loops import run as run_loop
 from .loops import verify
 from .noether import (DEFAULT_FUEL, MAXDEPTH, NOETHERIAN, NOT_NOETHERIAN,
@@ -121,7 +122,11 @@ def _example_params(args) -> dict:
     t = getattr(args, "t", None)
     if t is not None:
         t = t.strip()
-        params["t"] = tuple(int(part) for part in t.split(",")) if t else ()
+        try:
+            params["t"] = tuple(int(part) for part in t.split(",")) if t else ()
+        except ValueError:
+            raise MalformedInput(
+                f"--t needs comma-separated integers, got {t!r}") from None
     return params
 
 
@@ -357,7 +362,11 @@ def _cmd_audit(args) -> int:
     seed = args.seed
     env = os.environ.get("NOET_SEED")
     if env is not None:
-        seed = int(env)
+        try:
+            seed = int(env)
+        except ValueError:
+            raise MalformedInput(
+                f"NOET_SEED must be an integer, got {env!r}") from None
     if seed is None:
         seed = audit_mod.DEFAULT_SEED
     findings = audit_mod.run_audit(seed=seed, samples=args.samples)
@@ -379,9 +388,10 @@ _COMMANDS = {
     "audit": _cmd_audit,
 }
 
-# construction-time loop failures are verdicts with witnesses, not crashes
+# construction-time loop failures and cycles met by limit or height are
+# verdicts with witnesses, not crashes
 _PROPERTY_ERRORS = (EmptySpace, InitEscapesSpace, BodyNotSubsetOfOrder,
-                    DomainMismatch, OrderNotNoetherian)
+                    DomainMismatch, OrderNotNoetherian, NotNoetherian)
 
 
 def main(argv=None) -> int:

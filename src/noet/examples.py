@@ -1,4 +1,4 @@
-"""Five worked loops, each assembled from a certified order and a seed body.
+"""Six worked loops, each assembled from a certified order and a seed body.
 
 Every instance bundles its loop definition with the oracle context, the
 designated input, a single-run choice policy where the classical algorithm

@@ -4,8 +4,8 @@ A relation is treated as pointing downward: successors of a value are the
 one-step-smaller values. Certifying it means proving no infinite descending
 chain exists, which over finite reachable sets is exactly the absence of a
 reachable cycle. The cycle search here is a three-color depth-first walk,
-kept deliberately separate from the pair-join fixpoint in
-relations.classify so the two can audit each other.
+kept deliberately separate from the Kahn peeling in relations.classify so
+the two can audit each other.
 """
 
 from __future__ import annotations
@@ -187,13 +187,20 @@ def assert_noetherian(r: Relation, cap: int = DEFAULT_MAX_SPACE) -> None:
 
 # -- descent measures ------------------------------------------------------
 
-def _descend_dp(r: Relation, a, combine, fuel: int | None):
+def _descend_dp(r: Relation, a, combine, fuel: int | None, memo=None):
     """Bottom-up value over the reachable part: combine(child values).
 
     Iterative post-order with an explicit stack; a gray node seen again is
     a cycle, reported through NotNoetherian with the offending loop.
+
+    memo maps finished values to their results and may come from earlier
+    calls with the same combine; its entries are neither walked nor charged
+    to fuel. A value is finished only once its whole reach is, and that
+    reach is acyclic, so entries stay valid when a call raises and skipping
+    them never changes which cycle is reported.
     """
-    memo = {}
+    if memo is None:
+        memo = {}
     on_path = set()
     path = []
     succ_cache = {}
@@ -228,9 +235,20 @@ def _descend_dp(r: Relation, a, combine, fuel: int | None):
     return memo[a]
 
 
+def _height(kids):
+    return 1 + max(kids) if kids else 0
+
+
 def height_from(r: Relation, a, fuel: int | None = None) -> int:
-    """Longest descending chain length from one value."""
-    return _descend_dp(r, a, lambda kids: 1 + max(kids) if kids else 0, fuel)
+    """Longest descending chain length from one value.
+
+    Heights are memoized on r and shared by later calls, so fuel bounds
+    the edges this call walks: values whose height an earlier call on r
+    already settled cost nothing.
+    """
+    if r._heights is None:
+        r._heights = {}
+    return _descend_dp(r, a, _height, fuel, r._heights)
 
 
 def count_chains_from(r: Relation, a, fuel: int | None = None) -> int:
@@ -300,6 +318,10 @@ def limit_from(r: Relation, a, mode: str = REACHABLE_MINIMA,
     frontier. reachable_minima: minimal values reachable from a. Minimal
     values map to themselves under both modes. Raises NotNoetherian on a
     reachable cycle.
+
+    fuel bounds each walk separately: the height walk (free where
+    height_from already settled a value on r) and, for reachable_minima,
+    the reachability walk.
     """
     if mode not in LIMIT_MODES:
         raise ValueError(f"unknown limit mode: {mode!r}")
@@ -319,7 +341,11 @@ def limit_from(r: Relation, a, mode: str = REACHABLE_MINIMA,
 def limit_relation(r: Relation, mode: str = REACHABLE_MINIMA,
                    cap: int = DEFAULT_MAX_SPACE,
                    fuel: int | None = None) -> Relation:
-    """The limit as a relation over r's space."""
+    """The limit as a relation over r's space.
+
+    fuel applies to each start's limit_from on its own; heights settled
+    for one start are reused, and not charged, for the next.
+    """
     if not same_space(r.source, r.target):
         raise SpaceMismatch("limits need matching source and target")
     got = []

@@ -29,7 +29,7 @@ class RelationFlags:
 
 class Relation:
     __slots__ = ("source", "target", "name", "cert", "_pairs", "_adj",
-                 "_succ_fn", "_holds_fn")
+                 "_heights", "_succ_fn", "_holds_fn")
 
     def __init__(self, source: Space, target: Space, *, pairs=None,
                  succ=None, holds=None, name: str | None = None, cert=None):
@@ -41,6 +41,7 @@ class Relation:
         self.cert = cert
         self._pairs = frozenset(pairs) if pairs is not None else None
         self._adj = None
+        self._heights = None   # noether.height_from's memo, made on first use
         self._succ_fn = succ
         self._holds_fn = holds
 
@@ -269,20 +270,25 @@ class Relation:
                     break
             if not transitive:
                 break
-        # union of powers, grown to a fixpoint; acyclic iff it avoids Id.
-        # deliberately index-free so it shares nothing with the chain search
-        # in noether: the two must stay independent answers to one question.
-        closed = set(ps)
-        while True:
-            fresh = set()
-            for a, b in closed:
-                for b2, c in ps:
-                    if b2 == b and (a, c) not in closed:
-                        fresh.add((a, c))
-            if not fresh:
-                break
-            closed.update(fresh)
-        acyclic = all(a != b for a, b in closed)
+        # Kahn peeling: remove values nothing left points at; acyclic iff
+        # every value goes. Built on this method's own adjacency so it shares
+        # nothing with the DFS cycle search in noether: the two must stay
+        # independent answers to one question.
+        indegree = {}
+        for a, bs in adj.items():
+            indegree.setdefault(a, 0)
+            for b in bs:
+                indegree[b] = indegree.get(b, 0) + 1
+        ready = [v for v, d in indegree.items() if d == 0]
+        peeled = 0
+        while ready:
+            v = ready.pop()
+            peeled += 1
+            for b in adj.get(v, ()):
+                indegree[b] -= 1
+                if indegree[b] == 0:
+                    ready.append(b)
+        acyclic = peeled == len(indegree)
         function = all(len(bs) <= 1 for bs in adj.values())
         order = irreflexive and transitive
         return RelationFlags(acyclic=acyclic, irreflexive=irreflexive,

@@ -105,9 +105,17 @@ class TestLimitAndHeight:
         assert "error:" in capsys.readouterr().err
 
     def test_cycle_is_an_error(self, tmp_rel_file, capsys):
+        # a reachable cycle is a failed property with a witness, as in check
         code = main(["limit", tmp_rel_file(CYCLE_FILE), "--from", "1"])
-        assert code == 2
-        assert "infinite descending chain" in capsys.readouterr().err
+        assert code == 1
+        assert "infinite descending chain: 1 → 2 → 1" \
+            in capsys.readouterr().err
+
+    def test_height_cycle_is_an_error(self, tmp_rel_file, capsys):
+        code = main(["height", tmp_rel_file(CYCLE_FILE), "--from", "1"])
+        assert code == 1
+        assert "infinite descending chain: 1 → 2 → 1" \
+            in capsys.readouterr().err
 
 
 class TestSeed:
@@ -344,6 +352,21 @@ class TestErrors:
         code = main(["run", "gcd", "--a", "12"])
         assert code == 2
         assert "needs parameters" in capsys.readouterr().err
+
+    def test_malformed_t_exits_two(self, capsys):
+        code = main(["run", "seq_search", "--t", "1,x", "--x", "2"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --t needs comma-separated integers")
+        assert "Traceback" not in err
+
+    def test_malformed_env_seed_exits_two(self, capsys, monkeypatch):
+        monkeypatch.setenv("NOET_SEED", "abc")
+        code = main(["audit", "--samples", "10"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: NOET_SEED must be an integer")
+        assert "Traceback" not in err
 
     def test_usage_error_exits_two(self):
         with pytest.raises(SystemExit) as exc:

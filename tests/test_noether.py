@@ -1,9 +1,9 @@
 """Termination checking, descent measures, limits, and seeds."""
 
 import pytest
-from hypothesis import given
+from hypothesis import given, strategies as st
 
-from conftest import dag_relation, int_space
+from conftest import any_relation, dag_relation, int_space
 from noet.errors import (FuelExhausted, NotNoetherian, SpaceMismatch,
                          ValueOutsideSpace)
 from noet.noether import (MAXDEPTH, REACHABLE_MINIMA, Chain, assert_noetherian,
@@ -121,6 +121,50 @@ class TestDescentMeasures:
         chain = rel(500, [(i, i - 1) for i in range(1, 500)])
         with pytest.raises(FuelExhausted):
             height_from(chain, Int(499), fuel=10)
+
+    def test_fuel_counts_only_the_edges_walked(self):
+        chain = rel(500, [(i, i - 1) for i in range(1, 500)])
+        assert height_from(chain, Int(10)) == 10
+        # 20 .. 11 are new, 10 is already settled: ten edges
+        assert height_from(chain, Int(20), fuel=10) == 20
+        with pytest.raises(FuelExhausted):
+            height_from(rel(500, [(i, i - 1) for i in range(1, 500)]),
+                        Int(20), fuel=10)
+
+    def test_warm_memo_hit_spends_no_fuel(self):
+        chain = rel(500, [(i, i - 1) for i in range(1, 500)])
+        assert height_from(chain, Int(499)) == 499
+        assert height_from(chain, Int(499), fuel=0) == 499
+        assert height_from(chain, Int(250), fuel=0) == 250
+
+
+def _outcome(fn, *args):
+    try:
+        got = fn(*args)
+    except NotNoetherian as exc:
+        return "cycle", str(exc)
+    if isinstance(got, Relation):
+        return "relation", got.pairs()
+    return "value", got
+
+
+class TestHeightMemo:
+    """Answers from one relation object, its height memo warmed by earlier
+    queries in any order, match those from a fresh copy per query."""
+
+    @given(any_relation(), st.data())
+    def test_shared_memo_matches_fresh_relations(self, r, data):
+        # the copy shares r's frozenset, so successors come in the same
+        # order and the DFS meets cycles in the same order
+        fresh = lambda: Relation(r.source, r.target, pairs=r.pairs())
+        starts = data.draw(st.permutations(r.source.values()))
+        queries = [(height_from, a) for a in starts]
+        queries += [(limit_from, a, mode)
+                    for a in starts for mode in (MAXDEPTH, REACHABLE_MINIMA)]
+        queries += [(limit_relation, mode)
+                    for mode in (MAXDEPTH, REACHABLE_MINIMA)]
+        for fn, *args in data.draw(st.permutations(queries)):
+            assert _outcome(fn, r, *args) == _outcome(fn, fresh(), *args)
 
 
 class TestChainEnumeration:

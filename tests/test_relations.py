@@ -3,6 +3,7 @@ from hypothesis import given
 
 from conftest import any_relation, dag_relation, int_space
 from noet.errors import (RequiresExtensional, SpaceMismatch, ValueOutsideSpace)
+from noet.noether import is_noetherian
 from noet.relations import (classify, empty_relation, from_pairs,
                             from_successors, identity)
 from noet.spaces import explicit, int_range
@@ -136,6 +137,23 @@ class TestClassify:
     def test_function_flag(self):
         assert classify(rel(3, [(0, 1), (1, 2)])).function
         assert not classify(rel(3, [(0, 1), (0, 2)])).function
+
+    @pytest.mark.parametrize("n, pairs, acyclic", [
+        # a self-loop and nothing else
+        (3, [(1, 1)], False),
+        # a cycle no in-degree-0 value reaches, beside an acyclic chain
+        (6, [(0, 1), (1, 2), (3, 4), (4, 5), (5, 3)], False),
+        # 2 appears only as a target, 0 only as a source
+        (3, [(0, 1), (1, 2), (0, 2)], True),
+        (200, [(i, i - 1) for i in range(1, 200)], True),
+        (200, [(i, i - 1) for i in range(1, 200)] + [(0, 199)], False),
+    ], ids=["self_loop", "unreached_cycle", "target_only", "chain200",
+            "chain200_back_edge"])
+    def test_kahn_peeling_agrees_with_the_cycle_search(self, n, pairs,
+                                                       acyclic):
+        r = rel(n, pairs)
+        assert classify(r).acyclic is acyclic
+        assert is_noetherian(r).holds is acyclic
 
     @given(any_relation())
     def test_acyclic_agrees_with_naive_reachability(self, r):

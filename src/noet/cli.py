@@ -106,6 +106,8 @@ def _parse_value_arg(raw: str):
         doc = json.loads(raw)
     except json.JSONDecodeError:
         return Node(raw)
+    except RecursionError:
+        raise MalformedExpr("value nests too deeply to read") from None
     if isinstance(doc, dict):
         return parse_value(doc)
     if isinstance(doc, int) and not isinstance(doc, bool):
@@ -204,8 +206,7 @@ def _load_target(args, *, check: bool):
     """(loop, instance-or-None) from an example name or a loop file."""
     target = args.target
     if target in examples_mod.EXAMPLE_NAMES:
-        inst = examples_mod.instantiate(target, cap=args.max_space,
-                                        **_example_params(args))
+        inst = examples_mod.instantiate(target, **_example_params(args))
         return inst.loop, inst
     if os.path.exists(target):
         loop = parse_loop_file(load_json(target), cap=args.max_space,
@@ -320,8 +321,7 @@ def _verify_gcd_sweep(args) -> int:
     total = 0
     ok = True
     for g in gs:
-        inst = examples_mod.instantiate("gcd", a=g, b=g, bound=bound,
-                                        cap=args.max_space)
+        inst = examples_mod.instantiate("gcd", a=g, b=g, bound=bound)
         report = verify(inst.loop, ctx=_oracle_ctx(inst.loop, inst),
                         cap=args.max_space, fuel=args.fuel,
                         run_fuel=args.fuel)

@@ -18,8 +18,8 @@ from .errors import ParameterOutOfRange
 from . import oracles
 from .loops import LoopDef, make_loop
 from .relations import from_successors
-from .spaces import (DEFAULT_MAX_SPACE, explicit, filtered, int_range,
-                     interval_sets_of, lazy_explicit, product)
+from .spaces import (explicit, filtered, int_range, interval_sets_of,
+                     lazy_explicit, product)
 from .values import (Int, Interval, IntervalSet, Node, Pair, Seq, Tup,
                      interval_strictly_within, sort_values, value_key)
 
@@ -138,7 +138,7 @@ def _gcd_core(g: int, bound: int, check: bool) -> LoopDef:
                      check=check)
 
 
-def _gcd_instance(params, check, cap):
+def _gcd_instance(params, check):
     a = params["a"]
     b = params["b"]
     if not (isinstance(a, int) and isinstance(b, int)) or a < 1 or b < 1:
@@ -159,7 +159,9 @@ def _gcd_instance(params, check, cap):
 
 # -- sequential search ----------------------------------------------------------
 
-def _seq_search_instance(params, check, cap):
+def _seq_search_instance(params, check):
+    if check is None:
+        check = True
     t = _as_items(params["t"])
     x = params["x"]
     n = len(t)
@@ -191,13 +193,12 @@ def _seq_search_instance(params, check, cap):
     init = from_successors(inputs, space, lambda v: (Interval(1, 0),),
                            name="empty-prefix")
     loop = make_loop(space, order, init, body,
-                     postcondition="membership_prefix",
-                     check=True if check is None else check)
+                     postcondition="membership_prefix", check=check)
     return ExampleInstance(
         name="seq_search", loop=loop, input=Node("start"),
         ctx={"t": t, "x": x}, params={"t": t, "x": x}, chooser=None,
         variant=lambda s: n - s.hi, variant_name="interval_width (unscanned side)",
-        checked=True if check is None else check)
+        checked=check)
 
 
 # -- general search, interval model ----------------------------------------------
@@ -206,7 +207,9 @@ def _interval_slice(t, interval):
     return t[interval.lo - 1:interval.hi]
 
 
-def _gsi_instance(params, check, cap):
+def _gsi_instance(params, check):
+    if check is None:
+        check = True
     t = _as_items(params["t"])
     x = params["x"]
     n = len(t)
@@ -252,17 +255,17 @@ def _gsi_instance(params, check, cap):
         return nxt if nxt in succs else succs[0]
 
     loop = make_loop(space, order, init, body, postcondition="membership",
-                     check=True if check is None else check)
+                     check=check)
     return ExampleInstance(
         name="general_search_interval", loop=loop, input=Node("start"),
         ctx={"t": t, "x": x}, params={"t": t, "x": x}, chooser=midpoint,
         variant=lambda s: s.width, variant_name="interval_width",
-        checked=True if check is None else check)
+        checked=check)
 
 
 # -- general search, interval set model --------------------------------------------
 
-def _gsis_instance(params, check, cap):
+def _gsis_instance(params, check):
     t = _as_items(params["t"])
     x = params["x"]
     n = len(t)
@@ -352,7 +355,7 @@ def _partition_space(t, pivot):
                          label=f"partition states over {n} items")
 
 
-def _partition_instance(params, check, cap):
+def _partition_instance(params, check):
     t = _as_items(params["t"])
     pivot = params["pivot"]
     n = len(t)
@@ -473,7 +476,7 @@ def _lamsort_apply(state, block):
     return Tup((Seq(items), IntervalSet(members)))
 
 
-def _lamsort_instance(params, check, cap):
+def _lamsort_instance(params, check):
     t = _as_items(params["t"])
     n = len(t)
     space = _lamsort_space(t)
@@ -532,7 +535,7 @@ _INSTANCERS = {
 
 
 def instantiate(name: str, *, check: bool | None = None,
-                cap: int = DEFAULT_MAX_SPACE, **params) -> ExampleInstance:
+                **params) -> ExampleInstance:
     """Build one example instance. check defaults to construction-time
     proof whenever the space is small enough to enumerate comfortably."""
     maker = _INSTANCERS.get(name)
@@ -548,4 +551,4 @@ def instantiate(name: str, *, check: bool | None = None,
     if extra:
         raise ParameterOutOfRange(
             f"{name} does not take: {', '.join(sorted(extra))}")
-    return maker(params, check, cap)
+    return maker(params, check)

@@ -338,41 +338,6 @@ def empty_relation(source: Space, target: Space) -> Relation:
     return Relation(source, target, pairs=(), name="empty")
 
 
-# -- operation veneer (function-shaped forms of the methods) ----------------
-
-def image(r: Relation, a) -> frozenset:
-    return r.image_of(a)
-
-
-def domain_range(r: Relation, cap: int = DEFAULT_MAX_SPACE):
-    return r.domain(cap), r.range_(cap)
-
-
-def inverse(r: Relation) -> Relation:
-    return r.inverse()
-
-
-def compose(r: Relation, s: Relation) -> Relation:
-    return r.compose(s)
-
-
-def restrict(keep, r: Relation) -> Relation:
-    return r.restrict(keep)
-
-
-def power(r: Relation, n: int) -> Relation:
-    return r.power(n)
-
-
-def closures(r: Relation):
-    """(plus, star) of one relation."""
-    return r.plus(), r.star()
-
-
-def classify(r: Relation, cap: int = DEFAULT_MAX_SPACE) -> RelationFlags:
-    return r.classify(cap)
-
-
 def pair_values(pairs) -> list:
     """All values mentioned by a pair iterable, canonically sorted."""
     seen = set()

@@ -1,8 +1,18 @@
 """JSON documents for values, spaces, relations, loops.
 
-Documents are human-writable; normalization reorders lists by the value
-ordering and drops duplicates so that parse -> emit is byte-stable. The
-expression grammar builds relations through the catalog constructors.
+Relation expressions and the two file shapes share one grammar:
+``_REL_GRAMMAR`` maps each of the nine relation kinds, and ``_FILE_GRAMMAR``
+each file shape, to its fields and their types (relation, space, value
+list, pair list, name, name map, int). A field type ending in ``?`` may be
+left out; null counts as left out. A document is read once, by
+``parse_expr`` or ``_parse_file``, into a ``(kind, fields)`` tree whose
+values are already parsed and whose lists keep document order. Two walks
+consume the tree: ``build`` makes the relation through the catalog
+constructors, and ``emit`` writes the canonical document, with value lists
+sorted by the value ordering and deduplicated so that parse -> emit is
+byte-stable. Parsing and normalizing therefore reject the same malformed
+documents; only building checks what needs a space (values outside it,
+unknown families and functions).
 """
 
 from __future__ import annotations
@@ -16,7 +26,10 @@ from .relations import Relation, from_pairs
 from .spaces import (DEFAULT_MAX_SPACE, Space, explicit, int_range,
                      interval_sets_of, intervals_of, product)
 from .values import (Int, Interval, IntervalSet, Node, Pair, Seq, Tup,
-                     value_key)
+                     sort_values, value_key)
+
+# deepest nesting of pairs and tuples a value document may have
+MAX_VALUE_DEPTH = 100
 
 
 def canonical_json(doc) -> str:
@@ -27,13 +40,6 @@ def _need(doc, key, kind):
     if key not in doc:
         raise MalformedExpr(f"{kind} needs field {key!r}")
     return doc[key]
-
-
-def _int_field(doc, key, kind):
-    v = _need(doc, key, kind)
-    if not isinstance(v, int) or isinstance(v, bool):
-        raise MalformedExpr(f"{kind}.{key} must be an integer")
-    return v
 
 
 # -- values --------------------------------------------------------------------
@@ -73,15 +79,23 @@ def _interval_of_doc(item, what):
 
 
 def parse_value(doc):
+    return _parse_value(doc, MAX_VALUE_DEPTH)
+
+
+def _parse_value(doc, depth):
     if not isinstance(doc, dict) or len(doc) != 1:
         raise MalformedExpr(f"a value document has exactly one tag: {doc!r}")
     tag, body = next(iter(doc.items()))
     if tag == "int":
         return Int(_raw_int(body, "int value"))
+    if tag in ("pair", "tuple") and depth == 0:
+        raise MalformedExpr(
+            f"value nests deeper than {MAX_VALUE_DEPTH} pairs or tuples")
     if tag == "pair":
         if not (isinstance(body, list) and len(body) == 2):
             raise MalformedExpr("pair value needs two parts")
-        return Pair(parse_value(body[0]), parse_value(body[1]))
+        return Pair(_parse_value(body[0], depth - 1),
+                    _parse_value(body[1], depth - 1))
     if tag == "interval":
         return _interval_of_doc(body, "interval value")
     if tag == "iset":
@@ -103,20 +117,22 @@ def parse_value(doc):
     if tag == "tuple":
         if not isinstance(body, list) or len(body) < 2:
             raise MalformedExpr("tuple value needs at least two parts")
-        return Tup(tuple(parse_value(x) for x in body))
+        return Tup(tuple(_parse_value(x, depth - 1) for x in body))
     raise MalformedExpr(f"unknown value tag {tag!r}")
 
 
 # -- spaces --------------------------------------------------------------------
 
+# kinds given by an integer window lo..hi: constructor, what the window holds
+_WINDOWS = {"int_range": (int_range, "integer"),
+            "intervals_of": (intervals_of, "interval"),
+            "interval_sets_of": (interval_sets_of, "interval")}
+
+
 def space_doc(space: Space) -> dict:
     k = space.kind
-    if k == "int_range":
-        return {"kind": "int_range", "lo": space.lo, "hi": space.hi}
-    if k == "intervals_of":
-        return {"kind": "intervals_of", "lo": space.lo, "hi": space.hi}
-    if k == "interval_sets_of":
-        return {"kind": "interval_sets_of", "lo": space.lo, "hi": space.hi}
+    if k in _WINDOWS:
+        return {"kind": k, "lo": space.lo, "hi": space.hi}
     if k == "product":
         return {"kind": "product",
                 "of": [space_doc(c) for c in space.components]}
@@ -130,24 +146,15 @@ def parse_space(doc) -> Space:
     if not isinstance(doc, dict):
         raise MalformedExpr("a space document is an object with a kind")
     kind = _need(doc, "kind", "space")
-    if kind == "int_range":
-        lo = _int_field(doc, "lo", "int_range")
-        hi = _int_field(doc, "hi", "int_range")
+    if not isinstance(kind, str):
+        raise MalformedExpr(f"unknown space kind {kind!r}")
+    if kind in _WINDOWS:
+        make, noun = _WINDOWS[kind]
+        lo = _raw_int(_need(doc, "lo", kind), f"{kind}.lo")
+        hi = _raw_int(_need(doc, "hi", kind), f"{kind}.hi")
         if lo > hi:
-            raise MalformedExpr(f"empty integer window {lo}..{hi}")
-        return int_range(lo, hi)
-    if kind == "intervals_of":
-        lo = _int_field(doc, "lo", "intervals_of")
-        hi = _int_field(doc, "hi", "intervals_of")
-        if lo > hi:
-            raise MalformedExpr(f"empty interval window {lo}..{hi}")
-        return intervals_of(lo, hi)
-    if kind == "interval_sets_of":
-        lo = _int_field(doc, "lo", "interval_sets_of")
-        hi = _int_field(doc, "hi", "interval_sets_of")
-        if lo > hi:
-            raise MalformedExpr(f"empty interval window {lo}..{hi}")
-        return interval_sets_of(lo, hi)
+            raise MalformedExpr(f"empty {noun} window {lo}..{hi}")
+        return make(lo, hi)
     if kind == "product":
         parts = _need(doc, "of", "product")
         if not isinstance(parts, list) or len(parts) < 2:
@@ -161,7 +168,29 @@ def parse_space(doc) -> Space:
     raise MalformedExpr(f"unknown space kind {kind!r}")
 
 
-# -- relation expressions --------------------------------------------------------
+# -- the grammar -----------------------------------------------------------------
+
+_REL_GRAMMAR = {
+    "extensional": (("pairs", "pairs"),),
+    "named": (("name", "name"), ("edges", "pairs?"), ("parent", "names?")),
+    "closure": (("of", "rel"),),
+    "inverse": (("of", "rel"),),
+    "compose": (("first", "rel"), ("second", "rel")),
+    "restrict": (("of", "rel"), ("keep", "values")),
+    "subrel": (("of", "rel"), ("pairs", "pairs")),
+    "induced": (("fn", "name"), ("over", "rel"), ("over_space", "space"),
+                ("parent", "names?")),
+    "projection": (("component", "int"), ("over", "rel"),
+                   ("over_space", "space")),
+}
+
+_FILE_GRAMMAR = {
+    "relation file": (("space", "space"), ("relation", "rel")),
+    "loop file": (("space", "space"), ("input_space", "space?"),
+                  ("order", "rel"), ("init", "init"), ("body", "rel"),
+                  ("postcondition", "name?")),
+}
+
 
 def _parse_pairs(body, what):
     if not isinstance(body, list):
@@ -174,63 +203,120 @@ def _parse_pairs(body, what):
     return out
 
 
-def _sorted_pairs(pairs):
+def _emit_pairs(pairs):
     uniq = sorted(set(pairs),
                   key=lambda p: (value_key(p[0]), value_key(p[1])))
-    return uniq
+    return [[value_doc(a), value_doc(b)] for a, b in uniq]
 
 
-def parse_rel(doc, space: Space, cap: int = DEFAULT_MAX_SPACE) -> Relation:
+def _parse_values(body, what):
+    if not isinstance(body, list):
+        raise MalformedExpr(f"{what} must be a list of values")
+    return [parse_value(v) for v in body]
+
+
+def _parse_name(body, what):
+    if not isinstance(body, str):
+        raise MalformedExpr(f"{what} must be a name")
+    return body
+
+
+def _parse_name_map(body, what):
+    if not (isinstance(body, dict)
+            and all(isinstance(v, str) for v in body.values())):
+        raise MalformedExpr(f"{what} must be an object of names")
+    return dict(body)
+
+
+def _parse_init(body, what):
+    if not (isinstance(body, dict) and body.get("kind") == "extensional"):
+        raise MalformedExpr("loop init must be an extensional relation")
+    return parse_expr(body)
+
+
+# field type -> (read the JSON body, write the parsed value back)
+_FIELD_TYPES = {
+    "rel": (lambda body, what: parse_expr(body), lambda t: emit(t)),
+    "init": (_parse_init, lambda t: emit(t)),
+    "space": (lambda body, what: parse_space(body), space_doc),
+    "values": (_parse_values,
+               lambda vs: [value_doc(v) for v in sort_values(set(vs))]),
+    "pairs": (_parse_pairs, _emit_pairs),
+    "name": (_parse_name, str),
+    "names": (_parse_name_map, dict),
+    "int": (_raw_int, int),
+}
+
+
+def _parse_fields(doc, grammar, kind) -> dict:
+    fields = {}
+    for key, ftype in grammar:
+        if ftype.endswith("?"):
+            if doc.get(key) is None:
+                continue
+            ftype = ftype[:-1]
+        fields[key] = _FIELD_TYPES[ftype][0](_need(doc, key, kind),
+                                             f"{kind}.{key}")
+    return fields
+
+
+def _emit_fields(fields, grammar) -> dict:
+    return {key: _FIELD_TYPES[ftype.rstrip("?")][1](fields[key])
+            for key, ftype in grammar if key in fields}
+
+
+# -- relation expressions --------------------------------------------------------
+
+def parse_expr(doc) -> tuple:
+    """Check a relation document against _REL_GRAMMAR; (kind, fields)."""
     if not isinstance(doc, dict):
         raise MalformedExpr("a relation document is an object with a kind")
     kind = _need(doc, "kind", "relation")
+    if not isinstance(kind, str) or kind not in _REL_GRAMMAR:
+        raise MalformedExpr(f"unknown relation kind {kind!r}")
+    return kind, _parse_fields(doc, _REL_GRAMMAR[kind], kind)
+
+
+def build(tree, space: Space, cap: int = DEFAULT_MAX_SPACE) -> Relation:
+    """The relation a parsed expression denotes over one space."""
+    kind, f = tree
     if kind == "extensional":
-        pairs = _parse_pairs(_need(doc, "pairs", "extensional"), "pairs")
-        return from_pairs(space, space, pairs)
+        return from_pairs(space, space, f["pairs"])
     if kind == "named":
-        name = _need(doc, "name", "named")
-        params = {}
-        if "edges" in doc:
-            params["edges"] = _parse_pairs(doc["edges"], "edges")
-        if "parent" in doc:
-            pm = doc["parent"]
-            if not isinstance(pm, dict):
-                raise MalformedExpr("parent map is an object of names")
-            params["parent"] = dict(pm)
-        return catalog.named(name, space, cap=cap, **params)
+        params = {k: f[k] for k in ("edges", "parent") if k in f}
+        return catalog.named(f["name"], space, cap=cap, **params)
     if kind == "closure":
-        return catalog.closure_of(parse_rel(_need(doc, "of", "closure"),
-                                            space, cap))
+        return catalog.closure_of(build(f["of"], space, cap))
     if kind == "inverse":
-        return catalog.inverse_of(parse_rel(_need(doc, "of", "inverse"),
-                                            space, cap), cap)
+        return catalog.inverse_of(build(f["of"], space, cap), cap)
     if kind == "compose":
-        first = parse_rel(_need(doc, "first", "compose"), space, cap)
-        second = parse_rel(_need(doc, "second", "compose"), space, cap)
-        return catalog.compose_rel(first, second)
+        return catalog.compose_rel(build(f["first"], space, cap),
+                                   build(f["second"], space, cap))
     if kind == "restrict":
-        of = parse_rel(_need(doc, "of", "restrict"), space, cap)
-        keep = _need(doc, "keep", "restrict")
-        if not isinstance(keep, list):
-            raise MalformedExpr("restrict.keep is a list of values")
-        return catalog.restrict_to([parse_value(v) for v in keep], of)
+        return catalog.restrict_to(f["keep"], build(f["of"], space, cap))
     if kind == "subrel":
-        of = parse_rel(_need(doc, "of", "subrel"), space, cap)
-        pairs = _parse_pairs(_need(doc, "pairs", "subrel"), "subrel.pairs")
-        return catalog.subrel(of, pairs)
+        return catalog.subrel(build(f["of"], space, cap), f["pairs"])
+    # induced and projection read their operand over a space of its own
+    over = build(f["over"], f["over_space"], cap)
     if kind == "induced":
-        over_space = parse_space(_need(doc, "over_space", "induced"))
-        over = parse_rel(_need(doc, "over", "induced"), over_space, cap)
-        fn_name = _need(doc, "fn", "induced")
-        parent = doc.get("parent")
-        fn = catalog.resolve_function(fn_name, parent=parent)
-        return catalog.induced(fn, over, space, fn_name=fn_name, cap=cap)
-    if kind == "projection":
-        i = _int_field(doc, "component", "projection")
-        over_space = parse_space(_need(doc, "over_space", "projection"))
-        over = parse_rel(_need(doc, "over", "projection"), over_space, cap)
-        return catalog.projection(i, over, space)
-    raise MalformedExpr(f"unknown relation kind {kind!r}")
+        fn = catalog.resolve_function(f["fn"], parent=f.get("parent"))
+        return catalog.induced(fn, over, space, fn_name=f["fn"], cap=cap)
+    return catalog.projection(f["component"], over, space)
+
+
+def emit(tree) -> dict:
+    """Canonical document of a parsed expression: same constructor tree,
+    value lists sorted and deduplicated."""
+    kind, fields = tree
+    return {"kind": kind, **_emit_fields(fields, _REL_GRAMMAR[kind])}
+
+
+def parse_rel(doc, space: Space, cap: int = DEFAULT_MAX_SPACE) -> Relation:
+    return build(parse_expr(doc), space, cap)
+
+
+def normalize_rel_doc(doc) -> dict:
+    return emit(parse_expr(doc))
 
 
 def rel_doc_extensional(r: Relation, cap: int = DEFAULT_MAX_SPACE) -> dict:
@@ -239,145 +325,38 @@ def rel_doc_extensional(r: Relation, cap: int = DEFAULT_MAX_SPACE) -> dict:
             "pairs": [[value_doc(a), value_doc(b)] for a, b in pairs]}
 
 
-# -- document normalization --------------------------------------------------------
-
-def normalize_value_doc(doc) -> dict:
-    return value_doc(parse_value(doc))
-
-
-def normalize_space_doc(doc) -> dict:
-    return space_doc(parse_space(doc))
-
-
-def _normalized_pairs_field(body, what):
-    pairs = _sorted_pairs(_parse_pairs(body, what))
-    return [[value_doc(a), value_doc(b)] for a, b in pairs]
-
-
-def normalize_rel_doc(doc) -> dict:
-    """Canonical form of a relation expression: same constructor tree,
-    value lists sorted and deduplicated."""
-    if not isinstance(doc, dict):
-        raise MalformedExpr("a relation document is an object with a kind")
-    kind = _need(doc, "kind", "relation")
-    if kind == "extensional":
-        return {"kind": "extensional",
-                "pairs": _normalized_pairs_field(
-                    _need(doc, "pairs", "extensional"), "pairs")}
-    if kind == "named":
-        out = {"kind": "named", "name": _need(doc, "name", "named")}
-        if "edges" in doc:
-            out["edges"] = _normalized_pairs_field(doc["edges"], "edges")
-        if "parent" in doc:
-            pm = doc["parent"]
-            if not isinstance(pm, dict):
-                raise MalformedExpr("parent map is an object of names")
-            out["parent"] = {str(k): str(v) for k, v in pm.items()}
-        return out
-    if kind in ("closure", "inverse"):
-        return {"kind": kind,
-                "of": normalize_rel_doc(_need(doc, "of", kind))}
-    if kind == "compose":
-        return {"kind": "compose",
-                "first": normalize_rel_doc(_need(doc, "first", "compose")),
-                "second": normalize_rel_doc(_need(doc, "second", "compose"))}
-    if kind == "restrict":
-        keep = _need(doc, "keep", "restrict")
-        if not isinstance(keep, list):
-            raise MalformedExpr("restrict.keep is a list of values")
-        vals = sorted({parse_value(v) for v in keep}, key=value_key)
-        return {"kind": "restrict",
-                "of": normalize_rel_doc(_need(doc, "of", "restrict")),
-                "keep": [value_doc(v) for v in vals]}
-    if kind == "subrel":
-        return {"kind": "subrel",
-                "of": normalize_rel_doc(_need(doc, "of", "subrel")),
-                "pairs": _normalized_pairs_field(
-                    _need(doc, "pairs", "subrel"), "subrel.pairs")}
-    if kind == "induced":
-        out = {"kind": "induced",
-               "fn": _need(doc, "fn", "induced"),
-               "over": normalize_rel_doc(_need(doc, "over", "induced")),
-               "over_space": normalize_space_doc(
-                   _need(doc, "over_space", "induced"))}
-        if "parent" in doc:
-            out["parent"] = {str(k): str(v) for k, v in doc["parent"].items()}
-        return out
-    if kind == "projection":
-        return {"kind": "projection",
-                "component": _int_field(doc, "component", "projection"),
-                "over": normalize_rel_doc(_need(doc, "over", "projection")),
-                "over_space": normalize_space_doc(
-                    _need(doc, "over_space", "projection"))}
-    raise MalformedExpr(f"unknown relation kind {kind!r}")
-
-
 # -- relation and loop files ---------------------------------------------------------
 
+def _parse_file(doc, kind) -> dict:
+    if not isinstance(doc, dict):
+        raise MalformedExpr(f"a {kind} is a JSON object")
+    return _parse_fields(doc, _FILE_GRAMMAR[kind], kind)
+
+
 def parse_relation_file(doc, cap: int = DEFAULT_MAX_SPACE):
-    if not isinstance(doc, dict):
-        raise MalformedExpr("a relation file is a JSON object")
-    space = parse_space(_need(doc, "space", "relation file"))
-    rel = parse_rel(_need(doc, "relation", "relation file"), space, cap)
-    return space, rel
-
-
-def normalize_relation_file(doc) -> dict:
-    if not isinstance(doc, dict):
-        raise MalformedExpr("a relation file is a JSON object")
-    return {"space": normalize_space_doc(_need(doc, "space", "relation file")),
-            "relation": normalize_rel_doc(
-                _need(doc, "relation", "relation file"))}
+    f = _parse_file(doc, "relation file")
+    return f["space"], build(f["relation"], f["space"], cap)
 
 
 def parse_loop_file(doc, cap: int = DEFAULT_MAX_SPACE, *,
                     check: bool = True, fuel=None) -> LoopDef:
-    if not isinstance(doc, dict):
-        raise MalformedExpr("a loop file is a JSON object")
-    space = parse_space(_need(doc, "space", "loop file"))
-    input_space = (parse_space(doc["input_space"])
-                   if "input_space" in doc else space)
-    order = parse_rel(_need(doc, "order", "loop file"), space, cap)
-    init_doc = _need(doc, "init", "loop file")
-    if not (isinstance(init_doc, dict)
-            and init_doc.get("kind") == "extensional"):
-        raise MalformedExpr("loop init must be an extensional relation")
-    init_pairs = _parse_pairs(_need(init_doc, "pairs", "init"), "init.pairs")
-    init = from_pairs(input_space, space, init_pairs)
-    body = parse_rel(_need(doc, "body", "loop file"), space, cap)
-    post = doc.get("postcondition")
-    if post is not None and not isinstance(post, str):
-        raise MalformedExpr("postcondition is a built-in oracle name")
-    return make_loop(space, order, init, body, postcondition=post,
+    f = _parse_file(doc, "loop file")
+    space = f["space"]
+    order = build(f["order"], space, cap)
+    init = from_pairs(f.get("input_space", space), space,
+                      f["init"][1]["pairs"])
+    body = build(f["body"], space, cap)
+    return make_loop(space, order, init, body,
+                     postcondition=f.get("postcondition"),
                      check=check, cap=cap, fuel=fuel)
-
-
-def normalize_loop_file(doc) -> dict:
-    if not isinstance(doc, dict):
-        raise MalformedExpr("a loop file is a JSON object")
-    out = {"space": normalize_space_doc(_need(doc, "space", "loop file"))}
-    if "input_space" in doc:
-        out["input_space"] = normalize_space_doc(doc["input_space"])
-    out["order"] = normalize_rel_doc(_need(doc, "order", "loop file"))
-    init_doc = _need(doc, "init", "loop file")
-    if not (isinstance(init_doc, dict)
-            and init_doc.get("kind") == "extensional"):
-        raise MalformedExpr("loop init must be an extensional relation")
-    out["init"] = normalize_rel_doc(init_doc)
-    out["body"] = normalize_rel_doc(_need(doc, "body", "loop file"))
-    if "postcondition" in doc:
-        post = doc["postcondition"]
-        if not isinstance(post, str):
-            raise MalformedExpr("postcondition is a built-in oracle name")
-        out["postcondition"] = post
-    return out
 
 
 def normalize_file(doc) -> dict:
     """Canonical form for any top-level document (relation or loop file)."""
-    if isinstance(doc, dict) and "order" in doc and "body" in doc:
-        return normalize_loop_file(doc)
-    return normalize_relation_file(doc)
+    kind = ("loop file"
+            if isinstance(doc, dict) and "order" in doc and "body" in doc
+            else "relation file")
+    return _emit_fields(_parse_file(doc, kind), _FILE_GRAMMAR[kind])
 
 
 def load_json(path: str):
@@ -388,3 +367,5 @@ def load_json(path: str):
         raise MalformedExpr(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise MalformedExpr(f"{path} is not valid JSON: {exc}") from exc
+    except RecursionError:
+        raise MalformedExpr(f"{path} nests too deeply to read") from None

@@ -1,14 +1,20 @@
 """The noet command line: golden outputs and exit codes."""
 
+import copy
+import io
 import json
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from noet.cli import main
+
+CORPUS = Path(__file__).parent / "corpus"
 
 
 def ir(lo, hi):
@@ -376,6 +382,93 @@ class TestErrors:
     def test_globals_accepted_after_subcommand(self, tmp_rel_file):
         assert main(["check", tmp_rel_file(SUCC_FILE), "--fuel", "99",
                      "--max-space", "50000"]) == 0
+
+    @pytest.mark.parametrize("relation", [
+        {"kind": "named", "name": ["SUCCESSOR"]},
+        {"kind": "induced", "fn": ["max"], "over": nm("INTGREATER"),
+         "over_space": ir(0, 3)},
+        {"kind": "induced", "fn": "depth", "over": nm("PREDECESSOR"),
+         "over_space": ir(0, 3), "parent": ["a"]},
+        {"kind": "named", "name": "PARENT", "parent": {"b": 1}},
+    ], ids=["name-list", "fn-list", "parent-list", "parent-int-value"])
+    def test_malformed_relation_exits_two(self, tmp_rel_file, capsys,
+                                          relation):
+        code = main(["check", tmp_rel_file({"space": SPLIT_SPACE,
+                                            "relation": relation})])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("depth", [300, 1500])
+    def test_deeply_nested_value_exits_two(self, tmp_path, capsys, depth):
+        value = '{"pair": [' * depth + '{"int": 0}' + ', {"int": 1}]}' * depth
+        p = tmp_path / "deep.json"
+        p.write_text('{"space": {"kind": "explicit", "values": [%s]}, '
+                     '"relation": {"kind": "named", "name": "SUCCESSOR"}}'
+                     % value, encoding="utf-8")
+        assert main(["check", str(p)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
+
+    def test_deeply_nested_start_value_exits_two(self, tmp_rel_file, capsys):
+        start = '{"pair": [' * 1500 + '{"int": 0}' + ', {"int": 1}]}' * 1500
+        assert main(["limit", tmp_rel_file(SUCC_FILE), "--from", start]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
+
+
+MUTATIONS = ("delete", None, 1, "x", [], {}, [[]])
+
+
+def field_paths(doc, prefix=()):
+    """Key path of every object field in a document, at any depth."""
+    if isinstance(doc, dict):
+        for key, body in doc.items():
+            yield prefix + (key,)
+            yield from field_paths(body, prefix + (key,))
+    elif isinstance(doc, list):
+        for i, body in enumerate(doc):
+            yield from field_paths(body, prefix + (i,))
+
+
+CORPUS_FIELDS = [
+    (path.name, field) for path in sorted(CORPUS.glob("*.json"))
+    for field in field_paths(json.loads(path.read_text(encoding="utf-8")))]
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+class TestMalformedDocuments:
+    @settings(max_examples=200, deadline=None)
+    @given(target=st.sampled_from(CORPUS_FIELDS),
+           mutation=st.sampled_from(MUTATIONS), as_json=st.booleans())
+    def test_one_mutated_field_keeps_the_exit_contract(self, fuzz_dir, target,
+                                                       mutation, as_json):
+        name, field = target
+        doc = json.loads((CORPUS / name).read_text(encoding="utf-8"))
+        command = "verify" if "body" in doc else "check"
+        holder = doc
+        for key in field[:-1]:
+            holder = holder[key]
+        if mutation == "delete":
+            del holder[field[-1]]
+        else:
+            holder[field[-1]] = copy.deepcopy(mutation)
+        path = fuzz_dir / name
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main([command, str(path)] + (["--json"] if as_json else []))
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err.getvalue()
+        if as_json and code in (0, 1):
+            json.loads(out.getvalue())
 
 
 class TestEntryPoint:

@@ -11,7 +11,7 @@ from noet.noether import (MAXDEPTH, REACHABLE_MINIMA, Chain, assert_noetherian,
                           is_finitary, is_minimal, is_noetherian, is_seed,
                           limit_from, limit_relation, minima, reachable_from,
                           seed_gap)
-from noet.relations import (Relation, classify, empty_relation, from_pairs,
+from noet.relations import (Relation, empty_relation, from_pairs,
                             from_successors)
 from noet.spaces import explicit, int_range, lazy_explicit
 from noet.values import Int, Node
@@ -320,9 +320,9 @@ class TestNoetherianStructure:
     @given(dag_relation(max_n=5))
     def test_closure_of_noetherian_is_asymmetric(self, r):
         assert is_noetherian(r).holds is True
-        flags = classify(r.plus())
+        flags = r.plus().classify()
         assert flags.irreflexive and flags.asymmetric
 
     @given(dag_relation(max_n=5))
     def test_verdict_matches_classification(self, r):
-        assert is_noetherian(r).holds == classify(r).acyclic
+        assert is_noetherian(r).holds == r.classify().acyclic

@@ -4,8 +4,8 @@ from hypothesis import given
 from conftest import any_relation, dag_relation, int_space
 from noet.errors import (RequiresExtensional, SpaceMismatch, ValueOutsideSpace)
 from noet.noether import is_noetherian
-from noet.relations import (classify, empty_relation, from_pairs,
-                            from_successors, identity)
+from noet.relations import (empty_relation, from_pairs, from_successors,
+                            identity)
 from noet.spaces import explicit, int_range
 from noet.values import Int, Node
 
@@ -121,22 +121,22 @@ class TestOperations:
 class TestClassify:
     def test_flags_on_a_strict_chain(self):
         r = rel(3, [(0, 1), (0, 2), (1, 2)])
-        f = classify(r)
+        f = r.classify()
         assert f.irreflexive and f.transitive and f.order
         assert f.asymmetric and f.acyclic
 
     def test_reflexive_pair_breaks_order(self):
-        f = classify(rel(2, [(0, 0)]))
+        f = rel(2, [(0, 0)]).classify()
         assert not f.irreflexive and not f.order and not f.acyclic
 
     def test_transitivity_gap(self):
-        f = classify(rel(3, [(0, 1), (1, 2)]))
+        f = rel(3, [(0, 1), (1, 2)]).classify()
         assert f.irreflexive and not f.transitive and not f.order
         assert f.acyclic
 
     def test_function_flag(self):
-        assert classify(rel(3, [(0, 1), (1, 2)])).function
-        assert not classify(rel(3, [(0, 1), (0, 2)])).function
+        assert rel(3, [(0, 1), (1, 2)]).classify().function
+        assert not rel(3, [(0, 1), (0, 2)]).classify().function
 
     @pytest.mark.parametrize("n, pairs, acyclic", [
         # a self-loop and nothing else
@@ -152,16 +152,16 @@ class TestClassify:
     def test_kahn_peeling_agrees_with_the_cycle_search(self, n, pairs,
                                                        acyclic):
         r = rel(n, pairs)
-        assert classify(r).acyclic is acyclic
+        assert r.classify().acyclic is acyclic
         assert is_noetherian(r).holds is acyclic
 
     @given(any_relation())
     def test_acyclic_agrees_with_naive_reachability(self, r):
-        assert classify(r).acyclic == naive_acyclic(r)
+        assert r.classify().acyclic == naive_acyclic(r)
 
     @given(dag_relation())
     def test_closure_of_acyclic_is_an_order(self, r):
-        flags = classify(r.plus())
+        flags = r.plus().classify()
         assert flags.order and flags.asymmetric
 
     @given(any_relation(max_n=4))

@@ -6,13 +6,12 @@ from pathlib import Path
 import pytest
 
 from noet.errors import MalformedExpr, ValueOutsideSpace
-from noet.loops import run
-from noet.serialize import (canonical_json, load_json, normalize_file,
-                            normalize_loop_file, normalize_rel_doc,
-                            normalize_relation_file, normalize_space_doc,
-                            normalize_value_doc, parse_loop_file, parse_rel,
-                            parse_relation_file, parse_space, parse_value,
-                            rel_doc_extensional, space_doc, value_doc)
+from noet.loops import LoopDef, run
+from noet.serialize import (MAX_VALUE_DEPTH, canonical_json, load_json,
+                            normalize_file, normalize_rel_doc, parse_loop_file,
+                            parse_rel, parse_relation_file, parse_space,
+                            parse_value, rel_doc_extensional, space_doc,
+                            value_doc)
 from noet.spaces import filtered, int_range, lazy_explicit
 from noet.values import Int, Interval, IntervalSet, Node, Pair, Seq, Tup
 
@@ -31,6 +30,13 @@ VALUES = [
     Node("start"),
     Tup((Seq((2, 1)), Interval(1, 2))),
 ]
+
+
+def nested_pairs(depth):
+    doc = {"int": 0}
+    for _ in range(depth):
+        doc = {"pair": [doc, {"int": 1}]}
+    return doc
 
 
 class TestValues:
@@ -71,6 +77,14 @@ class TestValues:
         with pytest.raises(MalformedExpr, match="unknown value tag"):
             parse_value({"float": 1.5})
 
+    def test_nesting_depth_is_bounded(self):
+        deep = nested_pairs(MAX_VALUE_DEPTH)
+        assert value_doc(parse_value(deep)) == deep
+        with pytest.raises(MalformedExpr, match="nests deeper"):
+            parse_value(nested_pairs(MAX_VALUE_DEPTH + 1))
+        with pytest.raises(MalformedExpr, match="nests deeper"):
+            parse_value({"tuple": [nested_pairs(MAX_VALUE_DEPTH), {"int": 0}]})
+
 
 SPACE_DOCS = [
     {"kind": "int_range", "lo": -2, "hi": 4},
@@ -91,12 +105,12 @@ class TestSpaces:
     def test_round_trip(self, doc):
         again = space_doc(parse_space(doc))
         assert parse_space(again).values() == parse_space(doc).values()
-        assert normalize_space_doc(again) == again
+        assert space_doc(parse_space(again)) == again
 
     def test_explicit_values_get_sorted(self):
         doc = {"kind": "explicit", "values": [{"int": 3}, {"int": 1},
                                               {"int": 3}]}
-        assert normalize_space_doc(doc) \
+        assert space_doc(parse_space(doc)) \
             == {"kind": "explicit", "values": [{"int": 1}, {"int": 3}]}
 
     def test_window_sanity(self):
@@ -144,6 +158,30 @@ REL_DOCS = [
      "pairs": int_pairs_doc((3, 0))},
 ]
 
+INDUCED_DEPTH = {"kind": "induced", "fn": "depth",
+                 "over": {"kind": "named", "name": "PREDECESSOR"},
+                 "over_space": {"kind": "int_range", "lo": 0, "hi": 3}}
+
+# id -> a relation document that parsing and normalizing must both reject
+MALFORMED_REL_DOCS = {
+    "named-name-list": {"kind": "named", "name": ["SUCCESSOR"]},
+    "induced-fn-list": {**INDUCED_DEPTH, "fn": ["max"]},
+    "induced-parent-list": {**INDUCED_DEPTH, "parent": ["x"]},
+    "induced-parent-int-value": {**INDUCED_DEPTH, "parent": {"x": 1}},
+    "named-parent-int-value": {"kind": "named", "name": "PARENT",
+                               "parent": {"x": 1}},
+    "restrict-keep-not-a-list": {"kind": "restrict",
+                                 "of": {"kind": "named", "name": "INTGREATER"},
+                                 "keep": {"int": 2}},
+    "kind-list": {"kind": ["named"], "name": "SUCCESSOR"},
+    "nested-edges-not-a-list": {
+        "kind": "closure",
+        "of": {"kind": "named", "name": "ACYCLIC", "edges": {"int": 1}}},
+    "value-too-deep": {"kind": "restrict",
+                       "of": {"kind": "named", "name": "INTGREATER"},
+                       "keep": [nested_pairs(MAX_VALUE_DEPTH + 1)]},
+}
+
 
 class TestRelationExpressions:
     @pytest.mark.parametrize("doc", REL_DOCS,
@@ -157,6 +195,14 @@ class TestRelationExpressions:
         norm = normalize_rel_doc(doc)
         assert normalize_rel_doc(norm) == norm
         assert parse_rel(norm, sp).same_pairs(r)
+
+    @pytest.mark.parametrize("doc", list(MALFORMED_REL_DOCS.values()),
+                             ids=list(MALFORMED_REL_DOCS))
+    def test_parse_and_normalize_reject_the_same_documents(self, doc):
+        with pytest.raises(MalformedExpr):
+            parse_rel(doc, int_range(0, 3))
+        with pytest.raises(MalformedExpr):
+            normalize_rel_doc(doc)
 
     def test_extensional_pairs_validated_against_the_space(self):
         with pytest.raises(ValueOutsideSpace):
@@ -240,7 +286,7 @@ class TestFiles:
         space, r = parse_relation_file(doc)
         assert space.values() == int_range(0, 2).values()
         assert r.holds(Int(2), Int(1))
-        assert normalize_relation_file(doc) == doc
+        assert normalize_file(doc) == doc
 
     def test_loop_file_runs(self):
         loop = parse_loop_file(count_loop_doc())
@@ -253,7 +299,7 @@ class TestFiles:
         with pytest.raises(MalformedExpr, match="init must be an extensional"):
             parse_loop_file(doc)
         with pytest.raises(MalformedExpr):
-            normalize_loop_file(doc)
+            normalize_file(doc)
 
     def test_loop_input_space(self):
         doc = count_loop_doc()
@@ -262,7 +308,7 @@ class TestFiles:
                        "pairs": [[{"node": "go"}, {"int": 3}]]}
         loop = parse_loop_file(doc)
         assert run(loop, Node("go")).terminal == Int(0)
-        norm = normalize_loop_file(doc)
+        norm = normalize_file(doc)
         assert "input_space" in norm
 
     def test_postcondition_must_be_a_name(self):
@@ -271,7 +317,7 @@ class TestFiles:
         with pytest.raises(MalformedExpr):
             parse_loop_file(doc)
         with pytest.raises(MalformedExpr):
-            normalize_loop_file(doc)
+            normalize_file(doc)
 
     def test_normalize_file_dispatches_on_shape(self):
         loop_norm = normalize_file(count_loop_doc())
@@ -307,6 +353,35 @@ class TestCanonicalJson:
             load_json(str(bad))
 
 
+def scrambled(doc):
+    """The same document with every set-like list reversed and its first
+    entry repeated."""
+    if isinstance(doc, list):
+        return [scrambled(x) for x in doc]
+    if not isinstance(doc, dict):
+        return doc
+    out = {}
+    for key, body in doc.items():
+        body = scrambled(body)
+        if key in ("pairs", "edges", "keep", "values") and body:
+            body = body[::-1] + body[-1:]
+        out[key] = body
+    return out
+
+
+def parse_file(doc):
+    if "order" in doc and "body" in doc:
+        return parse_loop_file(doc)
+    return parse_relation_file(doc)[1]
+
+
+def meaning(parsed):
+    if isinstance(parsed, LoopDef):
+        return tuple(r.pairs() for r in (parsed.order, parsed.body,
+                                         parsed.init))
+    return parsed.pairs()
+
+
 class TestCorpus:
     def corpus_files(self):
         files = sorted(CORPUS.glob("*.json"))
@@ -318,6 +393,15 @@ class TestCorpus:
             raw = path.read_text(encoding="utf-8")
             doc = json.loads(raw)
             assert canonical_json(normalize_file(doc)) == raw, path.name
+
+    @pytest.mark.parametrize("path", sorted(CORPUS.glob("*.json")),
+                             ids=lambda p: p.name)
+    def test_normalization_preserves_meaning(self, path):
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        assert normalize_file(scrambled(doc)) == doc
+        for variant in (doc, scrambled(doc)):
+            assert meaning(parse_file(normalize_file(variant))) \
+                == meaning(parse_file(variant))
 
     def test_every_corpus_file_parses(self):
         for path in self.corpus_files():

@@ -32,8 +32,8 @@ from .noether import (DEFAULT_FUEL, Chain, MAXDEPTH, NOETHERIAN,
 from .catalog import (CLAIMED, NAMED_FUNCTIONS, NoetherianCert, RULES, SOUND,
                       certify, closure_of, component_of, compose_rel,
                       exhaustive_cert, induced, inverse_of, make_depth_fn,
-                      named, powerset_space, projection, resolve_function,
-                      restrict_to, subrel)
+                      measure_descent, named, powerset_space, projection,
+                      resolve_function, restrict_to, subrel)
 from .loops import (ExecTrace, LoopDef, OBLIGATIONS, ObligationResult,
                     VerificationReport, denotation_closure, denotation_limit,
                     exit_condition, make_loop, run, terminals_of,

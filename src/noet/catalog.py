@@ -6,12 +6,18 @@ inputs it was built from, and a trust level. Sound rules are accepted
 without re-checking; claimed rules are taken as hints and re-verified on
 use, because some of them are wrong on purpose (composition being the
 canonical offender).
+
+Only this module mints certificates, each marked with a private token;
+certify trusts one only when it and every premise carry the mark. The
+seven measure families are one table, ``_MEASURES``, of a space guard and
+an integer measure each, all built by ``measure_descent``.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import partial
 
 from .errors import MalformedExpr, UnknownNamedFunction
 from .noether import (METHOD_CERTIFICATE, NOETHERIAN, NoetherianVerdict,
@@ -37,6 +43,8 @@ RULES = (
 
 EXHAUSTIVE = "EXHAUSTIVE"
 
+_MINTED = object()   # carried by every certificate this module makes
+
 
 @dataclass(frozen=True, slots=True)
 class NoetherianCert:
@@ -45,6 +53,9 @@ class NoetherianCert:
     rule: str
     premises: tuple = ()
     trust: str = SOUND
+    # set by _cert only; replace() and hand-made copies come out unmarked
+    _mint: object = field(default=None, init=False, compare=False,
+                          repr=False)
 
     @property
     def sound(self) -> bool:
@@ -60,20 +71,39 @@ class NoetherianCert:
         return f"{self.rule}{inner}{tag}"
 
 
+def _cert(rule: str, *premises) -> NoetherianCert:
+    cert = NoetherianCert(rule, premises,
+                          CLAIMED if rule in CLAIMED_RULES else SOUND)
+    object.__setattr__(cert, "_mint", _MINTED)
+    return cert
+
+
+def _stamp(out: Relation, rule: str, *inputs: Relation) -> Relation:
+    """Certify out by rule over the certificates of its inputs."""
+    out.cert = _cert(rule, *(r.cert for r in inputs))
+    return out
+
+
+def _trusted(cert) -> bool:
+    """Sound and minted here, premises and all."""
+    return (cert is not None and cert._mint is _MINTED and cert.trust == SOUND
+            and all(_trusted(p) for p in cert.premises))
+
+
 def certify(r: Relation, cap: int = DEFAULT_MAX_SPACE,
             fuel: int | None = None) -> NoetherianVerdict:
-    """Sound certificate: trusted outright. Claimed or absent: re-checked."""
-    cert = getattr(r, "cert", None)
-    if cert is not None and cert.sound:
+    """A trusted certificate is accepted outright. Claimed, made outside
+    this module, or absent: re-checked."""
+    if _trusted(r.cert):
         return NoetherianVerdict(NOETHERIAN, None, METHOD_CERTIFICATE, 0)
     return is_noetherian(r, cap, fuel)
 
 
 def exhaustive_cert() -> NoetherianCert:
-    return NoetherianCert(EXHAUSTIVE)
+    return _cert(EXHAUSTIVE)
 
 
-# -- space shape guards ------------------------------------------------------
+# -- space shape guards: each raises MalformedExpr on a wrong space ----------
 
 def _want_int_range(space: Space, rule: str, natural: bool = False) -> None:
     if space.kind != "int_range":
@@ -84,7 +114,8 @@ def _want_int_range(space: Space, rule: str, natural: bool = False) -> None:
                             f"got {space.describe()}")
 
 
-def _want_int_pairs(space: Space, rule: str, natural: bool = False) -> None:
+def _want_int_pairs(space: Space, rule: str, cap: int,
+                    natural: bool = False) -> None:
     ok = (space.kind == "product" and len(space.components) == 2
           and all(c.kind == "int_range" for c in space.components))
     if not ok:
@@ -95,13 +126,13 @@ def _want_int_pairs(space: Space, rule: str, natural: bool = False) -> None:
                             f"got {space.describe()}")
 
 
-def _want_intervals(space: Space, rule: str) -> None:
+def _want_intervals(space: Space, rule: str, cap: int) -> None:
     if space.kind != "intervals_of":
         raise MalformedExpr(f"{rule} needs a space of subintervals, "
                             f"got {space.describe()}")
 
 
-def _want_interval_sets(space: Space, rule: str) -> None:
+def _want_interval_sets(space: Space, rule: str, cap: int) -> None:
     if space.kind != "interval_sets_of":
         raise MalformedExpr(f"{rule} needs a space of subinterval sets, "
                             f"got {space.describe()}")
@@ -121,18 +152,50 @@ def _want_seq_sets(space: Space, rule: str, cap: int) -> None:
 
 # -- building blocks ---------------------------------------------------------
 
-def _leaf(space, succ, holds, name, cap=DEFAULT_MAX_SPACE) -> Relation:
-    r = from_successors(space, space, succ, holds=holds, name=name)
-    r.cert = NoetherianCert(name, (),
-                            CLAIMED if name in CLAIMED_RULES else SOUND)
-    return r
+def _leaf(space, succ, holds, name) -> Relation:
+    return _stamp(from_successors(space, space, succ, holds=holds, name=name),
+                  name)
 
 
 def _space_filter(space, holds, name, cap) -> Relation:
     def succ(a):
         # generator so emptiness probes stop at the first hit
         return (b for b in space.values(cap) if holds(a, b))
-    return _leaf(space, succ, holds, name, cap)
+    return _leaf(space, succ, holds, name)
+
+
+def measure_descent(space: Space, measure, rule: str = "INDUCED",
+                    name: str | None = None,
+                    cap: int = DEFAULT_MAX_SPACE) -> Relation:
+    """a steps to b when measure(b) < measure(a), for an integer measure.
+
+    The first successor query measures the space once; then a value at the
+    lowest measure has no successors without a scan, and any other gets a
+    lazy filter over the stored measures, in value order (cycle witnesses
+    downstream depend on it). Certificate: rule's own for a measure family,
+    INDUCED[INTGREATER] (a natural-valued measure pulled back) otherwise.
+    """
+    table = None
+
+    def succ(a):
+        nonlocal table
+        if table is None:
+            vals = space.values(cap)
+            ms = [measure(v) for v in vals]
+            table = (vals, ms, min(ms, default=0))
+        vals, ms, low = table
+        m = measure(a)
+        if m <= low:
+            return ()
+        return (v for v, mv in zip(vals, ms) if mv < m)
+
+    def holds(a, b):
+        return measure(b) < measure(a)
+
+    out = from_successors(space, space, succ, holds=holds, name=name or rule)
+    out.cert = (_cert(rule, _cert("INTGREATER")) if rule == "INDUCED"
+                else _cert(rule))
+    return out
 
 
 # -- the named families ------------------------------------------------------
@@ -177,53 +240,52 @@ def _intlesser(space, params, cap):
     return _leaf(space, succ, holds, "INTLESSER")
 
 
-def _intdiff(space, params, cap):
-    _want_int_pairs(space, "INTDIFF")
-    def gap(v):
-        return abs(v.first.value - v.second.value)
-    return _space_filter(space, lambda a, b: gap(b) < gap(a), "INTDIFF", cap)
+_want_natural_pairs = partial(_want_int_pairs, natural=True)
+
+# rule -> (guard(space, rule, cap), integer measure); each family steps to
+# a strictly smaller measure
+_MEASURES = {
+    "INTDIFF": (_want_int_pairs,
+                lambda v: abs(v.first.value - v.second.value)),
+    "INTSUM": (_want_natural_pairs, lambda v: v.first.value + v.second.value),
+    "MAXINT": (_want_natural_pairs,
+               lambda v: max(v.first.value, v.second.value)),
+    "MININT": (_want_natural_pairs,
+               lambda v: min(v.first.value, v.second.value)),
+    "INTERVAL": (_want_intervals, lambda v: v.width),
+    "INTERVAL'": (_want_intervals, lambda v: -v.width),
+    "INTERVALMAX": (_want_interval_sets, lambda v: v.max_width()),
+}
 
 
-def _intsum(space, params, cap):
-    _want_int_pairs(space, "INTSUM", natural=True)
-    def tot(v):
-        return v.first.value + v.second.value
-    return _space_filter(space, lambda a, b: tot(b) < tot(a), "INTSUM", cap)
+def _measure_family(space, params, cap, *, rule):
+    guard, measure = _MEASURES[rule]
+    guard(space, rule, cap)
+    return measure_descent(space, measure, rule, cap=cap)
 
 
-def _maxint(space, params, cap):
-    _want_int_pairs(space, "MAXINT", natural=True)
-    def top(v):
-        return max(v.first.value, v.second.value)
-    return _space_filter(space, lambda a, b: top(b) < top(a), "MAXINT", cap)
+# rule -> (guard(space, rule, cap), pair test): the families that find
+# successors by a scan of the space, a strict subset or superset of a
+# set-like value
+_SCANNED = {
+    "SUPSET": (_want_seq_sets, lambda a, b: set(b.items) < set(a.items)),
+    "SUBSET": (_want_seq_sets, lambda a, b: set(a.items) < set(b.items)),
+    "INTERVALSUPSET": (_want_interval_sets,
+                       lambda a, b: b.members < a.members),
+    "INTERVALSUBSET": (_want_interval_sets,
+                       lambda a, b: a.members < b.members),
+}
 
 
-def _minint(space, params, cap):
-    _want_int_pairs(space, "MININT", natural=True)
-    def bot(v):
-        return min(v.first.value, v.second.value)
-    return _space_filter(space, lambda a, b: bot(b) < bot(a), "MININT", cap)
-
-
-def _supset(space, params, cap):
-    _want_seq_sets(space, "SUPSET", cap)
-    def holds(a, b):
-        sa, sb = set(a.items), set(b.items)
-        return sb < sa
-    return _space_filter(space, holds, "SUPSET", cap)
-
-
-def _subset(space, params, cap):
-    _want_seq_sets(space, "SUBSET", cap)
-    def holds(a, b):
-        sa, sb = set(a.items), set(b.items)
-        return sa < sb
-    return _space_filter(space, holds, "SUBSET", cap)
+def _scanned_family(space, params, cap, *, rule):
+    guard, holds = _SCANNED[rule]
+    guard(space, rule, cap)
+    return _space_filter(space, holds, rule, cap)
 
 
 def _supinterval(space, params, cap):
     """Interval strictly shrinks, set-wise."""
-    _want_intervals(space, "SUPINTERVAL")
+    _want_intervals(space, "SUPINTERVAL", cap)
     lo, hi = space.lo, space.hi
     def succ(a):
         if a.empty:
@@ -241,7 +303,7 @@ def _supinterval(space, params, cap):
 
 def _subinterval(space, params, cap):
     """Interval strictly grows, set-wise, bounded by the window."""
-    _want_intervals(space, "SUBINTERVAL")
+    _want_intervals(space, "SUBINTERVAL", cap)
     lo, hi = space.lo, space.hi
     def succ(a):
         out = []
@@ -260,43 +322,12 @@ def _subinterval(space, params, cap):
     return _leaf(space, succ, holds, "SUBINTERVAL")
 
 
-def _interval(space, params, cap):
-    _want_intervals(space, "INTERVAL")
-    return _space_filter(space, lambda a, b: b.width < a.width,
-                         "INTERVAL", cap)
-
-
-def _interval_up(space, params, cap):
-    _want_intervals(space, "INTERVAL'")
-    return _space_filter(space, lambda a, b: b.width > a.width,
-                         "INTERVAL'", cap)
-
-
-def _intervalsupset(space, params, cap):
-    _want_interval_sets(space, "INTERVALSUPSET")
-    return _space_filter(space, lambda a, b: b.members < a.members,
-                         "INTERVALSUPSET", cap)
-
-
-def _intervalsubset(space, params, cap):
-    _want_interval_sets(space, "INTERVALSUBSET")
-    return _space_filter(space, lambda a, b: a.members < b.members,
-                         "INTERVALSUBSET", cap)
-
-
-def _intervalmax(space, params, cap):
-    _want_interval_sets(space, "INTERVALMAX")
-    return _space_filter(space, lambda a, b: b.max_width() < a.max_width(),
-                         "INTERVALMAX", cap)
-
-
 def _acyclic_edges(space, params, cap, *, flip: bool, rule: str):
     edges = params.get("edges")
     if edges is None:
         raise MalformedExpr(f"{rule} needs an edges parameter")
     pairs = []
-    for e in edges:
-        a, b = e
+    for a, b in edges:
         if not space.contains(a) or not space.contains(b):
             raise MalformedExpr(f"{rule} edge endpoint outside the space")
         pairs.append((a, b))
@@ -306,17 +337,8 @@ def _acyclic_edges(space, params, cap, *, flip: bool, rule: str):
         raise MalformedExpr(f"{rule} edges contain a cycle")
     if flip:
         pairs = [(b, a) for a, b in pairs]
-    r = from_pairs(space, space, pairs, name=rule, check=False)
-    r.cert = NoetherianCert(rule)
-    return r
-
-
-def _acyclic(space, params, cap):
-    return _acyclic_edges(space, params, cap, flip=False, rule="ACYCLIC")
-
-
-def _acyclic_up(space, params, cap):
-    return _acyclic_edges(space, params, cap, flip=True, rule="ACYCLIC'")
+    return _stamp(from_pairs(space, space, pairs, name=rule, check=False),
+                  rule)
 
 
 def _forest_maps(space, params, cap, rule):
@@ -350,17 +372,7 @@ def _parent(space, params, cap):
         return [Node(c) for c in kids.get(a.name, ())]
     def holds(a, b):
         return parent.get(b.name) == a.name
-    r = from_successors(space, space, succ, holds=holds, name="PARENT")
-    r.cert = NoetherianCert("PARENT", (), CLAIMED)
-    return r
-
-
-def _ancestor(space, params, cap):
-    base = _parent(space, params, cap)
-    r = base.plus()
-    r.name = "ANCESTOR"
-    r.cert = NoetherianCert("ANCESTOR", (base.cert,), CLAIMED)
-    return r
+    return _leaf(space, succ, holds, "PARENT")
 
 
 def _child(space, params, cap):
@@ -370,53 +382,57 @@ def _child(space, params, cap):
         return (Node(p),) if p is not None else ()
     def holds(a, b):
         return parent.get(a.name) == b.name
-    r = from_successors(space, space, succ, holds=holds, name="CHILD")
-    r.cert = NoetherianCert("CHILD")
-    return r
+    return _leaf(space, succ, holds, "CHILD")
 
 
-def _descendant(space, params, cap):
-    base = _child(space, params, cap)
+def _transitive(space, params, cap, *, step, rule):
+    base = step(space, params, cap)
     r = base.plus()
-    r.name = "DESCENDANT"
-    r.cert = NoetherianCert("DESCENDANT", (base.cert,))
-    return r
+    r.name = rule
+    return _stamp(r, rule, base)
 
 
+_EDGES = ("edges",)
+_FOREST = ("parent",)
+
+# name -> (builder, the parameters the family takes)
 _BUILDERS = {
-    "SUCCESSOR": _successor,
-    "INTGREATER": _intgreater,
-    "PREDECESSOR": _predecessor,
-    "INTLESSER": _intlesser,
-    "INTDIFF": _intdiff,
-    "INTSUM": _intsum,
-    "MAXINT": _maxint,
-    "MININT": _minint,
-    "SUPSET": _supset,
-    "SUBSET": _subset,
-    "SUPINTERVAL": _supinterval,
-    "SUBINTERVAL": _subinterval,
-    "INTERVAL": _interval,
-    "INTERVAL'": _interval_up,
-    "INTERVALSUPSET": _intervalsupset,
-    "INTERVALSUBSET": _intervalsubset,
-    "INTERVALMAX": _intervalmax,
-    "ACYCLIC": _acyclic,
-    "ACYCLIC'": _acyclic_up,
-    "PARENT": _parent,
-    "ANCESTOR": _ancestor,
-    "CHILD": _child,
-    "DESCENDANT": _descendant,
+    **{rule: (partial(_measure_family, rule=rule), ()) for rule in _MEASURES},
+    **{rule: (partial(_scanned_family, rule=rule), ()) for rule in _SCANNED},
+    "SUCCESSOR": (_successor, ()),
+    "INTGREATER": (_intgreater, ()),
+    "PREDECESSOR": (_predecessor, ()),
+    "INTLESSER": (_intlesser, ()),
+    "SUPINTERVAL": (_supinterval, ()),
+    "SUBINTERVAL": (_subinterval, ()),
+    "ACYCLIC": (partial(_acyclic_edges, flip=False, rule="ACYCLIC"), _EDGES),
+    "ACYCLIC'": (partial(_acyclic_edges, flip=True, rule="ACYCLIC'"), _EDGES),
+    "PARENT": (_parent, _FOREST),
+    "ANCESTOR": (partial(_transitive, step=_parent, rule="ANCESTOR"), _FOREST),
+    "CHILD": (_child, _FOREST),
+    "DESCENDANT": (partial(_transitive, step=_child, rule="DESCENDANT"),
+                   _FOREST),
 }
+
+
+def check_params(name: str, given) -> None:
+    """Reject parameters a named family does not take. Unknown names pass
+    here; named() rejects them."""
+    entry = _BUILDERS.get(name)
+    extra = sorted(set(given) - set(entry[1])) if entry else ()
+    if extra:
+        raise MalformedExpr(f"{name} does not take: {', '.join(extra)}")
 
 
 def named(name: str, space: Space, cap: int = DEFAULT_MAX_SPACE,
           **params) -> Relation:
     """One of the named families, validated against the space shape."""
-    builder = _BUILDERS.get(name)
-    if builder is None:
+    entry = _BUILDERS.get(name)
+    if entry is None:
         raise MalformedExpr(f"unknown named relation: {name!r}")
-    return builder(space, params, cap)
+    if params:
+        check_params(name, params)
+    return entry[0](space, params, cap)
 
 
 # -- combining constructors ---------------------------------------------------
@@ -424,17 +440,11 @@ def named(name: str, space: Space, cap: int = DEFAULT_MAX_SPACE,
 def compose_rel(r: Relation, s: Relation) -> Relation:
     """Composition. Never sound: descent through two terminating relations
     can still loop, so this certificate is only ever a claim."""
-    out = r.compose(s)
-    out.cert = NoetherianCert(
-        "COMPOSE", (getattr(r, "cert", None), getattr(s, "cert", None)),
-        CLAIMED)
-    return out
+    return _stamp(r.compose(s), "COMPOSE", r, s)
 
 
 def closure_of(r: Relation) -> Relation:
-    out = r.plus()
-    out.cert = NoetherianCert("CLOSURE", (getattr(r, "cert", None),))
-    return out
+    return _stamp(r.plus(), "CLOSURE", r)
 
 
 def subrel(r: Relation, pairs, name: str | None = None) -> Relation:
@@ -447,20 +457,15 @@ def subrel(r: Relation, pairs, name: str | None = None) -> Relation:
         got.append((a, b))
     out = from_pairs(r.source, r.target, got, name=name or "subrel",
                      check=False)
-    out.cert = NoetherianCert("SUBREL", (getattr(r, "cert", None),))
-    return out
+    return _stamp(out, "SUBREL", r)
 
 
 def restrict_to(keep, r: Relation) -> Relation:
-    out = r.restrict(keep)
-    out.cert = NoetherianCert("RESTRICT", (getattr(r, "cert", None),))
-    return out
+    return _stamp(r.restrict(keep), "RESTRICT", r)
 
 
 def inverse_of(r: Relation, cap: int = DEFAULT_MAX_SPACE) -> Relation:
-    out = r.materialized(cap).inverse()
-    out.cert = NoetherianCert("INVERSE", (getattr(r, "cert", None),))
-    return out
+    return _stamp(r.materialized(cap).inverse(), "INVERSE", r)
 
 
 def induced(fn, over: Relation, space: Space, fn_name: str | None = None,
@@ -470,15 +475,15 @@ def induced(fn, over: Relation, space: Space, fn_name: str | None = None,
     if isinstance(fn, str):
         fn_name = fn_name or fn
         fn = resolve_function(fn)
+    test = over._holds_fn or over.holds
     def holds(a, b):
-        return over.holds(fn(a), fn(b))
+        return test(fn(a), fn(b))
     def succ(a):
         fa = fn(a)
-        return (b for b in space.values(cap) if over.holds(fa, fn(b)))
+        return (b for b in space.values(cap) if test(fa, fn(b)))
     label = f"induced[{fn_name}]" if fn_name else "induced"
     out = from_successors(space, space, succ, holds=holds, name=label)
-    out.cert = NoetherianCert("INDUCED", (getattr(over, "cert", None),))
-    return out
+    return _stamp(out, "INDUCED", over)
 
 
 def component_of(v, i: int):
@@ -510,8 +515,7 @@ def projection(i: int, comp: Relation, space: Space,
                 if comp.holds(ca, component_of(b, i)))
     out = from_successors(space, space, succ, holds=holds,
                           name=f"projection[{i}]")
-    out.cert = NoetherianCert("PROJECTION", (getattr(comp, "cert", None),))
-    return out
+    return _stamp(out, "PROJECTION", comp)
 
 
 # -- named measure functions ---------------------------------------------------

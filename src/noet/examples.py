@@ -13,15 +13,15 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .catalog import NoetherianCert
+from .catalog import induced, measure_descent, named
 from .errors import ParameterOutOfRange
 from . import oracles
 from .loops import LoopDef, make_loop
 from .relations import from_successors
 from .spaces import (explicit, filtered, int_range, interval_sets_of,
-                     lazy_explicit, product)
+                     intervals_of, lazy_explicit, product)
 from .values import (Int, Interval, IntervalSet, Node, Pair, Seq, Tup,
-                     interval_strictly_within, sort_values, value_key)
+                     sort_values, value_key)
 
 EXAMPLE_NAMES = ("gcd", "seq_search", "general_search_interval",
                  "general_search_intervalset", "partition", "lamsort")
@@ -114,14 +114,7 @@ def _gcd_core(g: int, bound: int, check: bool) -> LoopDef:
     def top(v):
         return v.first.value if v.first.value >= v.second.value else v.second.value
 
-    def order_succ(p):
-        lim = top(p)
-        return (q for q in space.values() if top(q) < lim)
-
-    order = from_successors(space, space, order_succ,
-                            holds=lambda p, q: top(q) < top(p),
-                            name="max-descent")
-    order.cert = NoetherianCert("SUBREL", (NoetherianCert("MAXINT"),))
+    order = measure_descent(space, top, name="max-descent")
 
     def body_succ(p):
         m, n = p.first.value, p.second.value
@@ -171,16 +164,9 @@ def _seq_search_instance(params, check):
             break
         prefixes.append(Interval(1, i))
     space = explicit(prefixes)
-
-    def order_succ(cur):
-        return (j for j in space.values()
-                if interval_strictly_within(cur, j))
-
-    order = from_successors(
-        space, space, order_succ,
-        holds=lambda cur, j: interval_strictly_within(cur, j),
-        name="prefix-growth")
-    order.cert = NoetherianCert("SUBREL", (NoetherianCert("SUBINTERVAL"),))
+    # on prefixes 1..i, strict set-wise growth is exactly a longer prefix
+    order = measure_descent(space, lambda cur: n - cur.hi,
+                            name="prefix-growth")
 
     def body_succ(cur):
         i = cur.hi
@@ -222,16 +208,8 @@ def _gsi_instance(params, check):
             if (x in _interval_slice(t, Interval(lo, hi))) == present:
                 states.append(Interval(lo, hi))
     space = explicit(states)
-
-    def order_succ(cur):
-        return (j for j in space.values()
-                if interval_strictly_within(j, cur))
-
-    order = from_successors(
-        space, space, order_succ,
-        holds=lambda cur, j: interval_strictly_within(j, cur),
-        name="interval-shrink")
-    order.cert = NoetherianCert("SUBREL", (NoetherianCert("SUPINTERVAL"),))
+    order = induced(lambda v: v, named("SUPINTERVAL", intervals_of(1, n)),
+                    space, fn_name="interval")
 
     # any strict subinterval that keeps the space predicate is a legal move
     body = order
@@ -283,13 +261,8 @@ def _gsis_instance(params, check):
         lambda s: all(not any(m.covers(p) for p in hits) for m in s.members),
         pred_id=pred_id)
 
-    def order_succ(s):
-        return (q for q in space.values() if s.members < q.members)
-
-    order = from_successors(space, space, order_succ,
-                            holds=lambda s, q: s.members < q.members,
-                            name="set-growth")
-    order.cert = NoetherianCert("SUBREL", (NoetherianCert("INTERVALSUBSET"),))
+    order = induced(lambda v: v, named("INTERVALSUBSET", base), space,
+                    fn_name="interval_set")
 
     def body_succ(s):
         return [IntervalSet(s.members | {j}) for j in eligible
@@ -361,19 +334,9 @@ def _partition_instance(params, check):
     n = len(t)
     space = _partition_space(t, pivot)
 
-    def cut_of(s):
-        return s.items[1]
-
-    def order_succ(s):
-        cur = cut_of(s)
-        return (q for q in space.values()
-                if interval_strictly_within(cut_of(q), cur))
-
-    order = from_successors(
-        space, space, order_succ,
-        holds=lambda s, q: interval_strictly_within(cut_of(q), cut_of(s)),
-        name="cut-shrink")
-    order.cert = NoetherianCert("PROJECTION", (NoetherianCert("SUPINTERVAL"),))
+    order = induced(lambda s: s.items[1],
+                    named("SUPINTERVAL", intervals_of(1, n)), space,
+                    fn_name="cut")
 
     def body_succ(s):
         u, cut = s.items
@@ -481,17 +444,8 @@ def _lamsort_instance(params, check):
     n = len(t)
     space = _lamsort_space(t)
 
-    def nblocks(s):
-        return len(s.items[1].members)
-
-    def order_succ(s):
-        cur = nblocks(s)
-        return (q for q in space.values() if nblocks(q) > cur)
-
-    order = from_successors(space, space, order_succ,
-                            holds=lambda s, q: nblocks(q) > nblocks(s),
+    order = measure_descent(space, lambda s: n - len(s.items[1].members),
                             name="block-count-growth")
-    order.cert = NoetherianCert("INDUCED", (NoetherianCert("INTGREATER"),))
 
     def wide_blocks(s):
         return [m for m in sort_values(s.items[1].members) if m.width >= 2]

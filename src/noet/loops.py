@@ -13,14 +13,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import oracles
-from .catalog import NoetherianCert, certify
+from .catalog import certify, measure_descent
 from .errors import (BodyNotSubsetOfOrder, DomainMismatch, EmptySpace,
                      FuelExhausted, InitEscapesSpace, InputOutsideSpace,
                      NegativeVariantValue, NonTotalFunction,
                      OrderNotNoetherian, SpaceMismatch)
 from .noether import (DEFAULT_FUEL, NOETHERIAN, REACHABLE_MINIMA,
                       is_seed, limit_relation)
-from .relations import Relation, from_successors
+from .relations import Relation, from_successors, least_failing
 from .spaces import DEFAULT_MAX_SPACE, Space, same_space
 from .values import Int, render, render_chain, render_set, value_key
 
@@ -68,9 +68,9 @@ def make_loop(space: Space, order: Relation, init: Relation, body: Relation,
         probe = space.sample_values(1)
         if not probe:
             raise EmptySpace()
-        for a, b in init.sorted_pairs(cap):
-            if not space.contains(b):
-                raise InitEscapesSpace(witness=b)
+        escape = _init_escape(init, space, cap)
+        if escape is not None:
+            raise InitEscapesSpace(witness=escape)
         report = is_seed(body, order, cap)
         if not report.holds:
             if report.subset_witness is not None:
@@ -83,6 +83,12 @@ def make_loop(space: Space, order: Relation, init: Relation, body: Relation,
                 witness=verdict.witness.render() if verdict.witness else None)
     return LoopDef(space=space, order=order, init=init, body=body,
                    postcondition=postcondition)
+
+
+def _init_escape(init: Relation, space: Space, cap: int):
+    """The initial state of the least init pair that leaves space, or None."""
+    pair = least_failing(init.pairs(cap), lambda a, b: space.contains(b))
+    return None if pair is None else pair[1]
 
 
 def exit_condition(loop: LoopDef, cap: int = DEFAULT_MAX_SPACE) -> list:
@@ -275,11 +281,7 @@ def verify(loop: LoopDef, inputs=None, *, ctx: dict | None = None,
     results.append(ObligationResult(
         "space_nonempty", bool(space_values), f"{len(space_values)} states"))
 
-    escape = None
-    for _, b in loop.init.sorted_pairs(cap):
-        if not loop.space.contains(b):
-            escape = b
-            break
+    escape = _init_escape(loop.init, loop.space, cap)
     results.append(ObligationResult(
         "init_range", escape is None,
         "" if escape is None else f"initial state {render(escape)} outside the space"))
@@ -344,13 +346,7 @@ def variant_to_relation(f, space: Space, *, fn_name: str | None = None,
                         cap: int = DEFAULT_MAX_SPACE) -> Relation:
     """Turn a natural-valued measure into the strict descent relation it
     induces on a space. Total and non-negative, or it is no variant."""
-    if isinstance(f, dict):
-        mapping = f
-        def raw(v):
-            return mapping.get(v)
-    else:
-        def raw(v):
-            return f(v)
+    raw = f.get if isinstance(f, dict) else f
     measure = {}
     for v in space.values(cap):
         got = raw(v)
@@ -361,12 +357,5 @@ def variant_to_relation(f, space: Space, *, fn_name: str | None = None,
         if got < 0:
             raise NegativeVariantValue(witness=v, value=got)
         measure[v] = got
-    def succ(a):
-        bound = measure[a]
-        return [b for b in space.values(cap) if measure[b] < bound]
-    def holds(a, b):
-        return measure[b] < measure[a]
     name = f"variant[{fn_name}]" if fn_name else "variant"
-    out = from_successors(space, space, succ, holds=holds, name=name)
-    out.cert = NoetherianCert("INDUCED", (NoetherianCert("INTGREATER"),))
-    return out
+    return measure_descent(space, measure.__getitem__, name=name, cap=cap)

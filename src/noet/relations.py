@@ -244,11 +244,11 @@ class Relation:
                         name=_derived_name("union", self.name, other.name))
 
     def is_subset_of(self, other: "Relation", cap: int = DEFAULT_MAX_SPACE):
-        """(True, None) or (False, witness_pair). Compares pair by pair."""
-        for a, b in self.sorted_pairs(cap):
-            if not other.holds(a, b):
-                return False, (a, b)
-        return True, None
+        """(True, None) or (False, witness_pair), the witness being the
+        least pair of self that other lacks."""
+        witness = least_failing(self.pairs(cap),
+                                other._holds_fn or other.holds)
+        return witness is None, witness
 
     def same_pairs(self, other: "Relation", cap: int = DEFAULT_MAX_SPACE) -> bool:
         return self.pairs(cap) == other.pairs(cap)
@@ -298,6 +298,13 @@ class Relation:
 
 def _pair_key(p):
     return (value_key(p[0]), value_key(p[1]))
+
+
+def least_failing(pairs, test):
+    """The least pair (a, b), in value order, for which test(a, b) is false,
+    or None. Pairs are tested unsorted; only the failures get ordered."""
+    failures = [(a, b) for a, b in pairs if not test(a, b)]
+    return min(failures, key=_pair_key) if failures else None
 
 
 def _derived_name(op, *parts):

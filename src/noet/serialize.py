@@ -11,8 +11,9 @@ consume the tree: ``build`` makes the relation through the catalog
 constructors, and ``emit`` writes the canonical document, with value lists
 sorted by the value ordering and deduplicated so that parse -> emit is
 byte-stable. Parsing and normalizing therefore reject the same malformed
-documents; only building checks what needs a space (values outside it,
-unknown families and functions).
+documents, a named family's stray parameters included (the catalog's table
+says which it takes); only building checks what needs a space (values
+outside it, unknown families and functions).
 """
 
 from __future__ import annotations
@@ -31,9 +32,17 @@ from .values import (Int, Interval, IntervalSet, Node, Pair, Seq, Tup,
 # deepest nesting of pairs and tuples a value document may have
 MAX_VALUE_DEPTH = 100
 
+# longest prefix of an offending document an error message quotes
+_QUOTE_LIMIT = 60
+
 
 def canonical_json(doc) -> str:
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+def _quote(x) -> str:
+    text = repr(x)
+    return text if len(text) <= _QUOTE_LIMIT else text[:_QUOTE_LIMIT] + "..."
 
 
 def _need(doc, key, kind):
@@ -65,7 +74,7 @@ def value_doc(v) -> dict:
 
 def _raw_int(x, what):
     if not isinstance(x, int) or isinstance(x, bool):
-        raise MalformedExpr(f"{what} must be an integer, got {x!r}")
+        raise MalformedExpr(f"{what} must be an integer, got {_quote(x)}")
     return x
 
 
@@ -84,7 +93,8 @@ def parse_value(doc):
 
 def _parse_value(doc, depth):
     if not isinstance(doc, dict) or len(doc) != 1:
-        raise MalformedExpr(f"a value document has exactly one tag: {doc!r}")
+        raise MalformedExpr(
+            f"a value document has exactly one tag: {_quote(doc)}")
     tag, body = next(iter(doc.items()))
     if tag == "int":
         return Int(_raw_int(body, "int value"))
@@ -118,7 +128,7 @@ def _parse_value(doc, depth):
         if not isinstance(body, list) or len(body) < 2:
             raise MalformedExpr("tuple value needs at least two parts")
         return Tup(tuple(_parse_value(x, depth - 1) for x in body))
-    raise MalformedExpr(f"unknown value tag {tag!r}")
+    raise MalformedExpr(f"unknown value tag {_quote(tag)}")
 
 
 # -- spaces --------------------------------------------------------------------
@@ -147,7 +157,7 @@ def parse_space(doc) -> Space:
         raise MalformedExpr("a space document is an object with a kind")
     kind = _need(doc, "kind", "space")
     if not isinstance(kind, str):
-        raise MalformedExpr(f"unknown space kind {kind!r}")
+        raise MalformedExpr(f"unknown space kind {_quote(kind)}")
     if kind in _WINDOWS:
         make, noun = _WINDOWS[kind]
         lo = _raw_int(_need(doc, "lo", kind), f"{kind}.lo")
@@ -165,7 +175,7 @@ def parse_space(doc) -> Space:
         if not isinstance(vals, list) or not vals:
             raise MalformedExpr("explicit space needs a non-empty value list")
         return explicit([parse_value(v) for v in vals])
-    raise MalformedExpr(f"unknown space kind {kind!r}")
+    raise MalformedExpr(f"unknown space kind {_quote(kind)}")
 
 
 # -- the grammar -----------------------------------------------------------------
@@ -273,8 +283,11 @@ def parse_expr(doc) -> tuple:
         raise MalformedExpr("a relation document is an object with a kind")
     kind = _need(doc, "kind", "relation")
     if not isinstance(kind, str) or kind not in _REL_GRAMMAR:
-        raise MalformedExpr(f"unknown relation kind {kind!r}")
-    return kind, _parse_fields(doc, _REL_GRAMMAR[kind], kind)
+        raise MalformedExpr(f"unknown relation kind {_quote(kind)}")
+    fields = _parse_fields(doc, _REL_GRAMMAR[kind], kind)
+    if kind == "named":
+        catalog.check_params(fields["name"], set(fields) - {"name"})
+    return kind, fields
 
 
 def build(tree, space: Space, cap: int = DEFAULT_MAX_SPACE) -> Relation:

@@ -76,13 +76,15 @@ class Space:
         return None
 
     def enumerable(self, cap: int = DEFAULT_MAX_SPACE) -> bool:
-        if self._values is not None:
-            return True
         e = self.size_estimate()
         return e is not None and e <= cap
 
     def values(self, cap: int = DEFAULT_MAX_SPACE) -> tuple:
+        """Every value, canonically sorted; more than cap, cached or not,
+        raises SpaceTooLarge."""
         if self._values is not None:
+            if len(self._values) > cap:
+                raise SpaceTooLarge(len(self._values), cap)
             return self._values
         est = self.size_estimate()
         if est is not None and est > cap:

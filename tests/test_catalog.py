@@ -1,14 +1,19 @@
 """The constructor catalog: every rule on a small pinned window."""
 
+import dataclasses
+from pathlib import Path
+
 import pytest
 
+import noet
 from noet.catalog import (CLAIMED_RULES, NAMED_FUNCTIONS, RULES,
                           NoetherianCert, certify, closure_of, compose_rel,
                           exhaustive_cert, induced, inverse_of, make_depth_fn,
-                          named, powerset_space, projection, resolve_function,
-                          restrict_to, subrel)
+                          measure_descent, named, powerset_space, projection,
+                          resolve_function, restrict_to, subrel)
 from noet.catalog import _BUILDERS
-from noet.errors import MalformedExpr, UnknownNamedFunction
+from noet.errors import MalformedExpr, OrderNotNoetherian, UnknownNamedFunction
+from noet.loops import make_loop
 from noet.noether import is_noetherian
 from noet.relations import from_pairs
 from noet.spaces import (explicit, int_range, interval_sets_of, intervals_of,
@@ -293,6 +298,34 @@ class TestCertificates:
         assert compose_rel(fwd, back).cert.render() \
             == "COMPOSE[ACYCLIC, ACYCLIC] (claimed)"
 
+    def test_hand_stamped_cert_is_rechecked(self):
+        # a cyclic order wearing a sound-looking certificate made by hand
+        sp = int_range(0, 1)
+        spin = from_pairs(sp, sp, [(Int(0), Int(1)), (Int(1), Int(0))])
+        spin.cert = NoetherianCert("SUBREL", (NoetherianCert("MAXINT"),))
+        assert spin.cert.sound
+        v = certify(spin)
+        assert v.holds is False and v.method == "exhaustive"
+        init = from_pairs(sp, sp, [])
+        with pytest.raises(OrderNotNoetherian):
+            make_loop(sp, spin, init, spin, check=True)
+
+    def test_minted_premise_does_not_vouch_for_a_hand_made_top(self):
+        base = named("INTGREATER", int_range(0, 3))
+        assert certify(base).method == "certificate"
+        made = [NoetherianCert("CLOSURE", (base.cert,)),
+                dataclasses.replace(base.cert, premises=())]
+        for cert in made:
+            r = from_pairs(int_range(0, 3), int_range(0, 3), [])
+            r.cert = cert
+            assert cert.sound and certify(r).method == "exhaustive"
+
+    def test_only_the_catalog_mints_certificates(self):
+        pkg = Path(noet.__file__).parent
+        minting = sorted(p.name for p in pkg.glob("*.py")
+                         if "NoetherianCert(" in p.read_text(encoding="utf-8"))
+        assert minting == ["catalog.py"]
+
     def test_missing_cert_falls_back_to_checking(self):
         sp = int_range(0, 3)
         bare = from_pairs(sp, sp, [(Int(1), Int(0))])
@@ -394,3 +427,64 @@ class TestNamedFunctions:
             depth(Node("a"))
         with pytest.raises(MalformedExpr):
             depth(Int(3))
+
+
+# each measure family's measure, written out independently of the catalog
+FAMILY_MEASURES = {
+    "INTDIFF": lambda v: abs(v.first.value - v.second.value),
+    "INTSUM": lambda v: v.first.value + v.second.value,
+    "MAXINT": lambda v: max(v.first.value, v.second.value),
+    "MININT": lambda v: min(v.first.value, v.second.value),
+    "INTERVAL": lambda v: v.width,
+    "INTERVAL'": lambda v: -v.width,
+    "INTERVALMAX": lambda v: max((m.width for m in v.members), default=0),
+}
+
+
+MEASURE_FIXTURES = [f for f in NAMED_FIXTURES if f[0] in FAMILY_MEASURES]
+
+
+class TestMeasureDescent:
+    @pytest.mark.parametrize("rule,space,params", MEASURE_FIXTURES,
+                             ids=[f[0] for f in MEASURE_FIXTURES])
+    def test_family_matches_a_scan_in_value_order(self, rule, space, params):
+        r = named(rule, space)
+        m = FAMILY_MEASURES[rule]
+        vals = space.values()
+        for a in vals:
+            assert list(r._succ(a)) == [b for b in vals if m(b) < m(a)]
+            for b in vals:
+                assert r.holds(a, b) == (m(b) < m(a))
+
+    def test_any_other_measure_is_induced_over_intgreater(self):
+        r = measure_descent(PAIRS22, lambda v: v.first.value, name="first")
+        assert r.name == "first"
+        assert r.cert.render() == "INDUCED[INTGREATER]"
+        assert certify(r).method == "certificate"
+        assert r.holds(Pair(Int(1), Int(0)), Pair(Int(0), Int(2)))
+        assert not r.holds(Pair(Int(1), Int(0)), Pair(Int(1), Int(2)))
+
+    def test_space_is_measured_once_and_empty_probes_are_cheap(self):
+        calls = []
+        def measure(v):
+            calls.append(v)
+            return v.value // 2
+        r = measure_descent(int_range(0, 9), measure)
+        assert calls == []                       # nothing until first asked
+        assert [v.value for v in r.successors(Int(5))] == [0, 1, 2, 3]
+        assert len(calls) == 10 + 1              # the space once, then Int(5)
+        del calls[:]
+        assert not any(True for _ in r._succ(Int(1)))
+        assert len(calls) == 1                   # an empty probe scans nothing
+
+
+class TestFamilyParameters:
+    def test_stray_parameters_rejected(self):
+        with pytest.raises(MalformedExpr,
+                           match="does not take: edges, parent"):
+            named("SUCCESSOR", int_range(0, 3),
+                  edges=[(Int(2), Int(0))], parent={"a": "b"})
+        with pytest.raises(MalformedExpr, match="does not take: parent"):
+            named("ACYCLIC", forest_space(), edges=[], parent=FOREST)
+        with pytest.raises(MalformedExpr, match="does not take: edges"):
+            named("CHILD", forest_space(), parent=FOREST, edges=[])

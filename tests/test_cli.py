@@ -412,6 +412,33 @@ class TestErrors:
         assert err.startswith("error: ")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("space,relation", [
+        (ir(0, 3), {"kind": "extensional",
+                    "pairs": [[{"x" * 900: 1}, {"int": 0}]]}),
+        (ir(0, 3), {"kind": "extensional",
+                    "pairs": [[{f"tag{i}": i for i in range(100)},
+                               {"int": 0}]]}),
+        (ir(0, 3), {"kind": "x" * 900}),
+        ({"kind": "y" * 900}, nm("SUCCESSOR")),
+    ], ids=["long-tag", "many-tags", "long-relation-kind", "long-space-kind"])
+    def test_quoted_input_is_bounded(self, tmp_rel_file, capsys, space,
+                                     relation):
+        assert main(["check", tmp_rel_file({"space": space,
+                                            "relation": relation})]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err) < 200
+
+    def test_deeply_nested_int_is_quoted_briefly(self, tmp_path, capsys):
+        p = tmp_path / "deep_int.json"
+        p.write_text('{"space": {"kind": "int_range", "lo": 0, "hi": 3}, '
+                     '"relation": {"kind": "extensional", "pairs": '
+                     '[[{"int": %s}, {"int": 0}]]}}'
+                     % ("[" * 900 + "]" * 900), encoding="utf-8")
+        assert main(["check", str(p)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: int value must be an integer")
+        assert len(err.splitlines()[0]) < 200
+
     def test_deeply_nested_start_value_exits_two(self, tmp_rel_file, capsys):
         start = '{"pair": [' * 1500 + '{"int": 0}' + ', {"int": 1}]}' * 1500
         assert main(["limit", tmp_rel_file(SUCC_FILE), "--from", start]) == 2

@@ -5,8 +5,10 @@ import pytest
 from noet.errors import ParameterOutOfRange
 from noet.examples import (EXAMPLE_NAMES, EXAMPLE_PARAMS, EXAMPLE_SUMMARIES,
                            instantiate)
-from noet.loops import run, terminals_of, variant_to_relation
-from noet.values import Int, Interval, IntervalSet, Node, Pair, Seq, Tup
+from noet.loops import run, terminals_of, variant_to_relation, verify
+from noet.noether import is_noetherian
+from noet.values import (Int, Interval, IntervalSet, Node, Pair, Seq, Tup,
+                         interval_strictly_within)
 
 
 def drive(inst, **kw):
@@ -234,3 +236,62 @@ class TestValidatedRuns:
         inst = instantiate(name, **params)
         t = drive(inst, validate=True)
         assert inst.oracle_check(inst.input, t.terminal)
+
+
+def _top(p):
+    return max(p.first.value, p.second.value)
+
+
+# Each example's order as a plain predicate on pairs of states, written
+# independently of the catalog constructors that build it.
+HAND_WRITTEN_ORDERS = {
+    "gcd": lambda p, q: _top(q) < _top(p),
+    "seq_search": lambda cur, j: interval_strictly_within(cur, j),
+    "general_search_interval": lambda cur, j: interval_strictly_within(j, cur),
+    "general_search_intervalset": lambda s, q: s.members < q.members,
+    "partition": lambda s, q: interval_strictly_within(q.items[1],
+                                                       s.items[1]),
+    "lamsort": lambda s, q: len(q.items[1].members) > len(s.items[1].members),
+}
+
+SMALL_INSTANCES = [
+    ("gcd", {"a": 6, "b": 4}), ("gcd", {"a": 3, "b": 5, "bound": 7}),
+    ("seq_search", {"t": (5, 3, 4), "x": 4}),
+    ("seq_search", {"t": (1, 2), "x": 9}), ("seq_search", {"t": (), "x": 1}),
+    ("general_search_interval", {"t": (1, 2, 3), "x": 2}),
+    ("general_search_interval", {"t": (2, 1, 2), "x": 7}),
+    ("general_search_interval", {"t": (), "x": 1}),
+    ("general_search_intervalset", {"t": (4, 5), "x": 5}),
+    ("general_search_intervalset", {"t": (1, 2, 1), "x": 1}),
+    ("general_search_intervalset", {"t": (), "x": 1}),
+    ("partition", {"t": (3, 1, 2), "pivot": 2}),
+    ("partition", {"t": (2, 2), "pivot": 2}),
+    ("partition", {"t": (), "pivot": 0}),
+    ("lamsort", {"t": (2, 3, 1)}), ("lamsort", {"t": (1, 1)}),
+    ("lamsort", {"t": ()}),
+]
+
+
+class TestCatalogOrders:
+    @pytest.mark.parametrize("name,params", SMALL_INSTANCES,
+                             ids=[f"{n}-{i}" for i, (n, _)
+                                  in enumerate(SMALL_INSTANCES)])
+    def test_order_has_the_hand_written_pairs(self, name, params):
+        inst = instantiate(name, **params)
+        order, vals = inst.loop.order, inst.loop.space.values()
+        steps = HAND_WRITTEN_ORDERS[name]
+        want = {(a, b) for a in vals for b in vals if steps(a, b)}
+        assert order.pairs() == want
+        assert all(order.holds(a, b) == ((a, b) in want)
+                   for a in vals for b in vals)
+        # the exhaustive search agrees with the certificate
+        assert order.cert.sound and is_noetherian(order).holds is True
+
+    @pytest.mark.parametrize("name", EXAMPLE_NAMES)
+    def test_order_verifies_by_its_certificate(self, name):
+        inst = instantiate(name, **next(p for n, p in SMALL_INSTANCES
+                                        if n == name))
+        report = verify(inst.loop, ctx=inst.ctx)
+        by_name = {r.name: r for r in report.results}
+        assert by_name["order_noetherian"].detail == "Noetherian (certificate)"
+        assert report.passed

@@ -58,6 +58,20 @@ class TestMakeLoop:
             make_loop(sp, ok, bad_init, ok)
         assert err.value.witness == Int(9)
 
+    def test_init_escape_witness_comes_from_the_least_failing_pair(self):
+        # (0, 9) is the least escaping pair; 7 would be the least escapee
+        sp = int_range(0, 3)
+        bad_init = from_pairs(sp, sp, [(Int(2), Int(1)), (Int(1), Int(7)),
+                                       (Int(0), Int(9))], check=False)
+        ok = from_pairs(sp, sp, [])
+        with pytest.raises(InitEscapesSpace) as err:
+            make_loop(sp, ok, bad_init, ok)
+        assert err.value.witness == Int(9)
+        report = verify(make_loop(sp, ok, bad_init, ok, check=False))
+        by_name = {r.name: r for r in report.results}
+        assert by_name["init_range"].detail \
+            == "initial state 9 outside the space"
+
     def test_body_outside_order(self):
         sp = int_range(0, 3)
         order = named("INTGREATER", sp)

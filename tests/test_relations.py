@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given
+from hypothesis import given, strategies as st
 
 from conftest import any_relation, dag_relation, int_space
 from noet.errors import (RequiresExtensional, SpaceMismatch, ValueOutsideSpace)
@@ -7,7 +7,7 @@ from noet.noether import is_noetherian
 from noet.relations import (empty_relation, from_pairs, from_successors,
                             identity)
 from noet.spaces import explicit, int_range
-from noet.values import Int, Node
+from noet.values import Int, Node, value_key
 
 
 def rel(n, pairs):
@@ -116,6 +116,19 @@ class TestOperations:
         assert small.is_subset_of(big) == (True, None)
         ok, witness = big.is_subset_of(small)
         assert not ok and witness == (Int(1), Int(2))
+
+    @given(any_relation(), st.data())
+    def test_subset_witness_is_the_first_failure_of_a_sorted_scan(self, r,
+                                                                  data):
+        pairs = sorted(r.pairs(), key=lambda p: (value_key(p[0]),
+                                                 value_key(p[1])))
+        dropped = data.draw(st.sets(st.sampled_from(pairs), min_size=2)
+                            if len(pairs) >= 2 else st.just(set()))
+        other = from_pairs(r.source, r.target,
+                           [p for p in pairs if p not in dropped])
+        first = next((p for p in pairs if not other.holds(*p)), None)
+        ok, witness = r.is_subset_of(other)
+        assert ok is (first is None) and witness == first
 
 
 class TestClassify:

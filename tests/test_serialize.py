@@ -177,6 +177,9 @@ MALFORMED_REL_DOCS = {
     "nested-edges-not-a-list": {
         "kind": "closure",
         "of": {"kind": "named", "name": "ACYCLIC", "edges": {"int": 1}}},
+    "named-stray-params": {"kind": "named", "name": "SUCCESSOR",
+                           "edges": [[{"int": 2}, {"int": 0}]],
+                           "parent": {"a": "b"}},
     "value-too-deep": {"kind": "restrict",
                        "of": {"kind": "named", "name": "INTGREATER"},
                        "keep": [nested_pairs(MAX_VALUE_DEPTH + 1)]},

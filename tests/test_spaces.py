@@ -64,6 +64,14 @@ class TestLimitsAndLazy:
         with pytest.raises(SpaceTooLarge):
             int_range(0, 10 ** 6).values(1000)
 
+    def test_cap_is_enforced_after_caching(self):
+        sp = int_range(0, 50)
+        assert len(sp.values(1000)) == 51
+        assert sp.enumerable(51) and not sp.enumerable(3)
+        with pytest.raises(SpaceTooLarge):
+            sp.values(3)
+        assert len(sp.values(51)) == 51
+
     def test_lazy_factory_defers_until_needed(self):
         calls = []
 

@@ -25,10 +25,8 @@ from .relations import (Relation, RelationFlags, empty_relation, from_pairs,
 from .noether import (DEFAULT_FUEL, Chain, MAXDEPTH, NOETHERIAN,
                       NOT_NOETHERIAN, REACHABLE_MINIMA, UNKNOWN,
                       NoetherianVerdict, SeedReport, assert_noetherian,
-                      chains_from, count_chains_from, height_from,
-                      is_finitary, is_minimal, is_noetherian, is_seed,
-                      limit_from, limit_relation, minima, reachable_from,
-                      seed_gap)
+                      height_from, is_minimal, is_noetherian, is_seed,
+                      limit_from, limit_relation, minima, reachable_from)
 from .catalog import (CLAIMED, NAMED_FUNCTIONS, NoetherianCert, RULES, SOUND,
                       certify, closure_of, component_of, compose_rel,
                       exhaustive_cert, induced, inverse_of, make_depth_fn,
@@ -36,8 +34,8 @@ from .catalog import (CLAIMED, NAMED_FUNCTIONS, NoetherianCert, RULES, SOUND,
                       resolve_function, restrict_to, subrel)
 from .loops import (ExecTrace, LoopDef, OBLIGATIONS, ObligationResult,
                     VerificationReport, denotation_closure, denotation_limit,
-                    exit_condition, make_loop, run, terminals_of,
-                    variant_to_relation, verify)
+                    exit_condition, make_loop, run, served_inputs,
+                    terminals_of, variant_to_relation, verify)
 from .examples import (EXAMPLE_NAMES, EXAMPLE_PARAMS, ExampleInstance,
                        instantiate)
 from .audit import (AuditFinding, CLAIM_IDS, reverify, run_audit)

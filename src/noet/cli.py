@@ -21,7 +21,7 @@ from .errors import (BodyNotSubsetOfOrder, DomainMismatch, EmptySpace,
                      MalformedInput, NoetError, NotNoetherian,
                      OrderNotNoetherian)
 from .loops import run as run_loop
-from .loops import verify
+from .loops import served_inputs, verify
 from .noether import (DEFAULT_FUEL, MAXDEPTH, NOETHERIAN, NOT_NOETHERIAN,
                       REACHABLE_MINIMA, height_from, is_noetherian, is_seed,
                       limit_from)
@@ -220,8 +220,7 @@ def _pick_input(args, loop, inst):
         return _parse_value_arg(args.input)
     if inst is not None:
         return inst.input
-    served = [v for v in loop.init.source.values(args.max_space)
-              if any(True for _ in loop.init._succ(v))]
+    served = served_inputs(loop, args.max_space)
     if len(served) == 1:
         return served[0]
     raise MalformedExpr("loop has several possible inputs; pass --input")

@@ -20,7 +20,7 @@ from .errors import (BodyNotSubsetOfOrder, DomainMismatch, EmptySpace,
                      OrderNotNoetherian, SpaceMismatch)
 from .noether import (DEFAULT_FUEL, NOETHERIAN, REACHABLE_MINIMA,
                       is_seed, limit_relation)
-from .relations import Relation, from_successors, least_failing
+from .relations import Relation, from_successors, is_minimal, least_failing
 from .spaces import DEFAULT_MAX_SPACE, Space, same_space
 from .values import Int, render, render_chain, render_set, value_key
 
@@ -93,8 +93,13 @@ def _init_escape(init: Relation, space: Space, cap: int):
 
 def exit_condition(loop: LoopDef, cap: int = DEFAULT_MAX_SPACE) -> list:
     """States the body cannot leave, canonically sorted."""
-    return [a for a in loop.space.values(cap)
-            if not any(True for _ in loop.body._succ(a))]
+    return [a for a in loop.space.values(cap) if is_minimal(loop.body, a)]
+
+
+def served_inputs(loop: LoopDef, cap: int = DEFAULT_MAX_SPACE) -> list:
+    """Inputs the initialization maps to some start state, sorted."""
+    return [v for v in loop.init.source.values(cap)
+            if not is_minimal(loop.init, v)]
 
 
 # -- running -----------------------------------------------------------------
@@ -146,7 +151,7 @@ def _run_single(loop, input_value, fuel, choose, validate) -> ExecTrace:
             _step_checked(loop, state, nxt)
         state = nxt
         states.append(state)
-    if not any(True for _ in loop.body._succ(state)):
+    if is_minimal(loop.body, state):
         return ExecTrace(input=input_value, states=tuple(states))
     raise FuelExhausted(fuel, partial=ExecTrace(input=input_value,
                                                 states=tuple(states)))
@@ -298,11 +303,7 @@ def verify(loop: LoopDef, inputs=None, *, ctx: dict | None = None,
     results.append(ObligationResult(
         "exit_nonempty", bool(exits), f"{len(exits)} exit states"))
 
-    if inputs is None:
-        # only inputs the initialization actually serves
-        inputs = [v for v in loop.init.source.values(cap)
-                  if any(True for _ in loop.init._succ(v))]
-    inputs = list(inputs)
+    inputs = served_inputs(loop, cap) if inputs is None else list(inputs)
 
     oracle_ok = True
     oracle_detail = "no oracle named" if loop.postcondition is None else ""

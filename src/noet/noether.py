@@ -13,10 +13,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import (FuelExhausted, NotNoetherian, SpaceMismatch,
-                     SpaceTooLarge, ValueOutsideSpace)
-from .relations import Relation, from_pairs
+                     SpaceTooLarge)
+from .relations import Relation, after, from_pairs, is_minimal, reach
 from .spaces import DEFAULT_MAX_SPACE, same_space
-from .values import render_chain, sort_values, value_key
+# value_key is unused here but stays bound: perfbench's tracer test expects
+# this module to hold the name it wraps
+from .values import render_chain, sort_values, value_key  # noqa: F401
 
 DEFAULT_FUEL = 10_000
 
@@ -38,7 +40,7 @@ class Chain:
     """A descending walk: consecutive elements are relation steps.
 
     complete means the walk cannot be extended (its last element has no
-    successors); a chain cut off by a length bound or fuel is not complete.
+    successors); a cycle or a chain cut off by fuel is not complete.
     """
     elements: tuple
     complete: bool
@@ -185,22 +187,25 @@ def assert_noetherian(r: Relation, cap: int = DEFAULT_MAX_SPACE) -> None:
         raise NotNoetherian(verdict.witness.render() if verdict.witness else None)
 
 
-# -- descent measures ------------------------------------------------------
+# -- heights ---------------------------------------------------------------
 
-def _descend_dp(r: Relation, a, combine, fuel: int | None, memo=None):
-    """Bottom-up value over the reachable part: combine(child values).
+def height_from(r: Relation, a, fuel: int | None = None) -> int:
+    """Longest descending chain length from one value.
 
-    Iterative post-order with an explicit stack; a gray node seen again is
-    a cycle, reported through NotNoetherian with the offending loop.
+    Computed bottom up over the reachable part by an iterative post-order
+    with an explicit stack; a gray node seen again is a cycle, reported
+    through NotNoetherian with the offending loop.
 
-    memo maps finished values to their results and may come from earlier
-    calls with the same combine; its entries are neither walked nor charged
-    to fuel. A value is finished only once its whole reach is, and that
-    reach is acyclic, so entries stay valid when a call raises and skipping
-    them never changes which cycle is reported.
+    Heights are memoized on r and shared by later calls, so fuel bounds
+    the edges this call walks: values whose height an earlier call on r
+    already settled are neither walked nor charged. A value is settled only
+    once its whole reach is, and that reach is acyclic, so entries stay
+    valid when a call raises and skipping them never changes which cycle
+    is reported.
     """
-    if memo is None:
-        memo = {}
+    if r._heights is None:
+        r._heights = {}
+    memo = r._heights
     on_path = set()
     path = []
     succ_cache = {}
@@ -210,7 +215,7 @@ def _descend_dp(r: Relation, a, combine, fuel: int | None, memo=None):
         node, processed = stack.pop()
         if processed:
             kids = succ_cache[node]
-            memo[node] = combine([memo[k] for k in kids])
+            memo[node] = 1 + max([memo[k] for k in kids]) if kids else 0
             on_path.discard(node)
             path.pop()
             continue
@@ -235,73 +240,11 @@ def _descend_dp(r: Relation, a, combine, fuel: int | None, memo=None):
     return memo[a]
 
 
-def _height(kids):
-    return 1 + max(kids) if kids else 0
-
-
-def height_from(r: Relation, a, fuel: int | None = None) -> int:
-    """Longest descending chain length from one value.
-
-    Heights are memoized on r and shared by later calls, so fuel bounds
-    the edges this call walks: values whose height an earlier call on r
-    already settled cost nothing.
-    """
-    if r._heights is None:
-        r._heights = {}
-    return _descend_dp(r, a, _height, fuel, r._heights)
-
-
-def count_chains_from(r: Relation, a, fuel: int | None = None) -> int:
-    """How many chains start at a (prefixes counted, the trivial one too)."""
-    return _descend_dp(r, a, lambda kids: 1 + sum(kids), fuel)
-
-
-def chains_from(r: Relation, a, max_len: int,
-                max_chains: int = 100_000) -> list[Chain]:
-    """Every chain from a of at most max_len steps, flagged complete when
-    its last element is minimal. Preorder, canonically sorted siblings."""
-    if not r.source.contains(a):
-        raise ValueOutsideSpace(a, r.source)
-    if max_len < 0:
-        raise ValueError("chain length bound must be >= 0")
-    out = []
-    stack = [(a,)]
-    while stack:
-        prefix = stack.pop()
-        kids = sort_values(r._succ(prefix[-1]))
-        out.append(Chain(prefix, complete=not kids))
-        if len(out) > max_chains:
-            raise FuelExhausted(max_chains, partial=f"{len(out)} chains")
-        if len(prefix) - 1 < max_len:
-            for k in reversed(kids):
-                stack.append(prefix + (k,))
-    return out
-
-
 # -- reachability and minima ------------------------------------------------
 
 def reachable_from(r: Relation, a, fuel: int | None = None) -> frozenset:
-    seen = {a}
-    frontier = [a]
-    explored = 0
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for y in r._succ(x):
-                explored += 1
-                if fuel is not None and explored > fuel:
-                    raise FuelExhausted(fuel)
-                if y not in seen:
-                    seen.add(y)
-                    nxt.append(y)
-        frontier = nxt
-    return frozenset(seen)
-
-
-def is_minimal(r: Relation, a) -> bool:
-    for _ in r._succ(a):
-        return False
-    return True
+    """a and every value below it. fuel bounds the edges walked."""
+    return frozenset(reach(r, (a,), fuel))
 
 
 def minima(r: Relation, cap: int = DEFAULT_MAX_SPACE) -> list:
@@ -314,8 +257,8 @@ def limit_from(r: Relation, a, mode: str = REACHABLE_MINIMA,
                fuel: int | None = None) -> list:
     """Values the limit relation pairs with a.
 
-    maxdepth: iterate the one-step image height(a) times and keep that
-    frontier. reachable_minima: minimal values reachable from a. Minimal
+    maxdepth: the image of a under r^height(a), the ends of its longest
+    chains. reachable_minima: minimal values reachable from a. Minimal
     values map to themselves under both modes. Raises NotNoetherian on a
     reachable cycle.
 
@@ -327,13 +270,7 @@ def limit_from(r: Relation, a, mode: str = REACHABLE_MINIMA,
         raise ValueError(f"unknown limit mode: {mode!r}")
     h = height_from(r, a, fuel)   # doubles as the reachable-cycle check
     if mode == MAXDEPTH:
-        frontier = {a}
-        for _ in range(h):
-            nxt = set()
-            for x in frontier:
-                nxt.update(r._succ(x))
-            frontier = nxt
-        return sort_values(frontier)
+        return sort_values(after(r, a, h))
     return sort_values(v for v in reachable_from(r, a, fuel)
                        if is_minimal(r, v))
 
@@ -367,43 +304,13 @@ def is_seed(body: Relation, order: Relation,
     ok, witness = body.is_subset_of(order, cap)
     if not ok:
         return SeedReport(False, subset_witness=witness)
-    # walk the space once; any() short-circuits on generator successors,
-    # so dense orders never get materialized here
+    # walk the space once; is_minimal stops at the first successor, so
+    # dense orders never get materialized here
     for a in body.source.values(cap):
-        in_body = any(True for _ in body._succ(a))
-        in_order = any(True for _ in order._succ(a))
+        in_body = not is_minimal(body, a)
+        in_order = not is_minimal(order, a)
         if in_body and not in_order:
             return SeedReport(False, domain_witness=a, domain_side="body_only")
         if in_order and not in_body:
             return SeedReport(False, domain_witness=a, domain_side="order_only")
     return SeedReport(True)
-
-
-def seed_gap(body: Relation, order: Relation,
-             cap: int = DEFAULT_MAX_SPACE) -> list:
-    """Pairs of order that body leaves unused, canonically sorted."""
-    missing = order.pairs(cap) - body.pairs(cap)
-    return sorted(missing, key=lambda p: (value_key(p[0]), value_key(p[1])))
-
-
-# -- finitary probe -----------------------------------------------------------
-
-def is_finitary(r: Relation, a, fuel: int = 1000):
-    """(True, bound) when iterated images from a stabilize; bound is the
-    step count that already covers everything zero-or-more steps away.
-    (None, None) when fuel runs out first."""
-    union = {a}
-    frontier = frozenset((a,))
-    seen_frontiers = {frontier}
-    last_growth = 0
-    for i in range(1, fuel + 1):
-        frontier = frozenset(r.image(frontier))
-        if not frontier:
-            return True, i - 1
-        if not (frontier <= union):
-            union.update(frontier)
-            last_growth = i
-        elif frontier in seen_frontiers:
-            return True, last_growth
-        seen_frontiers.add(frontier)
-    return None, None

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 
 from .errors import UnknownOracle
+from .relations import is_minimal
 from .values import Interval, IntervalSet
 
 
@@ -62,8 +63,7 @@ def _sorted_permutation(ctx, input_value, terminal) -> bool:
 
 
 def _minimum_characterization(ctx, input_value, terminal) -> bool:
-    order = ctx["loop"].order
-    return not any(True for _ in order._succ(terminal))
+    return is_minimal(ctx["loop"].order, terminal)
 
 
 ORACLES = {

@@ -11,9 +11,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import (RequiresExtensional, SpaceMismatch, ValueOutsideSpace)
+from .errors import (FuelExhausted, RequiresExtensional, SpaceMismatch,
+                     ValueOutsideSpace)
 from .spaces import DEFAULT_MAX_SPACE, Space, same_space
-from .values import sort_values, value_key
+from .values import sort_values, sorted_unique, value_key
 
 
 @dataclass(frozen=True, slots=True)
@@ -68,13 +69,7 @@ class Relation:
 
     def successors(self, a) -> list:
         """Canonically sorted, deduplicated successors of one value."""
-        out = sort_values(self._succ(a))
-        dedup, prev = [], object()
-        for v in out:
-            if v != prev:
-                dedup.append(v)
-            prev = v
-        return dedup
+        return sorted_unique(self._succ(a))
 
     def holds(self, a, b) -> bool:
         if self._holds_fn is not None:
@@ -88,13 +83,6 @@ class Relation:
         if not self.source.contains(a):
             raise ValueOutsideSpace(a, self.source)
         return frozenset(self._succ(a))
-
-    def image(self, values) -> frozenset:
-        """Union of successor sets over an iterable of values. Unchecked."""
-        out = set()
-        for a in values:
-            out.update(self._succ(a))
-        return frozenset(out)
 
     # -- materialization ----------------------------------------------------
 
@@ -182,17 +170,8 @@ class Relation:
             return identity(self.source)
         if n == 1:
             return self
-        def succ(a):
-            frontier = {a}
-            for _ in range(n):
-                nxt = set()
-                for x in frontier:
-                    nxt.update(self._succ(x))
-                frontier = nxt
-                if not frontier:
-                    break
-            return frontier
-        return Relation(self.source, self.target, succ=succ,
+        return Relation(self.source, self.target,
+                        succ=lambda a: after(self, a, n),
                         name=_derived_name(f"power{n}", self.name))
 
     def plus(self) -> "Relation":
@@ -200,17 +179,7 @@ class Relation:
         if not same_space(self.source, self.target):
             raise SpaceMismatch("closure needs matching source and target spaces")
         def succ(a):
-            seen = set()
-            frontier = set(self._succ(a))
-            while frontier:
-                seen.update(frontier)
-                nxt = set()
-                for x in frontier:
-                    for y in self._succ(x):
-                        if y not in seen:
-                            nxt.add(y)
-                frontier = nxt
-            return seen
+            return reach(self, self._succ(a))
         def holds(a, b):
             return any(b == c for c in succ(a))
         return Relation(self.source, self.target, succ=succ, holds=holds,
@@ -294,6 +263,50 @@ class Relation:
         return RelationFlags(acyclic=acyclic, irreflexive=irreflexive,
                              transitive=transitive, asymmetric=asymmetric,
                              order=order, function=function)
+
+
+# -- walks -------------------------------------------------------------------
+
+def reach(r: Relation, roots, fuel: int | None = None) -> set:
+    """Every value reachable from roots in zero or more steps of r, roots
+    included. Level by level; each reached value is expanded once. fuel
+    bounds the edges walked, counting those that lead to values already
+    reached; past it, FuelExhausted."""
+    seen = set()
+    frontier = set(roots)
+    explored = 0
+    while frontier:
+        seen.update(frontier)
+        nxt = set()
+        for x in frontier:
+            for y in r._succ(x):
+                explored += 1
+                if fuel is not None and explored > fuel:
+                    raise FuelExhausted(fuel)
+                if y not in seen:
+                    nxt.add(y)
+        frontier = nxt
+    return seen
+
+
+def after(r: Relation, a, n: int) -> set:
+    """The values exactly n steps of r away from a: a's image under r^n."""
+    frontier = {a}
+    for _ in range(n):
+        if not frontier:
+            break
+        nxt = set()
+        for x in frontier:
+            nxt.update(r._succ(x))
+        frontier = nxt
+    return frontier
+
+
+def is_minimal(r: Relation, a) -> bool:
+    """a has no successor under r."""
+    for _ in r._succ(a):
+        return False
+    return True
 
 
 def _pair_key(p):

@@ -10,8 +10,8 @@ from __future__ import annotations
 import itertools
 
 from .errors import SpaceTooLarge
-from .values import (Int, Pair, Interval, IntervalSet, Seq, Node, Tup,
-                     is_value, sort_values, value_key)
+from .values import (Int, Pair, Interval, IntervalSet, Tup, is_value,
+                     sort_values, sorted_unique, value_key)
 
 DEFAULT_MAX_SPACE = 100_000
 
@@ -89,12 +89,7 @@ class Space:
         est = self.size_estimate()
         if est is not None and est > cap:
             raise SpaceTooLarge(est, cap)
-        vs = sort_values(self._generate(cap))
-        out, prev = [], object()
-        for v in vs:
-            if v != prev:
-                out.append(v)
-            prev = v
+        out = sorted_unique(self._generate(cap))
         if len(out) > cap:
             raise SpaceTooLarge(len(out), cap)
         self._values = tuple(out)
@@ -235,16 +230,8 @@ def int_range(lo: int, hi: int) -> Space:
 
 
 def explicit(values) -> Space:
-    vs = sort_values(values)
-    for v in vs:
-        if not is_value(v):
-            raise TypeError(f"not a value: {v!r}")
-    out, prev = [], object()
-    for v in vs:
-        if v != prev:
-            out.append(v)
-        prev = v
-    return Space("explicit", values=tuple(out))
+    # value_key raises TypeError on anything that is not a value
+    return Space("explicit", values=tuple(sorted_unique(values)))
 
 
 def lazy_explicit(factory, contains, estimate=None, label=None) -> Space:

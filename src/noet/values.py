@@ -82,6 +82,12 @@ class Seq:
 class Node:
     name: str
 
+    def __hash__(self):
+        # str hashes are salted per process (PYTHONHASHSEED), and set order,
+        # hence which cycle a search meets first, follows hashes; the name's
+        # bytes read as an int hash the same in every process
+        return hash(int.from_bytes(self.name.encode("utf-8"), "big"))
+
 
 @dataclass(frozen=True, slots=True)
 class Tup:
@@ -122,6 +128,17 @@ def value_key(v):
 
 def sort_values(values):
     return sorted(values, key=value_key)
+
+
+def sorted_unique(values) -> list:
+    """Values in value_key order with equal neighbours dropped. Sorts and
+    compares rather than building a set, so no value gets hashed."""
+    out, prev = [], object()
+    for v in sort_values(values):
+        if v != prev:
+            out.append(v)
+        prev = v
+    return out
 
 
 # Interval containment, on member sets. Any empty interval is contained

@@ -1,9 +1,11 @@
 """The noet command line: golden outputs and exit codes."""
 
 import copy
+import hashlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -61,6 +63,27 @@ class TestCheck:
         code = main(["check", tmp_rel_file(CYCLE_FILE)])
         assert code == 1
         assert out_lines(capsys) == ["not Noetherian, cycle: 1 → 2 → 1"]
+
+    def test_node_cycle_witness_is_the_same_in_every_process(self,
+                                                              tmp_rel_file):
+        # which cycle the search meets first follows set order, hence value
+        # hashes; node hashes must not take the per-process str salt
+        hub = {"space": {"kind": "explicit",
+                         "values": [{"node": c} for c in "abcde"]},
+               "relation": {"kind": "extensional",
+                            "pairs": node_pairs(("a", "b"), ("a", "c"),
+                                                ("a", "d"), ("b", "a"),
+                                                ("c", "a"), ("d", "a"))}}
+        path = tmp_rel_file(hub)
+        outputs = set()
+        for seed in ("1", "4", "5", "7"):
+            env = dict(os.environ, PYTHONHASHSEED=seed)
+            proc = subprocess.run(
+                [sys.executable, "-m", "noet.cli", "check", path], env=env,
+                capture_output=True, text=True, timeout=60)
+            assert proc.returncode == 1, proc.stderr
+            outputs.add(proc.stdout)
+        assert outputs == {"not Noetherian, cycle: a → d → a\n"}
 
     def test_unknown_is_exit_two(self, tmp_rel_file, capsys):
         huge = {"space": ir(0, 10 ** 6), "relation": nm("SUCCESSOR")}
@@ -528,3 +551,70 @@ class TestEntryPoint:
             [sys.executable, "-m", "noet.cli", "audit", "--samples", "5"],
             capture_output=True, text=True, timeout=60)
         assert proc.returncode == 0
+
+
+# -- output bytes over cyclic closures and compositions --------------------------
+
+MEASURES = [nm(n) for n in ("INTDIFF", "INTSUM", "MAXINT", "MININT")]
+INVERSES = [{"kind": "inverse", "of": m} for m in MEASURES]
+PAIR_STARTS = [{"pair": [{"int": a}, {"int": b}]}
+               for a, b in ((3, 1), (0, 0), (2, 3), (1, 2), (3, 3))]
+
+
+def digest_files():
+    """(name, relation file, start) triples: compositions and closures of
+    the measure families and their inverses on pairs of 0..3, and seeded
+    random relations on 0..7 with their closures. Most of them reach a
+    cycle, so most outputs carry a witness."""
+    pairs_space = {"kind": "product", "of": [ir(0, 3), ir(0, 3)]}
+    exprs = [{"kind": "closure", "of": a} for a in MEASURES + INVERSES]
+    for m in MEASURES:
+        for i in INVERSES:
+            exprs.append({"kind": "compose", "first": m, "second": i})
+            exprs.append({"kind": "compose", "first": i, "second": m})
+    exprs += [{"kind": "closure",
+               "of": {"kind": "compose", "first": m, "second": i}}
+              for m, i in zip(MEASURES, INVERSES)]
+    files = [(f"measure{k}", {"space": pairs_space, "relation": e},
+              PAIR_STARTS[k % len(PAIR_STARTS)])
+             for k, e in enumerate(exprs)]
+    rng = random.Random(2024)
+    for k in range(8):
+        ext = {"kind": "extensional",
+               "pairs": [[{"int": a}, {"int": b}] for a in range(8)
+                         for b in range(8) if rng.random() < 0.2]}
+        for tag, e in (("", ext), ("plus", {"kind": "closure", "of": ext})):
+            files.append((f"random{k}{tag}", {"space": ir(0, 7), "relation": e},
+                          {"int": k}))
+    return files
+
+
+class TestOutputDigest:
+    def test_cli_bytes_are_pinned(self, tmp_path):
+        # One sha256 over the stdout, stderr and exit code of ~500 in-process
+        # runs. Cycle witnesses follow the iteration order of the sets that
+        # compose and closure build, so any change to how those walks fill
+        # their sets shows here. Int and pair hashes do not depend on
+        # PYTHONHASHSEED, so neither does the digest.
+        h = hashlib.sha256()
+        runs = 0
+        for name, doc, start in digest_files():
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps(doc), encoding="utf-8")
+            frm = ["--from", json.dumps(start)]
+            argvs = [["check"], ["check", "--json"],
+                     ["height", *frm], ["height", *frm, "--fuel", "7"]]
+            argvs += [["limit", *frm, "--mode", mode, *flag]
+                      for mode in ("maxdepth", "minima")
+                      for flag in ([], ["--json"])]
+            for argv in argvs:
+                argv.insert(1, str(path))
+                out, err = io.StringIO(), io.StringIO()
+                with redirect_stdout(out), redirect_stderr(err):
+                    code = main(argv)
+                h.update(repr((name, argv[0], argv[2:], out.getvalue(),
+                               err.getvalue(), code)).encode("utf-8"))
+                runs += 1
+        assert runs == 480
+        assert h.hexdigest() == (
+            "4dc75ddd811f792d01d0800655d1d6377ac874ac53ff6063002ee0ffb18745b1")

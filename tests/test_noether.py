@@ -4,13 +4,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import any_relation, dag_relation, int_space
-from noet.errors import (FuelExhausted, NotNoetherian, SpaceMismatch,
-                         ValueOutsideSpace)
+from noet.errors import FuelExhausted, NotNoetherian, SpaceMismatch
 from noet.noether import (MAXDEPTH, REACHABLE_MINIMA, Chain, assert_noetherian,
-                          chains_from, count_chains_from, height_from,
-                          is_finitary, is_minimal, is_noetherian, is_seed,
-                          limit_from, limit_relation, minima, reachable_from,
-                          seed_gap)
+                          height_from, is_minimal, is_noetherian, is_seed,
+                          limit_from, limit_relation, minima, reachable_from)
 from noet.relations import (Relation, empty_relation, from_pairs,
                             from_successors)
 from noet.spaces import explicit, int_range, lazy_explicit
@@ -107,12 +104,6 @@ class TestDescentMeasures:
         assert height_from(SPLIT, Node("a")) == 2
         assert height_from(SPLIT, Node("b")) == 0
 
-    def test_chain_count_doubles_each_level(self):
-        # under the full strict order on 0..k, t(k) = 2^k
-        g = greater_on(9)
-        for k in range(9):
-            assert count_chains_from(g, Int(k)) == 2 ** k
-
     def test_cycle_raises(self):
         with pytest.raises(NotNoetherian):
             height_from(rel(3, [(1, 2), (2, 1)]), Int(1))
@@ -168,23 +159,6 @@ class TestHeightMemo:
 
 
 class TestChainEnumeration:
-    def test_all_chains_from_three(self):
-        got = chains_from(greater_on(4), Int(3), max_len=10)
-        assert len(got) == 8
-        assert sum(1 for c in got if c.complete) == 4
-        assert got[0].elements == (Int(3),)
-        renders = {c.render() for c in got if c.complete}
-        assert "3 → 0" in renders and "3 → 2 → 1 → 0" in renders
-
-    def test_length_bound_truncates(self):
-        got = chains_from(greater_on(4), Int(3), max_len=1)
-        assert [c.render() for c in got] == ["3", "3 → 0", "3 → 1", "3 → 2"]
-        assert [c.complete for c in got] == [False, True, False, False]
-
-    def test_start_must_be_in_space(self):
-        with pytest.raises(ValueOutsideSpace):
-            chains_from(greater_on(3), Int(9), max_len=2)
-
     def test_chain_len_and_steps(self):
         c = Chain((Int(3), Int(1), Int(0)), True)
         assert len(c) == 3 and c.steps == 2
@@ -284,11 +258,6 @@ class TestSeeds:
         with pytest.raises(SpaceMismatch):
             is_seed(rel(3, []), rel(4, []))
 
-    def test_seed_gap_lists_unused_pairs(self):
-        body = rel(4, [(3, 1)])
-        order = rel(4, [(3, 1), (3, 2), (2, 1)])
-        assert seed_gap(body, order) == [(Int(2), Int(1)), (Int(3), Int(2))]
-
     def test_equal_minima_need_not_mean_equal_limits(self):
         # the seed law is strictly weaker than limit agreement
         sp = explicit([Node("a"), Node("b"), Node("e")])
@@ -299,21 +268,6 @@ class TestSeeds:
         assert minima(body) == minima(order)
         assert limit_from(body, Node("a"), REACHABLE_MINIMA) \
             != limit_from(order, Node("a"), REACHABLE_MINIMA)
-
-
-class TestFinitary:
-    def test_branching_descent_stabilizes(self):
-        ok, bound = is_finitary(greater_on(9), Int(5))
-        assert (ok, bound) == (True, 5)
-
-    def test_dead_frontier(self):
-        ok, bound = is_finitary(rel(3, [(2, 1), (1, 0)]), Int(2))
-        assert ok is True and bound == 2
-
-    def test_fuel_exhaustion_returns_none(self):
-        looping = rel(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
-        ok, bound = is_finitary(looping, Int(0), fuel=2)
-        assert ok is None and bound is None
 
 
 class TestNoetherianStructure:

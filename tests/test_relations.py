@@ -2,10 +2,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import any_relation, dag_relation, int_space
-from noet.errors import (RequiresExtensional, SpaceMismatch, ValueOutsideSpace)
+from noet.errors import (FuelExhausted, RequiresExtensional, SpaceMismatch,
+                         ValueOutsideSpace)
 from noet.noether import is_noetherian
-from noet.relations import (empty_relation, from_pairs, from_successors,
-                            identity)
+from noet.relations import (after, empty_relation, from_pairs,
+                            from_successors, identity, is_minimal, reach)
 from noet.spaces import explicit, int_range
 from noet.values import Int, Node, value_key
 
@@ -100,6 +101,25 @@ class TestOperations:
         p = r.plus()
         assert p.holds(Int(0), Int(3))
         assert not p.holds(Int(0), Int(0))
+
+    def test_reach_counts_every_edge_against_fuel(self):
+        # 0 -> 1 -> 2 -> 0 plus 0 -> 2: four edges, three values
+        r = rel(4, [(0, 1), (1, 2), (2, 0), (0, 2)])
+        ints = lambda vs: {v.value for v in vs}
+        assert ints(reach(r, [Int(0)])) == {0, 1, 2}
+        assert ints(reach(r, [Int(3)])) == {3}
+        assert ints(reach(r, [Int(0)], fuel=4)) == {0, 1, 2}
+        with pytest.raises(FuelExhausted):
+            reach(r, [Int(0)], fuel=3)
+
+    @given(any_relation(), st.integers(0, 4))
+    def test_after_agrees_with_repeated_composition(self, r, n):
+        step = identity(r.source)
+        for _ in range(n):
+            step = step.compose(r)
+        for a in r.source.values():
+            assert after(r, a, n) == set(step._succ(a))
+            assert is_minimal(r, a) == (not after(r, a, 1))
 
     def test_star_adds_the_diagonal(self):
         r = rel(2, [(0, 1)])

@@ -8,7 +8,7 @@ from noet.errors import FuelExhausted, NotNoetherian, SpaceMismatch
 from noet.noether import (MAXDEPTH, REACHABLE_MINIMA, Chain, assert_noetherian,
                           height_from, is_minimal, is_noetherian, is_seed,
                           limit_from, limit_relation, minima, reachable_from)
-from noet.relations import (Relation, empty_relation, from_pairs,
+from noet.relations import (Relation, after, empty_relation, from_pairs,
                             from_successors)
 from noet.spaces import explicit, int_range, lazy_explicit
 from noet.values import Int, Node
@@ -170,6 +170,14 @@ class TestReachabilityAndMinima:
         assert reachable_from(SPLIT, Node("a")) == frozenset(
             {Node("a"), Node("b"), Node("c"), Node("d")})
 
+    def test_reachable_fuel_runs_out_on_a_loop(self):
+        # four values, four edges: each reached value is expanded once
+        looping = rel(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
+        assert reachable_from(looping, Int(0), fuel=4) \
+            == frozenset(Int(i) for i in range(4))
+        with pytest.raises(FuelExhausted):
+            reachable_from(looping, Int(0), fuel=2)
+
     def test_minima(self):
         assert not is_minimal(SPLIT, Node("a"))
         assert is_minimal(SPLIT, Node("b"))
@@ -199,6 +207,22 @@ class TestLimit:
         assert lim.name == "limit[reachable_minima]"
         assert lim.image_of(Node("a")) == frozenset({Node("b"), Node("d")})
         assert lim.image_of(Node("c")) == frozenset({Node("d")})
+
+    def test_maxdepth_is_the_image_under_the_height_power(self):
+        # branching descent from 5: every step may drop any amount, yet
+        # only 0 is five steps away and nothing is six
+        g = greater_on(9)
+        assert after(g, Int(5), 5) == {Int(0)}
+        assert after(g, Int(5), 6) == set()
+        assert limit_from(g, Int(5), MAXDEPTH) == [Int(0)]
+        assert g.power(5).image_of(Int(5)) == frozenset({Int(0)})
+
+    def test_dead_frontier_stays_empty(self):
+        r = rel(3, [(2, 1), (1, 0)])
+        assert after(r, Int(2), 2) == {Int(0)}
+        assert after(r, Int(2), 5) == set()
+        for mode in (MAXDEPTH, REACHABLE_MINIMA):
+            assert limit_from(r, Int(2), mode) == [Int(0)]
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError):

@@ -27,11 +27,11 @@ from .noether import (DEFAULT_FUEL, Chain, MAXDEPTH, NOETHERIAN,
                       NoetherianVerdict, SeedReport, assert_noetherian,
                       height_from, is_minimal, is_noetherian, is_seed,
                       limit_from, limit_relation, minima, reachable_from)
-from .catalog import (CLAIMED, NAMED_FUNCTIONS, NoetherianCert, RULES, SOUND,
-                      certify, closure_of, component_of, compose_rel,
-                      exhaustive_cert, induced, inverse_of, make_depth_fn,
-                      measure_descent, named, powerset_space, projection,
-                      resolve_function, restrict_to, subrel)
+from .catalog import (NAMED_FUNCTIONS, NoetherianCert, RULES, certify,
+                      closure_of, component_of, compose_rel, induced,
+                      inverse_of, make_depth_fn, measure_descent, named,
+                      powerset_space, projection, resolve_function,
+                      restrict_to, subrel)
 from .loops import (ExecTrace, LoopDef, OBLIGATIONS, ObligationResult,
                     VerificationReport, denotation_closure, denotation_limit,
                     exit_condition, make_loop, run, served_inputs,

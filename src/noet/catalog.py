@@ -1,22 +1,22 @@
 """Certified termination constructors.
 
 Every constructor here returns a relation carrying a certificate: the rule
-that justifies the absence of infinite descent, the certificates of the
-inputs it was built from, and a trust level. Sound rules are accepted
-without re-checking; claimed rules are taken as hints and re-verified on
-use, because some of them are wrong on purpose (composition being the
-canonical offender).
+that justifies the absence of infinite descent and the certificates of the
+inputs it was built from. Sound rules are accepted without re-checking;
+claimed rules are taken as hints and re-verified on use, because some of
+them are wrong on purpose (composition being the canonical offender).
 
-Only this module mints certificates, each marked with a private token;
-certify trusts one only when it and every premise carry the mark. The
-seven measure families are one table, ``_MEASURES``, of a space guard and
-an integer measure each, all built by ``measure_descent``.
+A relation's certificate is read-only, and only this module sets it, on a
+relation it has just built, so a certificate always covers the relation
+that carries it. The seven measure families are one table, ``_MEASURES``,
+of a space guard and an integer measure each, all built by
+``measure_descent``.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 
 from .errors import MalformedExpr, UnknownNamedFunction
@@ -26,9 +26,6 @@ from .relations import Relation, from_pairs, from_successors, pair_values
 from .spaces import DEFAULT_MAX_SPACE, Space, explicit
 from .values import (Int, Interval, IntervalSet, Node, Pair, Seq, Tup,
                      interval_strictly_within)
-
-SOUND = "sound"
-CLAIMED = "claimed"
 
 CLAIMED_RULES = frozenset({"COMPOSE", "PARENT", "ANCESTOR"})
 
@@ -41,25 +38,18 @@ RULES = (
     "INTERVALSUBSET", "INTERVALMAX",
 )
 
-EXHAUSTIVE = "EXHAUSTIVE"
-
-_MINTED = object()   # carried by every certificate this module makes
-
 
 @dataclass(frozen=True, slots=True)
 class NoetherianCert:
-    """Why a relation terminates: a rule, its input certificates, a trust
-    level. A certificate is only as sound as everything under it."""
+    """Why a relation terminates: a rule and its input certificates. A
+    certificate is sound when its rule is not merely claimed and every
+    premise is sound."""
     rule: str
     premises: tuple = ()
-    trust: str = SOUND
-    # set by _cert only; replace() and hand-made copies come out unmarked
-    _mint: object = field(default=None, init=False, compare=False,
-                          repr=False)
 
     @property
     def sound(self) -> bool:
-        if self.trust != SOUND:
+        if self.rule in CLAIMED_RULES:
             return False
         return all(p is not None and p.sound for p in self.premises)
 
@@ -71,36 +61,20 @@ class NoetherianCert:
         return f"{self.rule}{inner}{tag}"
 
 
-def _cert(rule: str, *premises) -> NoetherianCert:
-    cert = NoetherianCert(rule, premises,
-                          CLAIMED if rule in CLAIMED_RULES else SOUND)
-    object.__setattr__(cert, "_mint", _MINTED)
-    return cert
-
-
 def _stamp(out: Relation, rule: str, *inputs: Relation) -> Relation:
-    """Certify out by rule over the certificates of its inputs."""
-    out.cert = _cert(rule, *(r.cert for r in inputs))
+    """Certify out, just built, by rule over the certificates of its
+    inputs."""
+    out._cert = NoetherianCert(rule, tuple(r.cert for r in inputs))
     return out
-
-
-def _trusted(cert) -> bool:
-    """Sound and minted here, premises and all."""
-    return (cert is not None and cert._mint is _MINTED and cert.trust == SOUND
-            and all(_trusted(p) for p in cert.premises))
 
 
 def certify(r: Relation, cap: int = DEFAULT_MAX_SPACE,
             fuel: int | None = None) -> NoetherianVerdict:
-    """A trusted certificate is accepted outright. Claimed, made outside
-    this module, or absent: re-checked."""
-    if _trusted(r.cert):
+    """A sound certificate is accepted outright. Claimed or absent:
+    re-checked."""
+    if r.cert is not None and r.cert.sound:
         return NoetherianVerdict(NOETHERIAN, None, METHOD_CERTIFICATE, 0)
     return is_noetherian(r, cap, fuel)
-
-
-def exhaustive_cert() -> NoetherianCert:
-    return _cert(EXHAUSTIVE)
 
 
 # -- space shape guards: each raises MalformedExpr on a wrong space ----------
@@ -193,8 +167,8 @@ def measure_descent(space: Space, measure, rule: str = "INDUCED",
         return measure(b) < measure(a)
 
     out = from_successors(space, space, succ, holds=holds, name=name or rule)
-    out.cert = (_cert(rule, _cert("INTGREATER")) if rule == "INDUCED"
-                else _cert(rule))
+    out._cert = (NoetherianCert(rule, (NoetherianCert("INTGREATER"),))
+                 if rule == "INDUCED" else NoetherianCert(rule))
     return out
 
 

@@ -17,9 +17,8 @@ from . import audit as audit_mod
 from . import examples as examples_mod
 from . import oracles
 from .errors import (BodyNotSubsetOfOrder, DomainMismatch, EmptySpace,
-                     InitEscapesSpace, LimitExceeded, MalformedExpr,
-                     MalformedInput, NoetError, NotNoetherian,
-                     OrderNotNoetherian)
+                     InitEscapesSpace, MalformedExpr, MalformedInput,
+                     NoetError, NotNoetherian, OrderNotNoetherian)
 from .loops import run as run_loop
 from .loops import served_inputs, verify
 from .noether import (DEFAULT_FUEL, MAXDEPTH, NOETHERIAN, NOT_NOETHERIAN,
@@ -300,7 +299,7 @@ def _cmd_verify(args) -> int:
     # default: sweep every input the initialization serves
     inputs = [_parse_value_arg(args.input)] if args.input is not None else None
     report = verify(loop, inputs=inputs, ctx=ctx, cap=args.max_space,
-                    fuel=args.fuel, run_fuel=args.fuel)
+                    fuel=args.fuel)
     if args.json:
         _print_doc(_report_doc(report))
     else:
@@ -322,8 +321,7 @@ def _verify_gcd_sweep(args) -> int:
     for g in gs:
         inst = examples_mod.instantiate("gcd", a=g, b=g, bound=bound)
         report = verify(inst.loop, ctx=_oracle_ctx(inst.loop, inst),
-                        cap=args.max_space, fuel=args.fuel,
-                        run_fuel=args.fuel)
+                        cap=args.max_space, fuel=args.fuel)
         reports.append((g, report))
         total += report.inputs_checked
         ok = ok and report.passed
@@ -400,9 +398,6 @@ def main(argv=None) -> int:
     except _PROPERTY_ERRORS as exc:
         print(f"check failed: {exc}", file=sys.stderr)
         return 1
-    except (MalformedInput, LimitExceeded) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except NoetError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

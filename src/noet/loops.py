@@ -274,13 +274,12 @@ class VerificationReport:
 
 
 def verify(loop: LoopDef, inputs=None, *, ctx: dict | None = None,
-           cap: int = DEFAULT_MAX_SPACE, fuel: int = DEFAULT_FUEL,
-           run_fuel: int | None = None) -> VerificationReport:
+           cap: int = DEFAULT_MAX_SPACE,
+           fuel: int = DEFAULT_FUEL) -> VerificationReport:
     """Prove every obligation on an enumerable instance.
 
     inputs defaults to the initialized part of the input space. ctx carries
     oracle context (the loop itself is added under "loop")."""
-    run_fuel = fuel if run_fuel is None else run_fuel
     results = []
     space_values = loop.space.values(cap)
     results.append(ObligationResult(
@@ -316,7 +315,7 @@ def verify(loop: LoopDef, inputs=None, *, ctx: dict | None = None,
     limit_rel = denotation_limit(loop, cap)
 
     for inp in inputs:
-        ts = terminals_of(loop, inp, fuel=run_fuel)
+        ts = terminals_of(loop, inp, fuel=fuel)
         if loop.postcondition is not None and oracle_ok:
             for t in sorted(ts, key=value_key):
                 if not oracles.check(loop.postcondition, full_ctx, inp, t):

@@ -37,20 +37,12 @@ LIMIT_MODES = (MAXDEPTH, REACHABLE_MINIMA)
 
 @dataclass(frozen=True, slots=True)
 class Chain:
-    """A descending walk: consecutive elements are relation steps.
-
-    complete means the walk cannot be extended (its last element has no
-    successors); a cycle or a chain cut off by fuel is not complete.
-    """
+    """A descending walk: consecutive elements are relation steps."""
     elements: tuple
-    complete: bool
 
     @property
     def steps(self) -> int:
         return len(self.elements) - 1
-
-    def __len__(self) -> int:
-        return len(self.elements)
 
     def render(self) -> str:
         return render_chain(self.elements)
@@ -170,10 +162,10 @@ def is_noetherian(r: Relation, cap: int = DEFAULT_MAX_SPACE,
         budget = DEFAULT_FUEL if fuel is None else fuel
     outcome, path, explored = _find_cycle(r, starts, budget)
     if outcome == "cycle":
-        return NoetherianVerdict(NOT_NOETHERIAN, Chain(tuple(path), False),
+        return NoetherianVerdict(NOT_NOETHERIAN, Chain(tuple(path)),
                                  method, explored)
     if outcome == "fuel":
-        return NoetherianVerdict(UNKNOWN, Chain(tuple(path), False),
+        return NoetherianVerdict(UNKNOWN, Chain(tuple(path)),
                                  method, explored)
     if method == METHOD_BOUNDED:
         # a finite probe that found nothing proves nothing

@@ -29,17 +29,17 @@ class RelationFlags:
 
 
 class Relation:
-    __slots__ = ("source", "target", "name", "cert", "_pairs", "_adj",
+    __slots__ = ("source", "target", "name", "_cert", "_pairs", "_adj",
                  "_heights", "_succ_fn", "_holds_fn")
 
     def __init__(self, source: Space, target: Space, *, pairs=None,
-                 succ=None, holds=None, name: str | None = None, cert=None):
+                 succ=None, holds=None, name: str | None = None):
         if (pairs is None) == (succ is None):
             raise ValueError("give exactly one of pairs or succ")
         self.source = source
         self.target = target
         self.name = name
-        self.cert = cert
+        self._cert = None      # only the catalog sets it, on what it built
         self._pairs = frozenset(pairs) if pairs is not None else None
         self._adj = None
         self._heights = None   # noether.height_from's memo, made on first use
@@ -51,8 +51,9 @@ class Relation:
         return f"Relation<{tag}: {self.source.describe()} -> {self.target.describe()}>"
 
     @property
-    def extensional(self) -> bool:
-        return self._pairs is not None
+    def cert(self):
+        """The catalog's termination certificate for this relation, or None."""
+        return self._cert
 
     # -- stepping ---------------------------------------------------------
 
@@ -99,17 +100,16 @@ class Relation:
         return sorted(self.pairs(cap), key=_pair_key)
 
     def materialized(self, cap: int = DEFAULT_MAX_SPACE) -> "Relation":
-        """Extensional copy (self when already extensional)."""
+        """Extensional copy without a certificate (self when already
+        extensional): a certificate covers only the relation it was made
+        for."""
         if self._pairs is not None:
             return self
         return Relation(self.source, self.target, pairs=self.pairs(cap),
-                        name=self.name, cert=self.cert)
+                        name=self.name)
 
     def domain(self, cap: int = DEFAULT_MAX_SPACE) -> frozenset:
         return frozenset(a for a, _ in self.pairs(cap))
-
-    def range_(self, cap: int = DEFAULT_MAX_SPACE) -> frozenset:
-        return frozenset(b for _, b in self.pairs(cap))
 
     def is_empty(self, cap: int = DEFAULT_MAX_SPACE) -> bool:
         return not self.pairs(cap)

@@ -1,6 +1,6 @@
 """The constructor catalog: every rule on a small pinned window."""
 
-import dataclasses
+import re
 from pathlib import Path
 
 import pytest
@@ -8,14 +8,14 @@ import pytest
 import noet
 from noet.catalog import (CLAIMED_RULES, NAMED_FUNCTIONS, RULES,
                           NoetherianCert, certify, closure_of, compose_rel,
-                          exhaustive_cert, induced, inverse_of, make_depth_fn,
-                          measure_descent, named, powerset_space, projection,
-                          resolve_function, restrict_to, subrel)
+                          induced, inverse_of, make_depth_fn, measure_descent,
+                          named, powerset_space, projection, resolve_function,
+                          restrict_to, subrel)
 from noet.catalog import _BUILDERS
 from noet.errors import MalformedExpr, OrderNotNoetherian, UnknownNamedFunction
 from noet.loops import make_loop
 from noet.noether import is_noetherian
-from noet.relations import from_pairs
+from noet.relations import Relation, from_pairs
 from noet.spaces import (explicit, int_range, interval_sets_of, intervals_of,
                          product)
 from noet.values import Int, Interval, IntervalSet, Node, Pair, Seq, Tup
@@ -283,10 +283,10 @@ class TestCertificates:
         assert v.render() == "not Noetherian, cycle: a → a"
 
     def test_unsound_premise_poisons_the_tree(self):
-        claimed = NoetherianCert("PARENT", (), "claimed")
+        claimed = NoetherianCert("PARENT")
         wrapped = NoetherianCert("CLOSURE", (claimed,))
-        assert not wrapped.sound
-        assert NoetherianCert("CLOSURE", (exhaustive_cert(),)).sound
+        assert not claimed.sound and not wrapped.sound
+        assert NoetherianCert("CLOSURE", (NoetherianCert("INTGREATER"),)).sound
 
     def test_render_nests(self):
         succ = named("SUCCESSOR", int_range(0, 3))
@@ -298,33 +298,55 @@ class TestCertificates:
         assert compose_rel(fwd, back).cert.render() \
             == "COMPOSE[ACYCLIC, ACYCLIC] (claimed)"
 
-    def test_hand_stamped_cert_is_rechecked(self):
-        # a cyclic order wearing a sound-looking certificate made by hand
+    def test_a_cyclic_order_cannot_borrow_a_certificate(self):
+        # a sound certificate made for another relation stays with it
         sp = int_range(0, 1)
-        spin = from_pairs(sp, sp, [(Int(0), Int(1)), (Int(1), Int(0))])
-        spin.cert = NoetherianCert("SUBREL", (NoetherianCert("MAXINT"),))
-        assert spin.cert.sound
+        pairs = [(Int(0), Int(1)), (Int(1), Int(0))]
+        spin = from_pairs(sp, sp, pairs)
+        sound = named("INTGREATER", sp).cert
+        assert sound.sound
+        with pytest.raises(AttributeError):
+            spin.cert = sound
+        with pytest.raises(TypeError):
+            Relation(sp, sp, pairs=pairs, cert=sound)
+        assert spin.cert is None
         v = certify(spin)
-        assert v.holds is False and v.method == "exhaustive"
+        assert v.render() == "not Noetherian, cycle: 0 → 1 → 0"
+        assert v.method == "exhaustive"
         init = from_pairs(sp, sp, [])
         with pytest.raises(OrderNotNoetherian):
-            make_loop(sp, spin, init, spin, check=True)
+            make_loop(sp, spin, init, spin)
 
-    def test_minted_premise_does_not_vouch_for_a_hand_made_top(self):
+    def test_hand_made_certificates_attach_to_nothing(self):
+        # certificates can be built by hand, sound-looking or copied from a
+        # catalog relation, but no relation can be given one
         base = named("INTGREATER", int_range(0, 3))
         assert certify(base).method == "certificate"
-        made = [NoetherianCert("CLOSURE", (base.cert,)),
-                dataclasses.replace(base.cert, premises=())]
-        for cert in made:
-            r = from_pairs(int_range(0, 3), int_range(0, 3), [])
-            r.cert = cert
-            assert cert.sound and certify(r).method == "exhaustive"
+        r = from_pairs(int_range(0, 3), int_range(0, 3), [])
+        for cert in (NoetherianCert("CLOSURE", (base.cert,)),
+                     NoetherianCert("SUBREL", (NoetherianCert("MAXINT"),))):
+            assert cert.sound
+            with pytest.raises(AttributeError):
+                r.cert = cert
+        assert r.cert is None and certify(r).method == "exhaustive"
+        assert r.materialized() is r
+        copy = base.materialized()
+        assert copy.cert is None and certify(copy).method == "exhaustive"
 
     def test_only_the_catalog_mints_certificates(self):
         pkg = Path(noet.__file__).parent
-        minting = sorted(p.name for p in pkg.glob("*.py")
-                         if "NoetherianCert(" in p.read_text(encoding="utf-8"))
+        sources = {p.name: p.read_text(encoding="utf-8")
+                   for p in pkg.glob("*.py")}
+        minting = sorted(name for name, text in sources.items()
+                         if "NoetherianCert(" in text)
         assert minting == ["catalog.py"]
+        # outside the catalog, a relation's certificate slot is only cleared
+        for name, text in sources.items():
+            if name == "catalog.py":
+                continue
+            for rhs in re.findall(r"\b_cert\s*=(?!=)\s*([^\s#]+)", text):
+                assert rhs == "None", (name, rhs)
+        assert "._cert =" in sources["catalog.py"]
 
     def test_missing_cert_falls_back_to_checking(self):
         sp = int_range(0, 3)

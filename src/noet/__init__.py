@@ -13,7 +13,7 @@ from .errors import (BodyNotSubsetOfOrder, DomainMismatch, EmptySpace,
                      LimitExceeded, MalformedExpr, MalformedInput,
                      NegativeVariantValue, NoetError, NonTotalFunction,
                      NotNoetherian, OrderNotNoetherian, ParameterOutOfRange,
-                     RequiresExtensional, SpaceMismatch, SpaceTooLarge,
+                     SpaceMismatch, SpaceTooLarge,
                      UnknownNamedFunction, UnknownOracle, ValueOutsideSpace)
 from .values import (Int, Interval, IntervalSet, Node, Pair, Seq, Tup,
                      render, render_chain, render_set, sort_values, value_key)

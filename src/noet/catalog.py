@@ -439,7 +439,7 @@ def restrict_to(keep, r: Relation) -> Relation:
 
 
 def inverse_of(r: Relation, cap: int = DEFAULT_MAX_SPACE) -> Relation:
-    return _stamp(r.materialized(cap).inverse(), "INVERSE", r)
+    return _stamp(r.inverse(cap), "INVERSE", r)
 
 
 def induced(fn, over: Relation, space: Space, fn_name: str | None = None,

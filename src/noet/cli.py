@@ -18,7 +18,8 @@ from . import examples as examples_mod
 from . import oracles
 from .errors import (BodyNotSubsetOfOrder, DomainMismatch, EmptySpace,
                      InitEscapesSpace, MalformedExpr, MalformedInput,
-                     NoetError, NotNoetherian, OrderNotNoetherian)
+                     NoetError, NotNoetherian, OrderNotNoetherian,
+                     ValueOutsideSpace)
 from .loops import run as run_loop
 from .loops import served_inputs, verify
 from .noether import (DEFAULT_FUEL, MAXDEPTH, NOETHERIAN, NOT_NOETHERIAN,
@@ -153,9 +154,18 @@ def _cmd_check(args) -> int:
     return 1 if verdict.status == NOT_NOETHERIAN else 2
 
 
-def _cmd_limit(args) -> int:
-    _, rel = parse_relation_file(load_json(args.file), cap=args.max_space)
+def _relation_and_start(args):
+    """The relation file's relation and the --from value, a member of its
+    space."""
+    space, rel = parse_relation_file(load_json(args.file), cap=args.max_space)
     start = _parse_value_arg(args.from_value)
+    if not space.contains(start):
+        raise ValueOutsideSpace(start, space)
+    return rel, start
+
+
+def _cmd_limit(args) -> int:
+    rel, start = _relation_and_start(args)
     mode = _MODES[args.mode]
     values = limit_from(rel, start, mode=mode, fuel=args.fuel)
     if args.json:
@@ -167,8 +177,7 @@ def _cmd_limit(args) -> int:
 
 
 def _cmd_height(args) -> int:
-    _, rel = parse_relation_file(load_json(args.file), cap=args.max_space)
-    start = _parse_value_arg(args.from_value)
+    rel, start = _relation_and_start(args)
     h = height_from(rel, start, fuel=args.fuel)
     if args.json:
         _print_doc({"from": value_doc(start), "height": h})

@@ -37,10 +37,6 @@ class SpaceMismatch(NoetError):
 
 # -- relations ---------------------------------------------------------
 
-class RequiresExtensional(NoetError):
-    pass
-
-
 class NotNoetherian(NoetError):
     def __init__(self, witness=None):
         self.witness = witness

@@ -19,7 +19,7 @@ from .errors import (BodyNotSubsetOfOrder, DomainMismatch, EmptySpace,
                      NegativeVariantValue, NonTotalFunction,
                      OrderNotNoetherian, SpaceMismatch)
 from .noether import (DEFAULT_FUEL, NOETHERIAN, REACHABLE_MINIMA,
-                      is_seed, limit_relation)
+                      is_seed, limit_relation, minima)
 from .relations import Relation, from_successors, is_minimal, least_failing
 from .spaces import DEFAULT_MAX_SPACE, Space, same_space
 from .values import Int, render, render_chain, render_set, value_key
@@ -93,7 +93,7 @@ def _init_escape(init: Relation, space: Space, cap: int):
 
 def exit_condition(loop: LoopDef, cap: int = DEFAULT_MAX_SPACE) -> list:
     """States the body cannot leave, canonically sorted."""
-    return [a for a in loop.space.values(cap) if is_minimal(loop.body, a)]
+    return minima(loop.body, cap)
 
 
 def served_inputs(loop: LoopDef, cap: int = DEFAULT_MAX_SPACE) -> list:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .errors import (FuelExhausted, NotNoetherian, SpaceMismatch,
                      SpaceTooLarge)
-from .relations import Relation, after, from_pairs, is_minimal, reach
+from .relations import Relation, after, is_minimal, reach
 from .spaces import DEFAULT_MAX_SPACE, same_space
 # value_key is unused here but stays bound: perfbench's tracer test expects
 # this module to hold the name it wraps
@@ -270,19 +270,18 @@ def limit_from(r: Relation, a, mode: str = REACHABLE_MINIMA,
 def limit_relation(r: Relation, mode: str = REACHABLE_MINIMA,
                    cap: int = DEFAULT_MAX_SPACE,
                    fuel: int | None = None) -> Relation:
-    """The limit as a relation over r's space.
+    """The limit as a relation over r's space, materialized here: each
+    start steps to its limit_from values.
 
     fuel applies to each start's limit_from on its own; heights settled
     for one start are reused, and not charged, for the next.
     """
     if not same_space(r.source, r.target):
         raise SpaceMismatch("limits need matching source and target")
-    got = []
-    for a in r.source.values(cap):
-        for m in limit_from(r, a, mode, fuel):
-            got.append((a, m))
-    return from_pairs(r.source, r.source, got, check=False,
-                      name=f"limit[{mode}]")
+    lim = Relation(r.source, r.source, lambda a: limit_from(r, a, mode, fuel),
+                   name=f"limit[{mode}]")
+    lim.pairs(cap)
+    return lim
 
 
 # -- seeds -----------------------------------------------------------------

@@ -1,18 +1,21 @@
 """Binary relations between finite spaces, with the operator algebra on them.
 
-A Relation is either extensional (a frozen set of ordered pairs) or
-intensional (a successor function, optionally with a direct pair test).
-Operators stay intensional whenever they can, so huge spaces never get
+A Relation is one successor function (optionally with a direct pair test).
+Its pair set is a cache of that function: pairs() walks the source space
+once and fills the pair set and an adjacency together, each adjacency list
+being what the function yields, so stepping a member of the source space
+returns the same successors, in the same order, before and after
+materialization.
+Operators build new successor functions, so huge spaces never get
 enumerated just to step through a loop. Equality questions always go
-through materialized pair sets.
+through pair sets.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import (FuelExhausted, RequiresExtensional, SpaceMismatch,
-                     ValueOutsideSpace)
+from .errors import FuelExhausted, SpaceMismatch, ValueOutsideSpace
 from .spaces import DEFAULT_MAX_SPACE, Space, same_space
 from .values import sort_values, sorted_unique, value_key
 
@@ -32,22 +35,20 @@ class Relation:
     __slots__ = ("source", "target", "name", "_cert", "_pairs", "_adj",
                  "_heights", "_succ_fn", "_holds_fn")
 
-    def __init__(self, source: Space, target: Space, *, pairs=None,
-                 succ=None, holds=None, name: str | None = None):
-        if (pairs is None) == (succ is None):
-            raise ValueError("give exactly one of pairs or succ")
+    def __init__(self, source: Space, target: Space, succ, *, holds=None,
+                 name: str | None = None):
         self.source = source
         self.target = target
         self.name = name
         self._cert = None      # only the catalog sets it, on what it built
-        self._pairs = frozenset(pairs) if pairs is not None else None
+        self._pairs = None     # pairs() fills this and _adj together
         self._adj = None
         self._heights = None   # noether.height_from's memo, made on first use
         self._succ_fn = succ
         self._holds_fn = holds
 
     def __repr__(self):
-        tag = self.name or ("extensional" if self._pairs is not None else "intensional")
+        tag = self.name or "relation"
         return f"Relation<{tag}: {self.source.describe()} -> {self.target.describe()}>"
 
     @property
@@ -58,13 +59,11 @@ class Relation:
     # -- stepping ---------------------------------------------------------
 
     def _succ(self, a):
-        """Raw successor collection, no membership checks. Hot path."""
-        if self._pairs is not None:
-            if self._adj is None:
-                adj = {}
-                for x, y in self._pairs:
-                    adj.setdefault(x, []).append(y)
-                self._adj = adj
+        """Raw successor collection, no membership checks. Hot path: once
+        the pair cache is filled, every step reads its adjacency, which
+        holds what the successor function yields for each member of the
+        source space (no successors for anything else)."""
+        if self._adj is not None:
             return self._adj.get(a, ())
         return self._succ_fn(a)
 
@@ -88,25 +87,22 @@ class Relation:
     # -- materialization ----------------------------------------------------
 
     def pairs(self, cap: int = DEFAULT_MAX_SPACE) -> frozenset:
+        """The pair set, walking the source space once on first use; the
+        same walk caches each value's successors as the function yields
+        them."""
         if self._pairs is None:
             got = set()
+            adj = {}
             for a in self.source.values(cap):
-                for b in self._succ_fn(a):
+                bs = adj[a] = list(self._succ_fn(a))
+                for b in bs:
                     got.add((a, b))
+            self._adj = adj
             self._pairs = frozenset(got)
         return self._pairs
 
     def sorted_pairs(self, cap: int = DEFAULT_MAX_SPACE) -> list:
         return sorted(self.pairs(cap), key=_pair_key)
-
-    def materialized(self, cap: int = DEFAULT_MAX_SPACE) -> "Relation":
-        """Extensional copy without a certificate (self when already
-        extensional): a certificate covers only the relation it was made
-        for."""
-        if self._pairs is not None:
-            return self
-        return Relation(self.source, self.target, pairs=self.pairs(cap),
-                        name=self.name)
 
     def domain(self, cap: int = DEFAULT_MAX_SPACE) -> frozenset:
         return frozenset(a for a, _ in self.pairs(cap))
@@ -116,15 +112,11 @@ class Relation:
 
     # -- algebra ---------------------------------------------------------
 
-    def inverse(self) -> "Relation":
-        """Pair-swapped relation. Demands an extensional receiver; call
-        materialized() first on intensional relations."""
-        if self._pairs is None:
-            raise RequiresExtensional(
-                "inverse works on extensional relations; materialize first")
-        flipped = frozenset((b, a) for a, b in self._pairs)
-        return Relation(self.target, self.source, pairs=flipped,
-                        name=_derived_name("inverse", self.name))
+    def inverse(self, cap: int = DEFAULT_MAX_SPACE) -> "Relation":
+        """Pair-swapped relation, over this relation's pair set."""
+        flipped = ((b, a) for a, b in self.pairs(cap))
+        return from_pairs(self.target, self.source, flipped, check=False,
+                          name=_derived_name("inverse", self.name))
 
     def compose(self, other: "Relation") -> "Relation":
         """self ; other: step through self, then through other."""
@@ -137,28 +129,23 @@ class Relation:
             for m in self._succ(a):
                 out.update(other._succ(m))
             return out
-        return Relation(self.source, other.target, succ=succ,
+        return Relation(self.source, other.target, succ,
                         name=_derived_name("compose", self.name, other.name))
 
-    def restrict(self, keep, check: bool = True) -> "Relation":
-        """Keep only pairs whose first component satisfies keep (a value
-        collection or a predicate)."""
-        if callable(keep):
-            member = keep
-        else:
-            kept = frozenset(keep)
-            if check:
-                for v in kept:
-                    if not self.source.contains(v):
-                        raise ValueOutsideSpace(v, self.source)
-            member = kept.__contains__
+    def restrict(self, keep) -> "Relation":
+        """Keep only pairs whose first component is in keep, a collection
+        of members of the source space."""
+        kept = frozenset(keep)
+        for v in kept:
+            if not self.source.contains(v):
+                raise ValueOutsideSpace(v, self.source)
         def succ(a):
-            return self._succ(a) if member(a) else ()
+            return self._succ(a) if a in kept else ()
         holds = None
         if self._holds_fn is not None:
             inner = self._holds_fn
-            holds = lambda a, b: member(a) and inner(a, b)
-        return Relation(self.source, self.target, succ=succ, holds=holds,
+            holds = lambda a, b: a in kept and inner(a, b)
+        return Relation(self.source, self.target, succ, holds=holds,
                         name=_derived_name("restrict", self.name))
 
     def power(self, n: int) -> "Relation":
@@ -171,18 +158,15 @@ class Relation:
         if n == 1:
             return self
         return Relation(self.source, self.target,
-                        succ=lambda a: after(self, a, n),
+                        lambda a: after(self, a, n),
                         name=_derived_name(f"power{n}", self.name))
 
     def plus(self) -> "Relation":
         """Transitive closure: one or more steps."""
         if not same_space(self.source, self.target):
             raise SpaceMismatch("closure needs matching source and target spaces")
-        def succ(a):
-            return reach(self, self._succ(a))
-        def holds(a, b):
-            return any(b == c for c in succ(a))
-        return Relation(self.source, self.target, succ=succ, holds=holds,
+        return Relation(self.source, self.target,
+                        lambda a: reach(self, self._succ(a)),
                         name=_derived_name("plus", self.name))
 
     def star(self) -> "Relation":
@@ -192,9 +176,7 @@ class Relation:
             out = set(closed._succ(a))
             out.add(a)
             return out
-        def holds(a, b):
-            return a == b or closed.holds(a, b)
-        return Relation(self.source, self.target, succ=succ, holds=holds,
+        return Relation(self.source, self.target, succ,
                         name=_derived_name("star", self.name))
 
     def union(self, other: "Relation") -> "Relation":
@@ -209,7 +191,7 @@ class Relation:
         if self._holds_fn is not None and other._holds_fn is not None:
             f, g = self._holds_fn, other._holds_fn
             holds = lambda a, b: f(a, b) or g(a, b)
-        return Relation(self.source, self.target, succ=succ, holds=holds,
+        return Relation(self.source, self.target, succ, holds=holds,
                         name=_derived_name("union", self.name, other.name))
 
     def is_subset_of(self, other: "Relation", cap: int = DEFAULT_MAX_SPACE):
@@ -339,23 +321,26 @@ def from_pairs(source: Space, target: Space, pairs, *,
             if not target.contains(b):
                 raise ValueOutsideSpace(b, target)
         got.append((a, b))
-    return Relation(source, target, pairs=got, name=name)
+    frozen = frozenset(got)
+    adj = {}
+    for a, b in frozen:
+        adj.setdefault(a, []).append(b)
+    r = Relation(source, target, lambda a: adj.get(a, ()), name=name)
+    r._pairs, r._adj = frozen, adj
+    return r
 
 
 def from_successors(source: Space, target: Space, succ, *,
                     holds=None, name: str | None = None) -> Relation:
-    return Relation(source, target, succ=succ, holds=holds, name=name)
+    return Relation(source, target, succ, holds=holds, name=name)
 
 
 def identity(space: Space) -> Relation:
-    return Relation(space, space,
-                    succ=lambda a: (a,),
-                    holds=lambda a, b: a == b,
-                    name="id")
+    return Relation(space, space, lambda a: (a,), name="id")
 
 
 def empty_relation(source: Space, target: Space) -> Relation:
-    return Relation(source, target, pairs=(), name="empty")
+    return from_pairs(source, target, (), name="empty", check=False)
 
 
 def pair_values(pairs) -> list:

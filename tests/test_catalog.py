@@ -308,7 +308,7 @@ class TestCertificates:
         with pytest.raises(AttributeError):
             spin.cert = sound
         with pytest.raises(TypeError):
-            Relation(sp, sp, pairs=pairs, cert=sound)
+            Relation(sp, sp, spin._succ, cert=sound)
         assert spin.cert is None
         v = certify(spin)
         assert v.render() == "not Noetherian, cycle: 0 → 1 → 0"
@@ -329,8 +329,9 @@ class TestCertificates:
             with pytest.raises(AttributeError):
                 r.cert = cert
         assert r.cert is None and certify(r).method == "exhaustive"
-        assert r.materialized() is r
-        copy = base.materialized()
+        base.pairs()
+        assert certify(base).method == "certificate"
+        copy = from_pairs(base.source, base.target, base.pairs())
         assert copy.cert is None and certify(copy).method == "exhaustive"
 
     def test_only_the_catalog_mints_certificates(self):

@@ -618,3 +618,104 @@ class TestOutputDigest:
         assert runs == 480
         assert h.hexdigest() == (
             "4dc75ddd811f792d01d0800655d1d6377ac874ac53ff6063002ee0ffb18745b1")
+
+
+# -- the exit contract under extreme flags and bad start values --------------------
+
+EXTREMES = [[flag, str(v)] for flag, values in (("--fuel", (0, -1, 10 ** 20)),
+                                                 ("--max-space", (0, -5, 10 ** 20)))
+            for v in values]
+FUZZ_FILES = {"SUCC": SUCC_FILE, "CYCLE": CYCLE_FILE, "SPLIT": SPLIT_FILE,
+              "COUNT": COUNT_LOOP}
+FUZZ_COMMANDS = [
+    ["check", "SUCC"], ["check", "CYCLE"],
+    ["limit", "SUCC", "--from", "2"],
+    ["limit", "SPLIT", "--from", "a", "--mode", "minima"],
+    ["height", "SUCC", "--from", "5"], ["height", "CYCLE", "--from", "1"],
+    ["seed", "SUCC", "SUCC"], ["seed", "CYCLE", "SUCC"],
+    ["run", "COUNT"], ["run", "COUNT", "--all", "--trace"],
+    ["run", "gcd", "--a", "6", "--b", "4"],
+    ["run", "lamsort", "--t", "3,1,2", "--all"],
+    ["verify", "COUNT"], ["verify", "gcd", "--a", "6", "--b", "4"],
+    ["verify", "gcd", "--a-max", "3"],
+    ["verify", "seq_search", "--t", "1,2", "--x", "2"],
+    ["examples"], ["audit", "--samples", "3"],
+]
+# (relation file, --from) pairs whose start is no member of the file's space
+OUTSIDE_STARTS = [("SUCC", "9"), ("SUCC", "-1"), ("SUCC", "x"),
+                  ("SUCC", '{"pair": [{"int": 0}, {"int": 1}]}'),
+                  ("SPLIT", "z"), ("SPLIT", "3"),
+                  ("SPLIT", '{"seq": [1, 2]}')]
+EMPTY_T = [["seq_search", "--x", "1"], ["general_search_interval", "--x", "1"],
+           ["general_search_intervalset", "--x", "1"],
+           ["partition", "--pivot", "1"], ["lamsort"]]
+
+
+@pytest.fixture(scope="module")
+def fuzz_files(tmp_path_factory):
+    where = tmp_path_factory.mktemp("cli_fuzz")
+    paths = {}
+    for key, doc in FUZZ_FILES.items():
+        paths[key] = where / f"{key.lower()}.json"
+        paths[key].write_text(json.dumps(doc), encoding="utf-8")
+    return {key: str(p) for key, p in paths.items()}
+
+
+def run_in_process(argv):
+    """(exit code, stdout, stderr) of one main call; usage errors included."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def assert_exit_contract(argv):
+    code, out, err = run_in_process(argv)
+    assert code in (0, 1, 2), (argv, code, err)
+    assert "Traceback" not in err
+    if "--json" in argv and out:
+        # a verdict raised as an error (a cycle met by height or limit)
+        # goes to stderr alone, so only a written document is read
+        json.loads(out)
+    return code, err
+
+
+class TestExitContractFuzz:
+    @pytest.mark.parametrize("command", FUZZ_COMMANDS,
+                             ids=[" ".join(c) for c in FUZZ_COMMANDS])
+    def test_extreme_fuel_and_space_caps(self, fuzz_files, command):
+        argv = [fuzz_files.get(word, word) for word in command]
+        for extreme in EXTREMES:
+            for json_flag in ([], ["--json"]):
+                assert_exit_contract(argv + extreme + json_flag)
+
+    @pytest.mark.parametrize("command", ["limit", "height"])
+    @pytest.mark.parametrize("target,start", OUTSIDE_STARTS,
+                             ids=[f"{t}:{s[:12]}" for t, s in OUTSIDE_STARTS])
+    def test_start_outside_the_space_exits_two(self, fuzz_files, command,
+                                               target, start):
+        for json_flag in ([], ["--json"]):
+            code, err = assert_exit_contract(
+                [command, fuzz_files[target], "--from", start, *json_flag])
+            assert code == 2
+            assert err.startswith("error: value ") and "not a member" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["check", "SUCC", "--fuel", "x"], ["check", "SUCC", "--max-space="],
+        ["limit", "SUCC", "--from", "2", "--mode", "deepest"],
+        ["height", "SUCC"], ["run", "gcd", "--a", "1.5"], ["verify"],
+        ["examples", "--nope"], ["audit", "--samples", "many"], ["frobnicate"],
+    ], ids=lambda argv: " ".join(argv))
+    def test_bad_flags_are_usage_errors(self, fuzz_files, argv):
+        code, _ = assert_exit_contract([fuzz_files.get(w, w) for w in argv])
+        assert code == 2
+
+    @pytest.mark.parametrize("example", EMPTY_T, ids=[e[0] for e in EMPTY_T])
+    @pytest.mark.parametrize("command", ["run", "verify"])
+    def test_empty_t(self, command, example):
+        for json_flag in ([], ["--json"]):
+            assert_exit_contract([command, example[0], "--t=", *example[1:],
+                                  *json_flag])

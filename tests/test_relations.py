@@ -2,8 +2,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import any_relation, dag_relation, int_space
-from noet.errors import (FuelExhausted, RequiresExtensional, SpaceMismatch,
-                         ValueOutsideSpace)
+from noet.errors import FuelExhausted, SpaceMismatch, ValueOutsideSpace
 from noet.noether import is_noetherian
 from noet.relations import (after, empty_relation, from_pairs,
                             from_successors, identity, is_minimal, reach)
@@ -56,12 +55,13 @@ class TestOperations:
         assert sorted((a.value, b.value) for a, b in r.inverse().pairs()) \
             == [(1, 0), (2, 1)]
 
-    def test_inverse_needs_pairs_on_hand(self):
+    def test_inverse_of_a_successor_function(self):
         sp = int_space(3)
-        r = from_successors(sp, sp, lambda a: ())
-        with pytest.raises(RequiresExtensional):
-            r.inverse()
-        assert r.materialized().inverse().is_empty()
+        assert from_successors(sp, sp, lambda a: ()).inverse().is_empty()
+        down = from_successors(sp, sp,
+                               lambda a: (Int(a.value - 1),) if a.value else ())
+        assert sorted((a.value, b.value) for a, b in down.inverse().pairs()) \
+            == [(0, 1), (1, 2)]
 
     def test_compose_chains_images(self):
         sp = explicit([Node("a"), Node("b")])

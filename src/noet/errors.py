@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from .values import render
+
 
 class NoetError(Exception):
     """Base class for every error this package raises deliberately."""
@@ -21,7 +23,11 @@ class ValueOutsideSpace(NoetError):
     def __init__(self, value, space):
         self.value = value
         self.space = space
-        super().__init__(f"value {value!r} is not a member of {space.describe()}")
+        try:
+            shown = render(value)
+        except TypeError:  # no value, or one that holds a non-value
+            shown = repr(value)
+        super().__init__(f"value {shown} is not a member of {space.describe()}")
 
 
 class SpaceTooLarge(LimitExceeded):

@@ -15,6 +15,8 @@ from .values import (Int, Pair, Interval, IntervalSet, Tup, is_value,
 
 DEFAULT_MAX_SPACE = 100_000
 
+_GENERATED_IN_ORDER = frozenset({"int_range", "product", "filtered"})
+
 
 def _interval_count(lo: int, hi: int) -> int:
     # non-empty subintervals plus one empty representative per start point
@@ -89,11 +91,17 @@ class Space:
         est = self.size_estimate()
         if est is not None and est > cap:
             raise SpaceTooLarge(est, cap)
-        out = sorted_unique(self._generate(cap))
+        out = self._generate(cap)
+        # int_range, product and filtered generate in value_key order with
+        # no duplicates (a product of sorted components is lexicographic, a
+        # filter keeps its base's order); the rest are sorted here
+        if self.kind not in _GENERATED_IN_ORDER:
+            out = sorted_unique(out)
+        out = tuple(out)
         if len(out) > cap:
             raise SpaceTooLarge(len(out), cap)
-        self._values = tuple(out)
-        return self._values
+        self._values = out
+        return out
 
     def _generate(self, cap):
         k = self.kind

@@ -4,23 +4,121 @@ Seven variants: integers, pairs, integer intervals, finite sets of
 intervals, integer sequences, named nodes, and tuples of values.
 Equality is structural; value_key gives a total order used only for
 deterministic tie-breaking and output.
+
+Int and Pair, the values the exhaustive walks meet most, are
+hash-consed: each constructor returns the one live object for its value
+from a per-class table of weak references, and the hash is computed once,
+when that object is made. Equal Ints are then the same object, and so
+are equal Pairs of such children, so dict and set hits are identity tests
+and the successor functions mint no duplicates. Hashes keep the formulas
+of the dataclasses they replace, so set order, and every witness printed,
+is unchanged. The other five variants are plain frozen dataclasses.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import weakref
+from dataclasses import FrozenInstanceError, dataclass
 from typing import Union
 
 
-@dataclass(frozen=True, slots=True)
-class Int:
-    value: int
+class _Entry(weakref.ref):
+    """A table entry: a weak reference that remembers its key, so that its
+    callback can remove it once the value dies."""
+
+    __slots__ = ("key", "table")
+
+    def __new__(cls, value, table, key):
+        return super().__new__(cls, value, _release)
+
+    def __init__(self, value, table, key):
+        super().__init__(value, _release)
+        self.key = key
+        self.table = table
 
 
-@dataclass(frozen=True, slots=True)
-class Pair:
-    first: "Value"
-    second: "Value"
+def _release(entry):
+    # a later value with the same key may already have replaced this entry
+    if entry.table.get(entry.key) is entry:
+        del entry.table[entry.key]
+
+
+class _Interned:
+    """Frozenness and the stored hash, shared by the hash-consed classes."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, _):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __hash__(self):
+        return self._hash
+
+
+class Int(_Interned):
+    """An integer. Equal Ints are one object, so equality is identity."""
+
+    __slots__ = ("value", "_hash", "__weakref__")
+    _table = {}
+
+    def __new__(cls, value):
+        entry = cls._table.get(value)
+        if entry is not None:
+            self = entry()
+            if self is not None:
+                return self
+        self = object.__new__(cls)
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "_hash", hash((value,)))
+        cls._table[value] = _Entry(self, cls._table, value)
+        return self
+
+    def __repr__(self):
+        return f"Int(value={self.value!r})"
+
+    def __reduce__(self):
+        return (Int, (self.value,))
+
+
+class Pair(_Interned):
+    """An ordered pair of values. Pairs are interned by the identity of
+    their children: equal Pairs of interned children are one object.
+    Equality stays structural for children that are not interned."""
+
+    __slots__ = ("first", "second", "_hash", "__weakref__")
+    _table = {}
+
+    def __new__(cls, first, second):
+        key = (id(first), id(second))
+        entry = cls._table.get(key)
+        if entry is not None:
+            self = entry()
+            if self is not None and self.first is first and self.second is second:
+                return self
+        self = object.__new__(cls)
+        object.__setattr__(self, "first", first)
+        object.__setattr__(self, "second", second)
+        object.__setattr__(self, "_hash", hash((first, second)))
+        cls._table[key] = _Entry(self, cls._table, key)
+        return self
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if type(other) is not Pair:
+            return NotImplemented
+        return self.first == other.first and self.second == other.second
+
+    __hash__ = _Interned.__hash__
+
+    def __repr__(self):
+        return f"Pair(first={self.first!r}, second={self.second!r})"
+
+    def __reduce__(self):
+        return (Pair, (self.first, self.second))
 
 
 @dataclass(frozen=True, slots=True)
@@ -131,8 +229,9 @@ def sort_values(values):
 
 
 def sorted_unique(values) -> list:
-    """Values in value_key order with equal neighbours dropped. Sorts and
-    compares rather than building a set, so no value gets hashed."""
+    """Values in value_key order with equal neighbours dropped. Sorting
+    first keeps the output in value order whatever the input order; for
+    interned values the neighbour comparison is an identity test."""
     out, prev = [], object()
     for v in sort_values(values):
         if v != prev:

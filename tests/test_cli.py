@@ -703,6 +703,12 @@ class TestExitContractFuzz:
             assert code == 2
             assert err.startswith("error: value ") and "not a member" in err
 
+    def test_outside_start_is_quoted_rendered(self, fuzz_files):
+        code, _, err = run_in_process(["height", fuzz_files["SUCC"], "--from",
+                                       '{"pair": [{"int": 0}, {"int": 1}]}'])
+        assert (code, err) == (2, "error: value (0, 1) is not a member of "
+                                  "int_range 0..5\n")
+
     @pytest.mark.parametrize("argv", [
         ["check", "SUCC", "--fuel", "x"], ["check", "SUCC", "--max-space="],
         ["limit", "SUCC", "--from", "2", "--mode", "deepest"],

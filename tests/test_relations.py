@@ -7,7 +7,7 @@ from noet.noether import is_noetherian
 from noet.relations import (after, empty_relation, from_pairs,
                             from_successors, identity, is_minimal, reach)
 from noet.spaces import explicit, int_range
-from noet.values import Int, Node, value_key
+from noet.values import Int, Node, Pair, value_key
 
 
 def rel(n, pairs):
@@ -33,6 +33,15 @@ class TestConstruction:
         sp = int_space(2)
         with pytest.raises(ValueOutsideSpace):
             from_pairs(sp, sp, [(Int(0), Int(5))])
+
+    def test_outside_values_are_quoted_rendered(self):
+        sp = int_space(2)
+        with pytest.raises(ValueOutsideSpace,
+                           match=r"^value \(0, 1\) is not a member of explicit\(2 values\)$"):
+            from_pairs(sp, sp, [(Pair(Int(0), Int(1)), Int(0))])
+        # something that is no value at all falls back to its repr
+        with pytest.raises(ValueOutsideSpace, match=r"^value 'x' is not a member"):
+            from_pairs(sp, sp, [("x", Int(0))])
 
     def test_successors_sorted_and_deduped(self):
         r = rel(4, [(0, 3), (0, 1), (0, 3), (0, 2)])

@@ -1,9 +1,10 @@
 import itertools
 
 import pytest
+from hypothesis import given, strategies as st
 
 from noet.errors import SpaceTooLarge
-from noet.values import Int, Interval, IntervalSet, Pair
+from noet.values import Int, Interval, IntervalSet, Pair, sorted_unique
 from noet.spaces import (explicit, filtered, int_range, interval_sets_of,
                          intervals_of, lazy_explicit, product, same_space)
 
@@ -93,6 +94,29 @@ class TestLimitsAndLazy:
         assert [v.value for v in evens.values()] == [0, 2, 4, 6, 8]
         assert evens.contains(Int(4))
         assert not evens.contains(Int(5))
+
+
+def _keep_some(base, m):
+    # Int, Pair and Tup hashes take no per-process salt
+    return filtered(base, lambda v: hash(v) % m != 0)
+
+
+ordered_spaces = st.recursive(
+    st.builds(lambda lo, w: int_range(lo, lo + w),
+              st.integers(-3, 3), st.integers(-1, 3)),
+    lambda inner: st.one_of(
+        st.builds(product, inner, inner),
+        st.builds(product, inner, inner, inner),
+        st.builds(_keep_some, inner, st.integers(2, 3))),
+    max_leaves=4)
+
+
+class TestGeneratedOrder:
+    @given(ordered_spaces)
+    def test_int_range_product_and_filtered_enumerate_sorted(self, sp):
+        # these kinds skip the sort in Space.values
+        vs = sp.values()
+        assert list(vs) == sorted_unique(vs)
 
 
 class TestIdentity:

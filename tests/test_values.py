@@ -1,3 +1,9 @@
+import copy
+import gc
+import pickle
+import weakref
+from dataclasses import FrozenInstanceError
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -108,3 +114,59 @@ class TestOrdering:
                  Pair(Int(0), Int(0)), IntervalSet(frozenset())]
         ranked = [type(v).__name__ for v in sort_values(mixed)]
         assert ranked == ["Int", "Pair", "Interval", "IntervalSet", "Seq", "Node"]
+
+
+class TestInterning:
+    def test_equal_values_are_one_object(self):
+        assert Int(3) is Int(3)
+        assert Pair(Int(1), Int(2)) is Pair(Int(1), Int(2))
+        assert Pair(first=Int(value=1), second=Int(value=2)) is Pair(Int(1), Int(2))
+        assert Pair(Int(1), Int(2)) is not Pair(Int(2), Int(1))
+        assert Pair(Pair(Int(0), Int(1)), Int(2)) is Pair(Pair(Int(0), Int(1)), Int(2))
+
+    @given(st.integers(-9, 9), st.integers(-9, 9), st.integers(-9, 9), st.integers(-9, 9))
+    def test_identity_is_equality(self, a, b, c, d):
+        p, q = Pair(Int(a), Int(b)), Pair(Int(c), Int(d))
+        assert (p is q) == (p == q) == ((a, b) == (c, d))
+
+    def test_hashes_keep_the_dataclass_formulas(self):
+        # set order, and with it every witness printed, follows these
+        assert hash(Int(7)) == hash((7,))
+        assert hash(Int(-1)) == hash((-1,))
+        inner = Pair(Int(2), Int(3))
+        assert hash(inner) == hash((Int(2), Int(3)))
+        assert hash(Pair(Int(1), inner)) == hash((Int(1), inner))
+        assert hash(Pair(iv(1, 2), Node("a"))) == hash((iv(1, 2), Node("a")))
+
+    def test_repr_is_the_dataclass_one(self):
+        assert repr(Int(-4)) == "Int(value=-4)"
+        assert repr(Pair(Int(0), Pair(Int(1), Int(2)))) == (
+            "Pair(first=Int(value=0), "
+            "second=Pair(first=Int(value=1), second=Int(value=2)))")
+
+    def test_fields_are_frozen(self):
+        with pytest.raises(FrozenInstanceError):
+            Int(1).value = 2
+        with pytest.raises(FrozenInstanceError):
+            Pair(Int(0), Int(1)).second = Int(0)
+        with pytest.raises(FrozenInstanceError):
+            del Int(1).value
+        assert Int(1).value == 1
+
+    def test_copy_and_pickle_return_the_interned_object(self):
+        for v in (Int(5), Pair(Int(0), Pair(Int(1), Int(2)))):
+            assert copy.copy(v) is v
+            assert copy.deepcopy(v) is v
+            assert pickle.loads(pickle.dumps(v)) is v
+
+    def test_the_table_does_not_keep_values_alive(self):
+        ref = weakref.ref(Int(918273645))
+        gc.collect()
+        assert ref() is None
+        assert Int(918273645).value == 918273645
+
+    def test_pairs_of_uninterned_children_compare_structurally(self):
+        a, b = Pair(iv(1, 2), Int(0)), Pair(iv(1, 2), Int(0))
+        assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+        assert a != Pair(iv(1, 3), Int(0))
+        assert Int(1) != 1 and Pair(Int(0), Int(1)) != (Int(0), Int(1))

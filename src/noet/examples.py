@@ -3,7 +3,8 @@
 Every instance bundles its loop definition with the oracle context, the
 designated input, a single-run choice policy where the classical algorithm
 has one, and the classical variant measure for that loop. Spaces are built
-lazily so bulk sweeps never enumerate what a run does not touch.
+lazily so bulk sweeps never enumerate what a run does not touch, and each
+generates only its own members.
 """
 
 from __future__ import annotations
@@ -18,8 +19,8 @@ from .errors import ParameterOutOfRange
 from . import oracles
 from .loops import LoopDef, make_loop
 from .relations import from_successors
-from .spaces import (explicit, filtered, int_range, interval_sets_of,
-                     intervals_of, lazy_explicit, product)
+from .spaces import (explicit, int_range, interval_sets_of, intervals_of,
+                     lazy_explicit, product)
 from .values import (Int, Interval, IntervalSet, Node, Pair, Seq, Tup,
                      sort_values, value_key)
 
@@ -107,9 +108,21 @@ def _partition_run(items, lo, hi, pivot):
 @lru_cache(maxsize=None)
 def _gcd_core(g: int, bound: int, check: bool) -> LoopDef:
     base = product(int_range(1, bound), int_range(1, bound))
-    space = filtered(base,
-                     lambda v: math.gcd(v.first.value, v.second.value) == g,
-                     pred_id=f"gcd={g}")
+
+    def in_class(v):
+        return (base.contains(v)
+                and math.gcd(v.first.value, v.second.value) == g)
+
+    def members():
+        # class g is exactly (g*x, g*y) for coprime x, y in 1..bound//g
+        k = bound // g
+        for x in range(1, k + 1):
+            for y in range(1, k + 1):
+                if math.gcd(x, y) == 1:
+                    yield Pair(Int(g * x), Int(g * y))
+
+    space = lazy_explicit(members, in_class, estimate=base.size_estimate(),
+                          label=f"filtered({base.describe()}, gcd={g})")
 
     def top(v):
         return v.first.value if v.first.value >= v.second.value else v.second.value
@@ -254,12 +267,21 @@ def _gsis_instance(params, check):
         if x not in t[lo - 1:hi]))
     hits = tuple(i + 1 for i, v in enumerate(t) if v == x)
 
-    base = interval_sets_of(1, n) if n >= 1 else interval_sets_of(1, 0)
-    pred_id = f"avoid x at {hits} in 1..{n}"
-    space = filtered(
-        base,
-        lambda s: all(not any(m.covers(p) for p in hits) for m in s.members),
-        pred_id=pred_id)
+    base = interval_sets_of(1, n)
+
+    def avoids_x(s):
+        return base.contains(s) and all(
+            not any(m.covers(p) for p in hits) for m in s.members)
+
+    def members():
+        # an interval set avoids x exactly when every member is eligible
+        for k in range(len(eligible) + 1):
+            for chosen in itertools.combinations(eligible, k):
+                yield IntervalSet(frozenset(chosen))
+
+    space = lazy_explicit(
+        members, avoids_x, estimate=base.size_estimate(),
+        label=f"filtered({base.describe()}, avoid x at {hits} in 1..{n})")
 
     order = induced(lambda v: v, named("INTERVALSUBSET", base), space,
                     fn_name="interval_set")

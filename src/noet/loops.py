@@ -143,10 +143,13 @@ def _run_single(loop, input_value, fuel, choose, validate) -> ExecTrace:
         raise InitEscapesSpace(witness=state)
     states = [state]
     for _ in range(fuel):
-        succs = loop.body.successors(state)
-        if not succs:
+        if choose is None:
+            nxt = min(loop.body._succ(state), key=value_key, default=None)
+        else:
+            succs = loop.body.successors(state)
+            nxt = choose(state, succs) if succs else None
+        if nxt is None:
             return ExecTrace(input=input_value, states=tuple(states))
-        nxt = choose(state, succs) if choose is not None else succs[0]
         if validate:
             _step_checked(loop, state, nxt)
         state = nxt

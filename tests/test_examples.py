@@ -1,12 +1,17 @@
 """The six shipped loop instances: pinned traces, oracles, edge cases."""
 
+import itertools
+import math
+
 import pytest
 
-from noet.errors import ParameterOutOfRange
+from noet.errors import ParameterOutOfRange, SpaceTooLarge
 from noet.examples import (EXAMPLE_NAMES, EXAMPLE_PARAMS, EXAMPLE_SUMMARIES,
-                           instantiate)
+                           _gcd_core, instantiate)
 from noet.loops import run, terminals_of, variant_to_relation, verify
 from noet.noether import is_noetherian
+from noet.spaces import (Space, filtered, int_range, interval_sets_of,
+                         intervals_of, product)
 from noet.values import (Int, Interval, IntervalSet, Node, Pair, Seq, Tup,
                          interval_strictly_within)
 
@@ -295,3 +300,162 @@ class TestCatalogOrders:
         by_name = {r.name: r for r in report.results}
         assert by_name["order_noetherian"].detail == "Noetherian (certificate)"
         assert report.passed
+
+
+# -- example spaces generate only their members ---------------------------------
+
+def _gcd_class_as_filter(g, bound):
+    """Class g as the full grid filtered by gcd: the definition the
+    generated class space must reproduce."""
+    return filtered(product(int_range(1, bound), int_range(1, bound)),
+                    lambda v: math.gcd(v.first.value, v.second.value) == g,
+                    pred_id=f"gcd={g}")
+
+
+def _intervalset_search_as_filter(t, x):
+    n = len(t)
+    hits = tuple(i + 1 for i, v in enumerate(t) if v == x)
+    return filtered(
+        interval_sets_of(1, n),
+        lambda s: all(not any(m.covers(p) for p in hits) for m in s.members),
+        pred_id=f"avoid x at {hits} in 1..{n}")
+
+
+NOT_PAIRS = [Int(3), Node("a"), Interval(1, 2), Seq((1, 2)),
+             Tup((Int(1), Int(1))), IntervalSet(frozenset()), None, (1, 1)]
+PAIRS_OF_NON_INTS = [Pair(Node("a"), Int(1)), Pair(Int(1), Node("a")),
+                     Pair(Interval(1, 1), Interval(1, 1)),
+                     Pair(Pair(Int(1), Int(1)), Int(1))]
+
+
+class TestGeneratedSpaces:
+    @pytest.mark.parametrize("bound", [1, 2, 7, 12, 24])
+    def test_gcd_classes_match_the_filtered_grid(self, bound):
+        total = 0
+        for g in range(1, bound + 1):
+            # a fresh core: the shared one may have been enumerated already
+            space = _gcd_core.__wrapped__(g, bound, False).space
+            want = _gcd_class_as_filter(g, bound)
+            assert space.describe() == want.describe()
+            assert space.size_estimate() == want.size_estimate() == bound ** 2
+            got, expected = space.values(), want.values()
+            assert len(got) == len(expected)
+            assert all(a is b for a, b in zip(got, expected))
+            grid = [Pair(Int(a), Int(b))
+                    for a in range(bound + 2) for b in range(bound + 2)]
+            for v in grid + NOT_PAIRS + PAIRS_OF_NON_INTS:
+                assert space.contains(v) == want.contains(v), (g, v)
+            total += len(got)
+        assert total == bound ** 2
+
+    def test_intervalset_search_matches_the_filtered_power_set(self):
+        extras = [IntervalSet(frozenset({Interval(0, 0)})),
+                  IntervalSet(frozenset({Interval(2, 1)})),
+                  Interval(1, 1), Int(1), None]
+        for n in range(4):
+            for t in itertools.product(range(4), repeat=n):
+                for x in range(5):
+                    space = instantiate("general_search_intervalset", t=t,
+                                        x=x, check=False).loop.space
+                    want = _intervalset_search_as_filter(t, x)
+                    assert space.describe() == want.describe()
+                    assert space.size_estimate() == want.size_estimate()
+                    assert space.values() == want.values()
+                    beyond = [IntervalSet(frozenset({Interval(1, n + 1)}))]
+                    for v in (interval_sets_of(1, n).values() + tuple(extras)
+                              + tuple(beyond)):
+                        assert space.contains(v) == want.contains(v), (t, x, v)
+
+    def test_proving_a_space_too_large_to_enumerate_says_so(self):
+        # as filters over an unsampled grid these spaces had no probe
+        # value, and make_loop called them empty
+        with pytest.raises(SpaceTooLarge):
+            instantiate("gcd", a=1, b=1, bound=400, check=True)
+        with pytest.raises(SpaceTooLarge):
+            instantiate("general_search_intervalset", t=(1, 2, 3, 4, 5, 6),
+                        x=9, check=True)
+
+    def test_gcd_sweep_never_enumerates_the_grid(self, monkeypatch):
+        generated = []
+        real = Space._generate
+
+        def counting(space, cap):
+            out = list(real(space, cap))
+            generated.append((space.describe(), len(out)))
+            return out
+
+        monkeypatch.setattr(Space, "_generate", counting)
+        _gcd_core.cache_clear()
+        try:
+            inst = instantiate("gcd", a=8, b=8, bound=64)
+            assert verify(inst.loop, ctx=inst.ctx).passed
+        finally:
+            _gcd_core.cache_clear()
+        label = "filtered(product(int_range 1..64, int_range 1..64), gcd=8)"
+        # (8x, 8y) for coprime x, y in 1..8, and nothing else enumerated
+        assert (label, 43) in generated
+        assert max(n for _, n in generated) < 64 * 64
+
+
+def _seqs(alphabet, n):
+    return [Seq(s) for s in itertools.product(sorted(set(alphabet)), repeat=n)]
+
+
+def _partition_superset(t, pivot):
+    cuts = intervals_of(0, len(t) + 1).values()
+    return [Tup((s, c)) for s in _seqs(t, len(t)) for c in cuts]
+
+
+def _lamsort_superset(t):
+    n = len(t)
+    parts = list(interval_sets_of(1, n).values())
+    parts += [IntervalSet(frozenset({Interval(1, n + 1)})),
+              IntervalSet(frozenset({Interval(1, 0), Interval(1, n)}))]
+    return [Tup((s, p)) for s in _seqs(t, n) for p in parts]
+
+
+def _gcd_superset(a, b, bound):
+    return [Pair(Int(i), Int(j))
+            for i in range(bound + 2) for j in range(bound + 2)]
+
+
+def _intervalset_superset(t, x):
+    return list(interval_sets_of(1, len(t)).values()) + [
+        IntervalSet(frozenset({Interval(1, len(t) + 1)}))]
+
+
+# every example whose space is a lazy_explicit factory, with a finite
+# superset of its states to test membership over
+LAZY_SPACES = [
+    ("partition", {"t": (3, 1, 2), "pivot": 2}, _partition_superset),
+    ("partition", {"t": (2, 2), "pivot": 2}, _partition_superset),
+    ("partition", {"t": (1, 3, 2, 1), "pivot": 2}, _partition_superset),
+    ("partition", {"t": (), "pivot": 0}, _partition_superset),
+    ("lamsort", {"t": (2, 3, 1)}, _lamsort_superset),
+    ("lamsort", {"t": (2, 1, 2, 1)}, _lamsort_superset),
+    ("lamsort", {"t": ()}, _lamsort_superset),
+    ("gcd", {"a": 6, "b": 4, "bound": 9}, _gcd_superset),
+    ("gcd", {"a": 5, "b": 3, "bound": 7}, _gcd_superset),
+    ("gcd", {"a": 3, "b": 3, "bound": 10}, _gcd_superset),
+    ("general_search_intervalset", {"t": (4, 5), "x": 5},
+     _intervalset_superset),
+    ("general_search_intervalset", {"t": (1, 2, 1), "x": 1},
+     _intervalset_superset),
+    ("general_search_intervalset", {"t": (1, 2, 3), "x": 9},
+     _intervalset_superset),
+    ("general_search_intervalset", {"t": (), "x": 1}, _intervalset_superset),
+]
+
+
+@pytest.mark.parametrize("name,params,superset", LAZY_SPACES,
+                         ids=[f"{n}-{i}" for i, (n, _, _)
+                              in enumerate(LAZY_SPACES)])
+def test_factory_yields_exactly_the_contained_values(name, params, superset):
+    # verify enumerates through the factory alone, so a factory that drops
+    # a member would go unnoticed without this
+    space = instantiate(name, check=False, **params).loop.space
+    assert space.kind == "explicit"
+    members = space.values()
+    around = set(superset(**params))
+    assert set(members) <= around
+    assert {v for v in around if space.contains(v)} == set(members)

@@ -139,6 +139,21 @@ class TestRun:
         slow = run(loop, Int(3), choose=lambda s, succs: succs[-1])
         assert slow.render() == "3 → 2 → 1 → 0"
 
+    def test_canonical_choice_ignores_successor_order_and_repeats(self):
+        # the unchosen step takes the least raw successor; a chooser still
+        # sees the sorted, deduplicated list
+        sp = int_range(0, 3)
+        init = from_successors(sp, sp, lambda a: (a,))
+        body = from_successors(
+            sp, sp, lambda a: [Int(v) for v in reversed(range(a.value))] * 2)
+        loop = make_loop(sp, named("INTGREATER", sp), init, body)
+        assert run(loop, Int(3)).render() == "3 → 0"
+        offered = []
+        slow = run(loop, Int(3),
+                   choose=lambda s, succs: offered.append(succs) or succs[-1])
+        assert slow.render() == "3 → 2 → 1 → 0"
+        assert offered[0] == [Int(0), Int(1), Int(2)]
+
     def test_fuel_exhaustion_keeps_the_partial_trace(self):
         with pytest.raises(FuelExhausted) as err:
             run(counting_loop(), Int(5), fuel=2)

@@ -21,7 +21,7 @@ from .spaces import (DEFAULT_MAX_SPACE, Space, explicit, filtered, int_range,
                      interval_sets_of, intervals_of, lazy_explicit, product,
                      same_space)
 from .relations import (Relation, RelationFlags, empty_relation, from_pairs,
-                        from_successors, identity, pair_values)
+                        identity, pair_values)
 from .noether import (DEFAULT_FUEL, Chain, MAXDEPTH, NOETHERIAN,
                       NOT_NOETHERIAN, REACHABLE_MINIMA, UNKNOWN,
                       NoetherianVerdict, SeedReport, assert_noetherian,

@@ -135,8 +135,11 @@ def _audit_compose(rng, samples, seed) -> AuditFinding:
         sp = _random_space(rng)
         r1 = _random_noetherian(rng, sp)
         r2 = _random_noetherian(rng, sp)
+        # refuted: keep drawing, so later claims see the same random stream
+        if counterexample is not None:
+            continue
         v = is_noetherian(r1.compose(r2))
-        if v.status != NOETHERIAN and counterexample is None:
+        if v.status != NOETHERIAN:
             counterexample = _compose_counterexample(sp, r1, r2, v)
     if counterexample is None:
         return AuditFinding(CLAIM_COMPOSE, VALIDATED, None, None,
@@ -182,9 +185,8 @@ def _audit_limit_subset(rng, samples, seed) -> AuditFinding:
         sp = _random_space(rng)
         rr, ss = _seed_pair(rng, sp)
         for mode in (REACHABLE_MINIMA, MAXDEPTH):
-            ce = _limit_pair_counterexample(sp, rr, ss, mode)
-            if ce is not None and counterexample is None:
-                counterexample = ce
+            if counterexample is None:
+                counterexample = _limit_pair_counterexample(sp, rr, ss, mode)
     if counterexample is None:
         return AuditFinding(CLAIM_LIMIT_SUBSET, VALIDATED, None, None,
                             samples, seed)

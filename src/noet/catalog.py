@@ -22,7 +22,7 @@ from functools import partial
 from .errors import MalformedExpr, UnknownNamedFunction
 from .noether import (METHOD_CERTIFICATE, NOETHERIAN, NoetherianVerdict,
                       _find_cycle, is_noetherian)
-from .relations import Relation, from_pairs, from_successors, pair_values
+from .relations import Relation, from_pairs, pair_values
 from .spaces import DEFAULT_MAX_SPACE, Space, explicit
 from .values import (Int, Interval, IntervalSet, Node, Pair, Seq, Tup,
                      interval_strictly_within)
@@ -127,8 +127,7 @@ def _want_seq_sets(space: Space, rule: str, cap: int) -> None:
 # -- building blocks ---------------------------------------------------------
 
 def _leaf(space, succ, holds, name) -> Relation:
-    return _stamp(from_successors(space, space, succ, holds=holds, name=name),
-                  name)
+    return _stamp(Relation(space, space, succ, holds=holds, name=name), name)
 
 
 def _space_filter(space, holds, name, cap) -> Relation:
@@ -166,7 +165,7 @@ def measure_descent(space: Space, measure, rule: str = "INDUCED",
     def holds(a, b):
         return measure(b) < measure(a)
 
-    out = from_successors(space, space, succ, holds=holds, name=name or rule)
+    out = Relation(space, space, succ, holds=holds, name=name or rule)
     out._cert = (NoetherianCert(rule, (NoetherianCert("INTGREATER"),))
                  if rule == "INDUCED" else NoetherianCert(rule))
     return out
@@ -456,7 +455,7 @@ def induced(fn, over: Relation, space: Space, fn_name: str | None = None,
         fa = fn(a)
         return (b for b in space.values(cap) if test(fa, fn(b)))
     label = f"induced[{fn_name}]" if fn_name else "induced"
-    out = from_successors(space, space, succ, holds=holds, name=label)
+    out = Relation(space, space, succ, holds=holds, name=label)
     return _stamp(out, "INDUCED", over)
 
 
@@ -487,8 +486,7 @@ def projection(i: int, comp: Relation, space: Space,
         ca = component_of(a, i)
         return (b for b in space.values(cap)
                 if comp.holds(ca, component_of(b, i)))
-    out = from_successors(space, space, succ, holds=holds,
-                          name=f"projection[{i}]")
+    out = Relation(space, space, succ, holds=holds, name=f"projection[{i}]")
     return _stamp(out, "PROJECTION", comp)
 
 

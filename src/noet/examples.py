@@ -18,7 +18,7 @@ from .catalog import induced, measure_descent, named
 from .errors import ParameterOutOfRange
 from . import oracles
 from .loops import LoopDef, make_loop
-from .relations import from_successors
+from .relations import Relation
 from .spaces import (explicit, int_range, interval_sets_of, intervals_of,
                      lazy_explicit, product)
 from .values import (Int, Interval, IntervalSet, Node, Pair, Seq, Tup,
@@ -137,9 +137,9 @@ def _gcd_core(g: int, bound: int, check: bool) -> LoopDef:
             return (Pair(Int(m), Int(n - m)),)
         return ()
 
-    body = from_successors(space, space, body_succ, name="subtract-larger")
-    init = from_successors(space, space, lambda v: (v,),
-                           holds=lambda v, s: v == s, name="start")
+    body = Relation(space, space, body_succ, name="subtract-larger")
+    init = Relation(space, space, lambda v: (v,),
+                    holds=lambda v, s: v == s, name="start")
     return make_loop(space, order, init, body, postcondition="gcd",
                      check=check)
 
@@ -187,10 +187,10 @@ def _seq_search_instance(params, check):
             return (Interval(1, i + 1),)
         return ()
 
-    body = from_successors(space, space, body_succ, name="scan-one-more")
+    body = Relation(space, space, body_succ, name="scan-one-more")
     inputs = explicit([Node("start")])
-    init = from_successors(inputs, space, lambda v: (Interval(1, 0),),
-                           name="empty-prefix")
+    init = Relation(inputs, space, lambda v: (Interval(1, 0),),
+                    name="empty-prefix")
     loop = make_loop(space, order, init, body,
                      postcondition="membership_prefix", check=check)
     return ExampleInstance(
@@ -229,8 +229,7 @@ def _gsi_instance(params, check):
 
     inputs = explicit([Node("start")])
     start = Interval(1, n) if n >= 1 else Interval(1, 0)
-    init = from_successors(inputs, space, lambda v: (start,),
-                           name="whole-range")
+    init = Relation(inputs, space, lambda v: (start,), name="whole-range")
 
     def midpoint(cur, succs):
         # binary-search policy; sensible when t is sorted, safe otherwise
@@ -293,12 +292,12 @@ def _gsis_instance(params, check):
     def body_holds(s, q):
         return s.members < q.members and len(q.members - s.members) == 1
 
-    body = from_successors(space, space, body_succ, holds=body_holds,
-                           name="add-one-interval")
+    body = Relation(space, space, body_succ, holds=body_holds,
+                    name="add-one-interval")
     inputs = explicit([Node("start")])
-    init = from_successors(inputs, space,
-                           lambda v: (IntervalSet(frozenset()),),
-                           name="no-intervals")
+    init = Relation(inputs, space,
+                    lambda v: (IntervalSet(frozenset()),),
+                    name="no-intervals")
     if check is None:
         check = n <= 4
     loop = make_loop(space, order, init, body, postcondition="membership",
@@ -367,11 +366,11 @@ def _partition_instance(params, check):
         items, a, b = _partition_step(u.items, cut.lo, cut.hi, pivot)
         return (Tup((Seq(items), Interval(a, b))),)
 
-    body = from_successors(space, space, body_succ, name="three-way-step")
+    body = Relation(space, space, body_succ, name="three-way-step")
     inputs = explicit([Seq(t)])
-    init = from_successors(inputs, space,
-                           lambda v: (Tup((v, Interval(1, n))),),
-                           name="whole-array")
+    init = Relation(inputs, space,
+                    lambda v: (Tup((v, Interval(1, n))),),
+                    name="whole-array")
     if check is None:
         check = n <= 4
     loop = make_loop(space, order, init, body, postcondition="partition_split",
@@ -475,14 +474,14 @@ def _lamsort_instance(params, check):
     def body_succ(s):
         return [_lamsort_apply(s, block) for block in wide_blocks(s)]
 
-    body = from_successors(space, space, body_succ, name="split-one-block")
+    body = Relation(space, space, body_succ, name="split-one-block")
 
     inputs = explicit([Seq(t)])
     start_parts = (IntervalSet(frozenset({Interval(1, n)})) if n >= 1
                    else IntervalSet(frozenset()))
-    init = from_successors(inputs, space,
-                           lambda v: (Tup((v, start_parts)),),
-                           name="one-block")
+    init = Relation(inputs, space,
+                    lambda v: (Tup((v, start_parts)),),
+                    name="one-block")
 
     def leftmost_longest(state, succs):
         blocks = wide_blocks(state)

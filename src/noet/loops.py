@@ -20,7 +20,7 @@ from .errors import (BodyNotSubsetOfOrder, DomainMismatch, EmptySpace,
                      OrderNotNoetherian, SpaceMismatch)
 from .noether import (DEFAULT_FUEL, NOETHERIAN, REACHABLE_MINIMA,
                       is_seed, limit_relation, minima)
-from .relations import Relation, from_successors, is_minimal, least_failing
+from .relations import Relation, is_minimal, least_failing
 from .spaces import DEFAULT_MAX_SPACE, Space, same_space
 from .values import Int, render, render_chain, render_set, value_key
 
@@ -230,8 +230,8 @@ def denotation_closure(loop: LoopDef, cap: int = DEFAULT_MAX_SPACE):
         return [s for s in full._succ(inp) if s in exits]
     def holds(inp, s):
         return s in exits and full.holds(inp, s)
-    terminal = from_successors(loop.init.source, loop.space, succ,
-                               holds=holds, name="denotation[terminal]")
+    terminal = Relation(loop.init.source, loop.space, succ,
+                        holds=holds, name="denotation[terminal]")
     return full, terminal
 
 

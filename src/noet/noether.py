@@ -195,9 +195,11 @@ def height_from(r: Relation, a, fuel: int | None = None) -> int:
     valid when a call raises and skipping them never changes which cycle
     is reported.
     """
-    if r._heights is None:
-        r._heights = {}
     memo = r._heights
+    if memo is None:
+        memo = r._heights = {}
+    elif a in memo:
+        return memo[a]
     on_path = set()
     path = []
     succ_cache = {}
@@ -263,8 +265,10 @@ def limit_from(r: Relation, a, mode: str = REACHABLE_MINIMA,
     h = height_from(r, a, fuel)   # doubles as the reachable-cycle check
     if mode == MAXDEPTH:
         return sort_values(after(r, a, h))
+    # the height walk settled every value below a; height 0 is minimal
+    heights = r._heights
     return sort_values(v for v in reachable_from(r, a, fuel)
-                       if is_minimal(r, v))
+                       if heights[v] == 0)
 
 
 def limit_relation(r: Relation, mode: str = REACHABLE_MINIMA,

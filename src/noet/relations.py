@@ -330,11 +330,6 @@ def from_pairs(source: Space, target: Space, pairs, *,
     return r
 
 
-def from_successors(source: Space, target: Space, succ, *,
-                    holds=None, name: str | None = None) -> Relation:
-    return Relation(source, target, succ, holds=holds, name=name)
-
-
 def identity(space: Space) -> Relation:
     return Relation(space, space, lambda a: (a,), name="id")
 

@@ -3,9 +3,11 @@
 import dataclasses
 import hashlib
 import json
+import random
 
 import pytest
 
+from noet import audit
 from noet.audit import (CLAIM_COMPOSE, CLAIM_IDS, CLAIM_LIMIT_SUBSET,
                         CLAIM_STAR_IDENTITY, DEFAULT_SEED, REFUTED, VALIDATED,
                         AuditFinding, render_report, report_doc, report_json,
@@ -117,3 +119,71 @@ class TestReverify:
                              FINDINGS[0].counterexample, 1, 0)
         with pytest.raises(MalformedExpr):
             reverify(bogus)
+
+
+# sha256 of report_json(run_audit(seed, samples)), recorded before a refuted
+# claim stopped evaluating its samples
+PINNED_DIGESTS = [
+    (0, 1, "92d5114f23c943eb01d0822f65be6767"
+     "c45ee1e067e473a052b075e1381af0e6"),
+    (0, 50, "a8749c93c33fdc9b02b6a2a2a88842bf"
+     "dbb5bc751542034fa53b7f8aec22b4eb"),
+    (0, 300, "49b26506fcc348ad43ed136de4452b07"
+     "164eb47ee8b46fbf31339ae434627a99"),
+    (1, 1, "dfa3d8f6dea8de114e09cdffdad27ca2"
+     "70e28acf6d73c080fa8b74838380fe9e"),
+    (1, 50, "a3ea67f64397a65cffb3aa2299c1db40"
+     "42f0f9186d8c07fbcfc09ff785a4ccf0"),
+    (1, 300, "61289c1de94000626d79cda51ebd5c6e"
+     "2c921038aa1558955b16bd3942f67ceb"),
+    (2, 1, "0982784081c800e8ff18816bb22a2398"
+     "a149e294797b87d53a29ed0fc7a68f9e"),
+    (2, 50, "f8a0bd842fa4ca70c92ada927bdf71e6"
+     "d12f678c5c30f3d97eb4243ee8c7d190"),
+    (2, 300, "64d681f48c7f1e7b225cd8fa10265e14"
+     "c7f87048a8c7b034e0c2181f663fd473"),
+    (3, 1, "6388c5309ae1b1a0db6f332f2533d299"
+     "3135bff6696283f41ee7ff06df907eef"),
+    (3, 50, "12689a12df020ea4549bc4a38c100beb"
+     "6afceb7f5951d42079b4e763f0b02bdf"),
+    (3, 300, "ecc6f5b67041f4dd62e85b1291cc9ef7"
+     "b679c74b417c4c69999c0e1b37b233bd"),
+    (4, 1, "c579d4ca62eebc1388b972d1a0efe1ac"
+     "e39b8d6ada5e1c200ca8d34e40fa8be3"),
+    (4, 50, "d53d205581d7a06e39e729119ac371a7"
+     "4b2ce884c651387781a1f6d17b7df7d6"),
+    (4, 300, "bc2eb7614b6138962aa5c828e33b6943"
+     "d16a53dce2d0c08844637ade53d7e67e"),
+]
+
+
+class TestSkippedSamples:
+    """A claim its fixture refutes still draws every sample, so the random
+    stream later claims see is unchanged, but evaluates none of them."""
+
+    @pytest.mark.parametrize("seed, samples, digest", PINNED_DIGESTS)
+    def test_report_bytes_are_unchanged(self, seed, samples, digest):
+        text = report_json(run_audit(seed=seed, samples=samples))
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
+
+    def counting(self, monkeypatch, name):
+        calls = []
+        inner = getattr(audit, name)
+        def wrapper(*args, **kwargs):
+            calls.append(args)
+            return inner(*args, **kwargs)
+        monkeypatch.setattr(audit, name, wrapper)
+        return calls
+
+    def test_compose_checks_only_its_fixture(self, monkeypatch):
+        calls = self.counting(monkeypatch, "is_noetherian")
+        finding = audit._audit_compose(random.Random(0), 200, 0)
+        assert finding.status == REFUTED and finding.sample_size == 200
+        assert len(calls) == 1
+
+    def test_limit_subset_checks_only_its_fixture(self, monkeypatch):
+        # three values on each of the fixture's two relations
+        calls = self.counting(monkeypatch, "limit_from")
+        finding = audit._audit_limit_subset(random.Random(0), 200, 0)
+        assert finding.status == REFUTED and finding.sample_size == 200
+        assert len(calls) == 6

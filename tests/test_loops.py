@@ -10,7 +10,7 @@ from noet.errors import (BodyNotSubsetOfOrder, DomainMismatch, EmptySpace,
 from noet.loops import (OBLIGATIONS, ObligationResult, denotation_closure,
                         denotation_limit, exit_condition, make_loop, run,
                         terminals_of, variant_to_relation, verify)
-from noet.relations import from_pairs, from_successors
+from noet.relations import Relation, from_pairs
 from noet.spaces import explicit, int_range
 from noet.values import Int, Node
 
@@ -18,7 +18,7 @@ from noet.values import Int, Node
 def counting_loop(n=5, postcondition=None):
     """States 0..n, one step down at a time, started at the input value."""
     sp = int_range(0, n)
-    init = from_successors(sp, sp, lambda a: (a,), name="start-here")
+    init = Relation(sp, sp, lambda a: (a,), name="start-here")
     return make_loop(sp, named("INTGREATER", sp), init,
                      named("SUCCESSOR", sp), postcondition)
 
@@ -132,7 +132,7 @@ class TestRun:
 
     def test_canonical_choice_takes_the_least_successor(self):
         sp = int_range(0, 3)
-        init = from_successors(sp, sp, lambda a: (a,))
+        init = Relation(sp, sp, lambda a: (a,))
         loop = make_loop(sp, named("INTGREATER", sp), init,
                          named("INTGREATER", sp))
         assert run(loop, Int(3)).render() == "3 → 0"
@@ -143,8 +143,8 @@ class TestRun:
         # the unchosen step takes the least raw successor; a chooser still
         # sees the sorted, deduplicated list
         sp = int_range(0, 3)
-        init = from_successors(sp, sp, lambda a: (a,))
-        body = from_successors(
+        init = Relation(sp, sp, lambda a: (a,))
+        body = Relation(
             sp, sp, lambda a: [Int(v) for v in reversed(range(a.value))] * 2)
         loop = make_loop(sp, named("INTGREATER", sp), init, body)
         assert run(loop, Int(3)).render() == "3 → 0"
@@ -171,7 +171,7 @@ class TestRun:
 
     def test_all_mode_fuel_counts_edges(self):
         sp = int_range(0, 3)
-        init = from_successors(sp, sp, lambda a: (a,))
+        init = Relation(sp, sp, lambda a: (a,))
         loop = make_loop(sp, named("INTGREATER", sp), init,
                          named("INTGREATER", sp))
         with pytest.raises(FuelExhausted):
@@ -189,8 +189,8 @@ class TestRun:
     def test_validate_catches_an_escaping_body(self):
         sp = int_range(0, 3)
         order = named("INTGREATER", sp)
-        init = from_successors(sp, sp, lambda a: (a,))
-        rogue = from_successors(
+        init = Relation(sp, sp, lambda a: (a,))
+        rogue = Relation(
             sp, sp, lambda a: (Int(a.value + 1),) if a.value < 3 else ())
         loop = make_loop(sp, order, init, rogue, check=False)
         run(loop, Int(0))   # unvalidated, the climb goes unnoticed
@@ -243,11 +243,11 @@ class TestVerify:
         # a body that stops early leaves non-minimal terminals behind
         sp = int_range(0, 4)
         order = named("INTGREATER", sp)
-        body = from_successors(
+        body = Relation(
             sp, sp,
             lambda a: (Int(a.value - 1),) if a.value > 2 else (),
             holds=lambda a, b: a.value > 2 and b.value == a.value - 1)
-        init = from_successors(sp, sp, lambda a: (a,))
+        init = Relation(sp, sp, lambda a: (a,))
         loop = make_loop(sp, order, init, body, "minimum_characterization",
                          check=False)
         report = verify(loop)

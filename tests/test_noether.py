@@ -10,9 +10,9 @@ from noet.noether import (MAXDEPTH, REACHABLE_MINIMA, Chain, assert_noetherian,
                           height_from, is_minimal, is_noetherian, is_seed,
                           limit_from, limit_relation, minima, reachable_from)
 from noet.relations import (Relation, after, empty_relation, from_pairs,
-                            from_successors)
+                            reach)
 from noet.spaces import explicit, int_range, lazy_explicit, product
-from noet.values import Int, Node
+from noet.values import Int, Node, sort_values
 
 
 def rel(n, pairs):
@@ -97,7 +97,7 @@ class TestBoundedProbe:
                            contains=lambda v: isinstance(v, Int)
                            and 0 <= v.value <= top,
                            estimate=10 ** 9)
-        return from_successors(
+        return Relation(
             sp, sp, lambda a: (Int(a.value - 1),) if a.value > 0 else ())
 
     def test_clean_probe_stays_unknown(self):
@@ -262,6 +262,71 @@ class TestLimit:
     @given(dag_relation(max_n=5))
     def test_minima_survive_transitive_closure(self, r):
         assert minima(r) == minima(r.plus())
+
+
+@st.composite
+def lazy_relation_on_int_range(draw, cyclic: bool):
+    """A successor-function relation over int_range(0, 5), pairs not yet
+    materialized. Its edges point down a hidden arrangement; a cyclic one
+    adds one edge back up it."""
+    sp = int_range(0, 5)
+    order = draw(st.permutations(sp.values()))
+    cells = [(order[i], order[j]) for i in range(6) for j in range(i + 1, 6)]
+    picked = draw(st.lists(st.sampled_from(cells), unique=True,
+                           max_size=len(cells)))
+    if cyclic:
+        hi, lo = draw(st.sampled_from(cells))
+        picked = picked + [(hi, lo), (lo, hi)]
+    adj = {}
+    for a, b in picked:
+        adj.setdefault(a, []).append(b)
+    return Relation(sp, sp, lambda a: adj.get(a, ()))
+
+
+def limit_by_definition(r, a, mode):
+    """limit_from's definition, on a fresh relation with no height memo."""
+    r = Relation(r.source, r.target, r._succ)
+    if mode == MAXDEPTH:
+        return sort_values(after(r, a, height_from(r, a)))
+    return sort_values(v for v in reachable_from(r, a) if is_minimal(r, v))
+
+
+def reaches_a_cycle(r, a):
+    return any(v in reach(r, r._succ(v)) for v in reachable_from(r, a))
+
+
+class TestLimitDefinition:
+    """limit_from on one relation, its height memo warmed by earlier starts,
+    agrees with the definition of each mode, on a relation and on its
+    transitive closure."""
+
+    def check(self, r, data):
+        queries = [(a, mode) for a in r.source.values()
+                   for mode in (MAXDEPTH, REACHABLE_MINIMA)]
+        queries = data.draw(st.permutations(queries))
+        materialize_at = data.draw(st.integers(0, len(queries)))
+        for i, (a, mode) in enumerate(queries):
+            if i == materialize_at:
+                r.pairs()
+            if reaches_a_cycle(r, a):
+                with pytest.raises(NotNoetherian):
+                    limit_from(r, a, mode)
+            else:
+                want = limit_by_definition(r, a, mode)
+                assert limit_from(r, a, mode) == want
+
+    @given(lazy_relation_on_int_range(cyclic=False), st.data())
+    def test_dag_starts_in_any_order(self, r, data):
+        self.check(r, data)
+
+    @given(lazy_relation_on_int_range(cyclic=False), st.data())
+    def test_closure_of_a_dag_starts_in_any_order(self, r, data):
+        self.check(r.plus(), data)
+
+    @given(lazy_relation_on_int_range(cyclic=True), st.data())
+    def test_cyclic_relation_raises_where_a_cycle_is_reachable(self, r, data):
+        self.check(r, data)
+        self.check(r.plus(), data)
 
 
 class TestSeeds:

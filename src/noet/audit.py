@@ -4,6 +4,11 @@ Each claim gets hammered with random relation samples plus deterministic
 regression fixtures. Findings carry serialized counterexamples that can be
 re-verified from the document alone, and identical seeds reproduce the
 report byte for byte.
+
+Samples are drawn from five spaces, int_range(0, 1..5), built once per
+claim. A sample is drawn as a list of pairs; its relations are built only
+when the claim evaluates it. A claim its fixture refutes still draws every
+sample, so the claims after it see the same random stream.
 """
 
 from __future__ import annotations
@@ -78,8 +83,19 @@ def render_report(findings) -> str:
 
 # -- random generation ----------------------------------------------------------
 
-def _random_noetherian(rng: random.Random, space: Space) -> Relation:
-    """Random acyclic relation: edges point down a shuffled arrangement."""
+def _sample_spaces() -> tuple:
+    """The spaces samples are drawn from, int_range(0, 1..5); each claim
+    builds them once and shares them across its samples."""
+    return tuple(int_range(0, hi) for hi in range(1, 6))
+
+
+def _random_space(rng: random.Random, spaces: tuple) -> Space:
+    return spaces[rng.randint(1, 5) - 1]
+
+
+def _random_pairs(rng: random.Random, space: Space) -> list:
+    """Pairs of a random acyclic relation: edges point down a shuffled
+    arrangement."""
     vals = list(space.values())
     rng.shuffle(vals)
     pairs = []
@@ -87,16 +103,12 @@ def _random_noetherian(rng: random.Random, space: Space) -> Relation:
         for j in range(i + 1, len(vals)):
             if rng.random() < 0.4:
                 pairs.append((vals[i], vals[j]))
-    return from_pairs(space, space, pairs)
+    return pairs
 
 
-def _random_space(rng: random.Random) -> Space:
-    return int_range(0, rng.randint(1, 5))
-
-
-def _seed_pair(rng: random.Random, space: Space):
-    """(r, s) with r a subset of s over the same domain."""
-    s = _random_noetherian(rng, space)
+def _seed_pairs(rng: random.Random, space: Space):
+    """(pairs of r, s) with r a subset of s over the same domain."""
+    s = from_pairs(space, space, _random_pairs(rng, space))
     pairs = []
     for a in sort_values(s.domain()):
         succs = s.successors(a)
@@ -104,8 +116,7 @@ def _seed_pair(rng: random.Random, space: Space):
         if not kept:
             kept = [succs[rng.randrange(len(succs))]]
         pairs.extend((a, b) for b in kept)
-    r = from_pairs(space, space, pairs)
-    return r, s
+    return pairs, s
 
 
 # -- the three claims ------------------------------------------------------------
@@ -131,13 +142,16 @@ def _audit_compose(rng, samples, seed) -> AuditFinding:
     counterexample = None
     if verdict.status != NOETHERIAN:
         counterexample = _compose_counterexample(space, first, second, verdict)
+    spaces = _sample_spaces()
     for _ in range(samples):
-        sp = _random_space(rng)
-        r1 = _random_noetherian(rng, sp)
-        r2 = _random_noetherian(rng, sp)
+        sp = _random_space(rng, spaces)
+        p1 = _random_pairs(rng, sp)
+        p2 = _random_pairs(rng, sp)
         # refuted: keep drawing, so later claims see the same random stream
         if counterexample is not None:
             continue
+        r1 = from_pairs(sp, sp, p1)
+        r2 = from_pairs(sp, sp, p2)
         v = is_noetherian(r1.compose(r2))
         if v.status != NOETHERIAN:
             counterexample = _compose_counterexample(sp, r1, r2, v)
@@ -149,8 +163,8 @@ def _audit_compose(rng, samples, seed) -> AuditFinding:
 
 
 def _limits_everywhere(r: Relation, mode: str):
-    return {a: frozenset(limit_from(r, a, mode=mode))
-            for a in r.source.values()}
+    # limit_from's sorted lists: list equality is set equality
+    return {a: limit_from(r, a, mode=mode) for a in r.source.values()}
 
 
 def _limit_pair_counterexample(space, r, s, mode) -> dict | None:
@@ -163,8 +177,8 @@ def _limit_pair_counterexample(space, r, s, mode) -> dict | None:
                     "s": rel_doc_extensional(s),
                     "mode": mode,
                     "at": value_doc(a),
-                    "limit_r": [value_doc(v) for v in sort_values(lr[a])],
-                    "limit_s": [value_doc(v) for v in sort_values(ls[a])]}
+                    "limit_r": [value_doc(v) for v in lr[a]],
+                    "limit_s": [value_doc(v) for v in ls[a]]}
     return None
 
 
@@ -181,9 +195,14 @@ def _audit_limit_subset(rng, samples, seed) -> AuditFinding:
     counterexample = _limit_pair_counterexample(space, r, s, REACHABLE_MINIMA)
     if counterexample is None:
         counterexample = _limit_pair_counterexample(space, r, s, MAXDEPTH)
+    spaces = _sample_spaces()
     for _ in range(samples):
-        sp = _random_space(rng)
-        rr, ss = _seed_pair(rng, sp)
+        sp = _random_space(rng, spaces)
+        r_pairs, ss = _seed_pairs(rng, sp)
+        # refuted: keep drawing, so later claims see the same random stream
+        if counterexample is not None:
+            continue
+        rr = from_pairs(sp, sp, r_pairs)
         for mode in (REACHABLE_MINIMA, MAXDEPTH):
             if counterexample is None:
                 counterexample = _limit_pair_counterexample(sp, rr, ss, mode)
@@ -203,10 +222,12 @@ def _audit_plus_limits(rng, samples, seed, claim_id, mode,
     closure, which is never Noetherian (every element loops on itself),
     so the limit is undefined there."""
     counterexample = None
+    spaces = _sample_spaces()
     for _ in range(samples):
-        sp = _random_space(rng)
-        r = _random_noetherian(rng, sp)
+        sp = _random_space(rng, spaces)
+        r = from_pairs(sp, sp, _random_pairs(rng, sp))
         s = r.plus()
+        s.pairs()   # one closure walk; the limits below read its adjacency
         ce = _limit_pair_counterexample(sp, r, s, mode)
         if ce is not None:
             counterexample = ce

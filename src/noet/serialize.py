@@ -328,10 +328,6 @@ def parse_rel(doc, space: Space, cap: int = DEFAULT_MAX_SPACE) -> Relation:
     return build(parse_expr(doc), space, cap)
 
 
-def normalize_rel_doc(doc) -> dict:
-    return emit(parse_expr(doc))
-
-
 def rel_doc_extensional(r: Relation, cap: int = DEFAULT_MAX_SPACE) -> dict:
     pairs = r.sorted_pairs(cap)
     return {"kind": "extensional",

@@ -240,14 +240,8 @@ def sorted_unique(values) -> list:
     return out
 
 
-# Interval containment, on member sets. Any empty interval is contained
-# in every interval and strictly contained in every non-empty one.
-
-def interval_within(a: Interval, b: Interval) -> bool:
-    if a.empty:
-        return True
-    return b.lo <= a.lo and a.hi <= b.hi
-
+# Strict interval containment, on member sets. An empty interval is
+# strictly contained in every non-empty one.
 
 def interval_strictly_within(a: Interval, b: Interval) -> bool:
     if a.empty:

@@ -6,12 +6,17 @@ import json
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from noet import audit
 from noet.audit import (CLAIM_COMPOSE, CLAIM_IDS, CLAIM_LIMIT_SUBSET,
                         CLAIM_STAR_IDENTITY, DEFAULT_SEED, REFUTED, VALIDATED,
                         AuditFinding, render_report, report_doc, report_json,
                         reverify, run_audit)
+from noet.noether import (MAXDEPTH, NOETHERIAN, REACHABLE_MINIMA,
+                          is_noetherian, is_seed)
+from noet.relations import from_pairs
+from noet.values import Int
 
 # small sample count keeps the suite quick; the acceptance sweep runs the
 # full default
@@ -187,3 +192,64 @@ class TestSkippedSamples:
         finding = audit._audit_limit_subset(random.Random(0), 200, 0)
         assert finding.status == REFUTED and finding.sample_size == 200
         assert len(calls) == 6
+
+    def test_compose_builds_only_its_fixture(self, monkeypatch):
+        calls = self.counting(monkeypatch, "from_pairs")
+        finding = audit._audit_compose(random.Random(0), 200, 0)
+        assert finding.status == REFUTED and finding.sample_size == 200
+        assert len(calls) == 2
+
+    def test_limit_subset_builds_no_sample_r(self, monkeypatch):
+        # the fixture's r and s, then one s per sample: its successors
+        # drive the draw of r's pairs, but r itself is never built
+        calls = self.counting(monkeypatch, "from_pairs")
+        finding = audit._audit_limit_subset(random.Random(0), 200, 0)
+        assert finding.status == REFUTED and finding.sample_size == 200
+        assert len(calls) == 2 + 200
+
+    @pytest.mark.parametrize("claim_id, mode, restriction", [
+        (CLAIM_LIMIT_SUBSET, REACHABLE_MINIMA, "s = plus(r)"),
+        (CLAIM_STAR_IDENTITY, MAXDEPTH, "closure without the reflexive step")])
+    def test_validated_claim_evaluates_every_sample(self, monkeypatch,
+                                                    claim_id, mode,
+                                                    restriction):
+        # replay the draws: every value of every sample space gets a limit
+        # on r and one on plus(r)
+        replay = random.Random(0)
+        spaces = audit._sample_spaces()
+        want = 0
+        for _ in range(50):
+            sp = audit._random_space(replay, spaces)
+            audit._random_pairs(replay, sp)
+            want += 2 * len(sp.values())
+        calls = self.counting(monkeypatch, "limit_from")
+        finding = audit._audit_plus_limits(random.Random(0), 50, 0, claim_id,
+                                           mode, restriction)
+        assert finding.status == VALIDATED and finding.sample_size == 50
+        assert len(calls) == want
+
+
+class TestGenerators:
+    """The sample generators over the five shared spaces."""
+
+    def test_five_spaces_int_range_zero_to_one_through_five(self):
+        spaces = audit._sample_spaces()
+        assert [len(sp.values()) for sp in spaces] == [2, 3, 4, 5, 6]
+        assert all(sp.contains(Int(0)) and not sp.contains(Int(-1))
+                   for sp in spaces)
+
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(0, 4))
+    def test_random_pairs_lie_in_the_space_and_are_noetherian(self, seed, idx):
+        sp = audit._sample_spaces()[idx]
+        pairs = audit._random_pairs(random.Random(seed), sp)
+        assert all(sp.contains(a) and sp.contains(b) for a, b in pairs)
+        assert is_noetherian(from_pairs(sp, sp, pairs)).status == NOETHERIAN
+
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(0, 4))
+    def test_seed_pairs_make_a_seed(self, seed, idx):
+        sp = audit._sample_spaces()[idx]
+        r_pairs, s = audit._seed_pairs(random.Random(seed), sp)
+        r = from_pairs(sp, sp, r_pairs)
+        assert is_seed(r, s).holds
+        assert r.pairs() <= s.pairs()
+        assert r.domain() == s.domain()

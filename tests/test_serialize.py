@@ -7,8 +7,8 @@ import pytest
 
 from noet.errors import MalformedExpr, ValueOutsideSpace
 from noet.loops import LoopDef, run
-from noet.serialize import (MAX_VALUE_DEPTH, canonical_json, load_json,
-                            normalize_file, normalize_rel_doc, parse_loop_file,
+from noet.serialize import (MAX_VALUE_DEPTH, canonical_json, emit, load_json,
+                            normalize_file, parse_expr, parse_loop_file,
                             parse_rel, parse_relation_file, parse_space,
                             parse_value, rel_doc_extensional, space_doc,
                             value_doc)
@@ -195,8 +195,8 @@ class TestRelationExpressions:
         if doc["kind"] != "extensional":
             # constructor expressions carry their certificate
             assert r.cert is not None
-        norm = normalize_rel_doc(doc)
-        assert normalize_rel_doc(norm) == norm
+        norm = emit(parse_expr(doc))
+        assert emit(parse_expr(norm)) == norm
         assert parse_rel(norm, sp).same_pairs(r)
 
     @pytest.mark.parametrize("doc", list(MALFORMED_REL_DOCS.values()),
@@ -205,7 +205,7 @@ class TestRelationExpressions:
         with pytest.raises(MalformedExpr):
             parse_rel(doc, int_range(0, 3))
         with pytest.raises(MalformedExpr):
-            normalize_rel_doc(doc)
+            emit(parse_expr(doc))
 
     def test_extensional_pairs_validated_against_the_space(self):
         with pytest.raises(ValueOutsideSpace):
@@ -238,9 +238,9 @@ class TestRelationExpressions:
                "parent": {"x": "r"}}
         r = parse_rel(doc, sp)
         assert r.holds(Node("r"), Node("x"))
-        norm = normalize_rel_doc(doc)
+        norm = emit(parse_expr(doc))
         assert norm["parent"] == {"x": "r"}
-        assert normalize_rel_doc(norm) == norm
+        assert emit(parse_expr(norm)) == norm
 
     def test_projection(self):
         sp = parse_space({"kind": "product",
@@ -251,19 +251,19 @@ class TestRelationExpressions:
                "over_space": {"kind": "int_range", "lo": 0, "hi": 1}}
         r = parse_rel(doc, sp)
         assert r.holds(Pair(Int(1), Int(0)), Pair(Int(0), Int(1)))
-        assert normalize_rel_doc(normalize_rel_doc(doc)) \
-            == normalize_rel_doc(doc)
+        assert emit(parse_expr(emit(parse_expr(doc)))) \
+            == emit(parse_expr(doc))
 
     def test_pairs_get_sorted_and_deduped(self):
         doc = {"kind": "extensional",
                "pairs": int_pairs_doc((2, 1), (1, 0), (2, 1))}
-        assert normalize_rel_doc(doc)["pairs"] == int_pairs_doc((1, 0), (2, 1))
+        assert emit(parse_expr(doc))["pairs"] == int_pairs_doc((1, 0), (2, 1))
 
     def test_unknown_kind(self):
         with pytest.raises(MalformedExpr, match="unknown relation kind"):
             parse_rel({"kind": "transitive"}, int_range(0, 1))
         with pytest.raises(MalformedExpr):
-            normalize_rel_doc({"kind": "transitive"})
+            emit(parse_expr({"kind": "transitive"}))
 
     def test_extensional_doc_emission(self):
         sp = int_range(0, 2)

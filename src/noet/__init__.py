@@ -17,7 +17,7 @@ from .errors import (BodyNotSubsetOfOrder, DomainMismatch, EmptySpace,
                      UnknownNamedFunction, UnknownOracle, ValueOutsideSpace)
 from .values import (Int, Interval, IntervalSet, Node, Pair, Seq, Tup,
                      render, render_chain, render_set, sort_values, value_key)
-from .spaces import (DEFAULT_MAX_SPACE, Space, explicit, filtered, int_range,
+from .spaces import (DEFAULT_MAX_SPACE, Space, explicit, int_range,
                      interval_sets_of, intervals_of, lazy_explicit, product,
                      same_space)
 from .relations import (Relation, RelationFlags, empty_relation, from_pairs,

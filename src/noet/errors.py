@@ -31,10 +31,13 @@ class ValueOutsideSpace(NoetError):
 
 
 class SpaceTooLarge(LimitExceeded):
-    def __init__(self, estimate, cap):
-        self.estimate = estimate
+    def __init__(self, size, cap):
+        # size is the exact count, or None (or inf) when all that is known
+        # is that there are more than cap
+        self.size = size if isinstance(size, int) else None
         self.cap = cap
-        super().__init__(f"space needs {estimate} elements, cap is {cap}")
+        needs = f"more than {cap}" if self.size is None else self.size
+        super().__init__(f"space needs {needs} elements, cap is {cap}")
 
 
 class SpaceMismatch(NoetError):

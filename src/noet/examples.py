@@ -74,13 +74,6 @@ def _as_items(t) -> tuple:
     return items
 
 
-def _perm_count(items) -> int:
-    total = math.factorial(len(items))
-    for v in set(items):
-        total //= math.factorial(items.count(v))
-    return total
-
-
 # -- shared partition machinery ------------------------------------------------
 
 def _partition_step(items, a, b, pivot):
@@ -121,7 +114,7 @@ def _gcd_core(g: int, bound: int, check: bool) -> LoopDef:
                 if math.gcd(x, y) == 1:
                     yield Pair(Int(g * x), Int(g * y))
 
-    space = lazy_explicit(members, in_class, estimate=base.size_estimate(),
+    space = lazy_explicit(members, in_class,
                           label=f"filtered({base.describe()}, gcd={g})")
 
     def top(v):
@@ -279,7 +272,7 @@ def _gsis_instance(params, check):
                 yield IntervalSet(frozenset(chosen))
 
     space = lazy_explicit(
-        members, avoids_x, estimate=base.size_estimate(),
+        members, avoids_x,
         label=f"filtered({base.describe()}, avoid x at {hits} in 1..{n})")
 
     order = induced(lambda v: v, named("INTERVALSUBSET", base), space,
@@ -309,44 +302,41 @@ def _gsis_instance(params, check):
         variant_name="missing_subintervals", checked=check)
 
 
-# -- partition -------------------------------------------------------------------
+# -- states of an arrangement with a part ----------------------------------------
 
-def _partition_space(t, pivot):
-    n = len(t)
+def _arrangements(t, parts, ok, label):
+    """States (u, part) for each permutation u of t and each member part of
+    the space parts that ok(u.items, part) accepts. Membership is tested
+    directly, with no enumeration of the states."""
     multiset = sorted(t)
-
-    def side_ok(items, lo, hi):
-        return (all(v <= pivot for v in items[:lo - 1])
-                and all(v >= pivot for v in items[hi:]))
 
     def contains(v):
         if not (isinstance(v, Tup) and len(v.items) == 2):
             return False
-        u, cut = v.items
-        if not (isinstance(u, Seq) and isinstance(cut, Interval)):
-            return False
-        if sorted(u.items) != multiset:
-            return False
-        if cut.empty:
-            if not (1 <= cut.lo <= n + 1):
-                return False
-        elif not (1 <= cut.lo and cut.hi <= n):
-            return False
-        return side_ok(u.items, cut.lo, cut.hi)
+        u, part = v.items
+        return (isinstance(u, Seq) and sorted(u.items) == multiset
+                and parts.contains(part) and ok(u.items, part))
 
     def factory():
-        cuts = [Interval(a, a - 1) for a in range(1, n + 2)]
-        cuts += [Interval(lo, hi)
-                 for lo in range(1, n + 1) for hi in range(lo, n + 1)]
         for perm in sorted(set(itertools.permutations(t))):
-            for cut in cuts:
-                if side_ok(perm, cut.lo, cut.hi):
-                    yield Tup((Seq(perm), cut))
+            for part in parts.values():
+                if ok(perm, part):
+                    yield Tup((Seq(perm), part))
 
-    intervals = n * (n + 1) // 2 + n + 1
-    return lazy_explicit(factory, contains,
-                         estimate=_perm_count(t) * intervals,
-                         label=f"partition states over {n} items")
+    return lazy_explicit(factory, contains, label=label)
+
+
+# -- partition -------------------------------------------------------------------
+
+def _partition_space(t, pivot):
+    n = len(t)
+
+    def side_ok(items, cut):
+        return (all(v <= pivot for v in items[:cut.lo - 1])
+                and all(v >= pivot for v in items[cut.hi:]))
+
+    return _arrangements(t, intervals_of(1, n), side_ok,
+                         f"partition states over {n} items")
 
 
 def _partition_instance(params, check):
@@ -384,8 +374,8 @@ def _partition_instance(params, check):
 
 # -- lamsort ----------------------------------------------------------------------
 
-def _blocks_sorted(items, members) -> bool:
-    blocks = sorted(members, key=value_key)
+def _blocks_sorted(items, parts) -> bool:
+    blocks = sorted(parts.members, key=value_key)
     for earlier, later in zip(blocks, blocks[1:]):
         left = items[earlier.lo - 1:earlier.hi]
         right = items[later.lo - 1:later.hi]
@@ -396,24 +386,6 @@ def _blocks_sorted(items, members) -> bool:
 
 def _lamsort_space(t):
     n = len(t)
-    multiset = sorted(t)
-
-    def contains(v):
-        if not (isinstance(v, Tup) and len(v.items) == 2):
-            return False
-        u, parts = v.items
-        if not (isinstance(u, Seq) and isinstance(parts, IntervalSet)):
-            return False
-        if sorted(u.items) != multiset:
-            return False
-        covered = []
-        for m in parts.members:
-            if m.empty:
-                return False
-            covered.extend(m.positions())
-        if sorted(covered) != list(range(1, n + 1)):
-            return False
-        return _blocks_sorted(u.items, parts.members)
 
     def compositions():
         if n == 0:
@@ -429,17 +401,8 @@ def _lamsort_space(t):
             blocks.append(Interval(start, n))
             yield IntervalSet(frozenset(blocks))
 
-    splits = list(compositions())
-
-    def factory():
-        for perm in sorted(set(itertools.permutations(t))):
-            for parts in splits:
-                if _blocks_sorted(perm, parts.members):
-                    yield Tup((Seq(perm), parts))
-
-    return lazy_explicit(factory, contains,
-                         estimate=_perm_count(t) * max(1, 2 ** max(0, n - 1)),
-                         label=f"block-sorted states over {n} items")
+    return _arrangements(t, explicit(compositions()), _blocks_sorted,
+                         f"block-sorted states over {n} items")
 
 
 def _lamsort_split(items, block):

@@ -65,8 +65,7 @@ def make_loop(space: Space, order: Relation, init: Relation, body: Relation,
     if not same_space(init.target, space):
         raise SpaceMismatch("initialization must land in the loop space")
     if check:
-        probe = space.sample_values(1)
-        if not probe:
+        if not space.values(cap):
             raise EmptySpace()
         escape = _init_escape(init, space, cap)
         if escape is not None:

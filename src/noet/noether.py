@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import (FuelExhausted, NotNoetherian, SpaceMismatch,
-                     SpaceTooLarge)
+                     SpaceTooLarge, ValueOutsideSpace)
 from .relations import Relation, after, is_minimal, reach
 from .spaces import DEFAULT_MAX_SPACE, same_space
 # value_key is unused here but stays bound: perfbench's tracer test expects
@@ -186,7 +186,8 @@ def height_from(r: Relation, a, fuel: int | None = None) -> int:
 
     Computed bottom up over the reachable part by an iterative post-order
     with an explicit stack; a gray node seen again is a cycle, reported
-    through NotNoetherian with the offending loop.
+    through NotNoetherian with the offending loop. A start outside
+    r.source raises ValueOutsideSpace.
 
     Heights are memoized on r and shared by later calls, so fuel bounds
     the edges this call walks: values whose height an earlier call on r
@@ -200,6 +201,8 @@ def height_from(r: Relation, a, fuel: int | None = None) -> int:
         memo = r._heights = {}
     elif a in memo:
         return memo[a]
+    if not r.source.contains(a):
+        raise ValueOutsideSpace(a, r.source)
     on_path = set()
     path = []
     succ_cache = {}

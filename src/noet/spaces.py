@@ -1,13 +1,17 @@
 """Finite state spaces: enumerable, duplicate-free, with direct membership tests.
 
-Enumeration is canonical (sorted by value_key) and cached. Spaces whose
-size estimate exceeds the cap refuse to enumerate but still answer
+Enumeration is canonical (sorted by value_key) and cached. A space's size
+is what its definition gives exactly, or else the count of what it
+generates, so `values(cap)` answers the same whatever ran before: a known
+size over the cap refuses at once, and an unknown one refuses once cap + 1
+distinct members have been generated. A refused space still answers
 membership; bounded exploration in noether relies on that.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 
 from .errors import SpaceTooLarge
 from .values import (Int, Pair, Interval, IntervalSet, Tup, is_value,
@@ -15,7 +19,7 @@ from .values import (Int, Pair, Interval, IntervalSet, Tup, is_value,
 
 DEFAULT_MAX_SPACE = 100_000
 
-_GENERATED_IN_ORDER = frozenset({"int_range", "product", "filtered"})
+_GENERATED_IN_ORDER = frozenset({"int_range", "product"})
 
 
 def _interval_count(lo: int, hi: int) -> int:
@@ -29,79 +33,72 @@ def _interval_count(lo: int, hi: int) -> int:
 class Space:
     """One finite collection of values. Construct through the module functions."""
 
-    __slots__ = ("kind", "lo", "hi", "base", "components", "pred", "pred_id",
-                 "_values", "_value_set", "_factory", "_contains", "_estimate",
-                 "_label")
+    __slots__ = ("kind", "lo", "hi", "components", "_values", "_value_set",
+                 "_factory", "_contains", "_label")
 
     def __init__(self, kind, **kw):
         self.kind = kind
         self.lo = kw.get("lo")
         self.hi = kw.get("hi")
-        self.base = kw.get("base")
         self.components = kw.get("components")
-        self.pred = kw.get("pred")
-        self.pred_id = kw.get("pred_id")
         self._values = kw.get("values")
         self._value_set = None
         self._factory = kw.get("factory")
         self._contains = kw.get("contains")
-        self._estimate = kw.get("estimate")
         self._label = kw.get("label")
 
     # -- size and enumeration ------------------------------------------
 
-    def size_estimate(self):
-        """Upper bound on the element count, or None when unknown."""
+    def size(self):
+        """The exact element count, or None when only generating the
+        members can tell it."""
         if self._values is not None:
             return len(self._values)
-        if self._estimate is not None:
-            return self._estimate
         k = self.kind
         if k == "int_range":
             return max(self.hi - self.lo + 1, 0)
         if k == "product":
             total = 1
             for c in self.components:
-                e = c.size_estimate()
-                if e is None:
+                n = c.size()
+                if n is None:
                     return None
-                total *= e
+                total *= n
             return total
         if k == "intervals_of":
             return _interval_count(self.lo, self.hi)
         if k == "interval_sets_of":
             w = self.hi - self.lo + 1
-            nonempty = max(w * (w + 1) // 2, 0)
-            return 2 ** nonempty if nonempty <= 64 else 2 ** 64
-        if k == "filtered":
-            return self.base.size_estimate()
+            nonempty = w * (w + 1) // 2
+            # over 64 subintervals give more sets than any cap admits, and
+            # for a wide window the power itself would not fit in memory
+            return 2 ** nonempty if nonempty <= 64 else math.inf
         return None
-
-    def enumerable(self, cap: int = DEFAULT_MAX_SPACE) -> bool:
-        e = self.size_estimate()
-        return e is not None and e <= cap
 
     def values(self, cap: int = DEFAULT_MAX_SPACE) -> tuple:
         """Every value, canonically sorted; more than cap, cached or not,
         raises SpaceTooLarge."""
-        if self._values is not None:
-            if len(self._values) > cap:
-                raise SpaceTooLarge(len(self._values), cap)
-            return self._values
-        est = self.size_estimate()
-        if est is not None and est > cap:
-            raise SpaceTooLarge(est, cap)
-        out = self._generate(cap)
-        # int_range, product and filtered generate in value_key order with
-        # no duplicates (a product of sorted components is lexicographic, a
-        # filter keeps its base's order); the rest are sorted here
-        if self.kind not in _GENERATED_IN_ORDER:
-            out = sorted_unique(out)
-        out = tuple(out)
-        if len(out) > cap:
-            raise SpaceTooLarge(len(out), cap)
-        self._values = out
-        return out
+        if self._values is None:
+            n = self.size()
+            if n is not None and n > cap:
+                raise SpaceTooLarge(n, cap)
+            out = self._generate(cap)
+            if n is None:
+                seen = {}   # distinct members, in the order generated
+                for v in out:
+                    seen[v] = None
+                    if len(seen) > cap:
+                        raise SpaceTooLarge(None, cap)
+                out = seen
+            # int_range and product generate in value_key order with no
+            # duplicates (a product of sorted components is lexicographic);
+            # the rest are sorted here
+            if self.kind not in _GENERATED_IN_ORDER:
+                out = sorted_unique(out)
+            self._values = tuple(out)
+        if len(self._values) > cap:
+            raise SpaceTooLarge(len(self._values), cap)
+        return self._values
 
     def _generate(self, cap):
         k = self.kind
@@ -127,8 +124,6 @@ class Space:
             subsets = itertools.chain.from_iterable(
                 itertools.combinations(base, n) for n in range(len(base) + 1))
             return (IntervalSet(frozenset(s)) for s in subsets)
-        if k == "filtered":
-            return (v for v in self.base.values(cap) if self.pred(v))
         if k == "explicit":
             return self._factory()
         raise AssertionError(self.kind)
@@ -166,13 +161,12 @@ class Space:
                 return False
             return all(not m.empty and self.lo <= m.lo and m.hi <= self.hi
                        for m in v.members)
-        if k == "filtered":
-            return self.base.contains(v) and self.pred(v)
         raise AssertionError(self.kind)
 
     def sample_values(self, k: int = 8) -> list:
         """Small deterministic probe set; used when enumeration is off the table."""
-        if self.enumerable():
+        n = self.size()
+        if n is not None and n <= DEFAULT_MAX_SPACE:
             return list(self.values()[:k])
         if self.kind == "int_range":
             cands = {self.lo, self.lo + 1, -1, 0, 1,
@@ -181,8 +175,6 @@ class Space:
             return [Int(c) for c in probes[:k]]
         if self.kind == "explicit" and self._factory is not None:
             return sort_values(itertools.islice(self._factory(), k))
-        if self.kind == "filtered":
-            return [v for v in self.base.sample_values(k * 4) if self.pred(v)][:k]
         return []
 
     # -- identity ----------------------------------------------------------
@@ -199,11 +191,6 @@ class Space:
             return None if any(s is None for s in sigs) else ("product", sigs)
         if k == "explicit" and self._values is not None and self._contains is None:
             return ("explicit", tuple(value_key(v) for v in self._values))
-        if k == "filtered":
-            b = self.base.signature()
-            if b is None or self.pred_id is None:
-                return None
-            return ("filtered", b, self.pred_id)
         return None
 
     def describe(self) -> str:
@@ -218,8 +205,6 @@ class Space:
             return f"interval_sets_of {self.lo}..{self.hi}"
         if k == "product":
             return "product(" + ", ".join(c.describe() for c in self.components) + ")"
-        if k == "filtered":
-            return f"filtered({self.base.describe()}, {self.pred_id or 'pred'})"
         n = len(self._values) if self._values is not None else "?"
         return f"explicit({n} values)"
 
@@ -242,10 +227,13 @@ def explicit(values) -> Space:
     return Space("explicit", values=tuple(sorted_unique(values)))
 
 
-def lazy_explicit(factory, contains, estimate=None, label=None) -> Space:
-    """Explicit space whose enumeration is deferred until someone needs it."""
-    return Space("explicit", factory=factory, contains=contains,
-                 estimate=estimate, label=label)
+def lazy_explicit(factory, contains, label=None) -> Space:
+    """Explicit space whose enumeration is deferred until someone needs it.
+
+    factory() yields every member, repeats allowed, and contains(v)
+    accepts exactly those; the size is what the factory yields, counted
+    when the space is first enumerated."""
+    return Space("explicit", factory=factory, contains=contains, label=label)
 
 
 def product(*components: Space) -> Space:
@@ -266,7 +254,3 @@ def interval_sets_of(lo: int, hi: int) -> Space:
     if lo > hi + 1:
         raise ValueError(f"bad interval window {lo}..{hi}")
     return Space("interval_sets_of", lo=lo, hi=hi)
-
-
-def filtered(base: Space, pred, pred_id: str | None = None) -> Space:
-    return Space("filtered", base=base, pred=pred, pred_id=pred_id)

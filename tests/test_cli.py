@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from noet.cli import main
+from noet.examples import _gcd_core, instantiate
 
 CORPUS = Path(__file__).parent / "corpus"
 
@@ -306,6 +307,23 @@ class TestVerify:
                      "--max-space", "100"])
         assert code == 2
         assert "cap is 100" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("warm", [False, True])
+    def test_space_cap_answer_does_not_depend_on_the_shared_cores(self, warm):
+        # at bound 40, gcd class 7 has 19 states and class 1 has 979
+        _gcd_core.cache_clear()
+        try:
+            if warm:
+                for g in (1, 7):
+                    instantiate("gcd", a=g, b=g, bound=40).loop.space.values()
+            argv = ["verify", "gcd", "--bound", "40", "--max-space", "100"]
+            assert run_in_process(argv + ["--a", "7", "--b", "7"])[0] == 0
+            code, _, err = run_in_process(argv + ["--a", "1", "--b", "1"])
+            assert code == 2
+            assert err.startswith("error: space needs ")
+            assert err.endswith(" elements, cap is 100\n")
+        finally:
+            _gcd_core.cache_clear()
 
     def test_verify_json(self, tmp_rel_file, capsys):
         code = main(["verify", tmp_rel_file(COUNT_LOOP, "c.loop"), "--json"])

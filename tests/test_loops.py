@@ -6,12 +6,13 @@ from noet.catalog import named, subrel
 from noet.errors import (BodyNotSubsetOfOrder, DomainMismatch, EmptySpace,
                          FuelExhausted, InitEscapesSpace, InputOutsideSpace,
                          NegativeVariantValue, NonTotalFunction,
-                         OrderNotNoetherian, SpaceMismatch, UnknownOracle)
+                         OrderNotNoetherian, SpaceMismatch, SpaceTooLarge,
+                         UnknownOracle)
 from noet.loops import (OBLIGATIONS, ObligationResult, denotation_closure,
                         denotation_limit, exit_condition, make_loop, run,
                         terminals_of, variant_to_relation, verify)
 from noet.relations import Relation, from_pairs
-from noet.spaces import explicit, int_range
+from noet.spaces import explicit, int_range, product
 from noet.values import Int, Node
 
 
@@ -48,6 +49,12 @@ class TestMakeLoop:
         sp = explicit([])
         r = from_pairs(sp, sp, [])
         with pytest.raises(EmptySpace):
+            make_loop(sp, r, r, r)
+
+    def test_a_space_too_large_to_check_is_not_called_empty(self):
+        sp = product(int_range(1, 400), int_range(1, 400))
+        r = Relation(sp, sp, lambda v: ())
+        with pytest.raises(SpaceTooLarge, match="space needs 160000 elements"):
             make_loop(sp, r, r, r)
 
     def test_init_must_land_inside(self):

@@ -5,7 +5,8 @@ from hypothesis import given, strategies as st
 
 from conftest import any_relation, dag_relation, int_space
 from noet.catalog import compose_rel, inverse_of, named
-from noet.errors import FuelExhausted, NotNoetherian, SpaceMismatch
+from noet.errors import (FuelExhausted, NotNoetherian, SpaceMismatch,
+                         ValueOutsideSpace)
 from noet.noether import (MAXDEPTH, REACHABLE_MINIMA, Chain, assert_noetherian,
                           height_from, is_minimal, is_noetherian, is_seed,
                           limit_from, limit_relation, minima, reachable_from)
@@ -92,17 +93,17 @@ class TestIsNoetherian:
 class TestBoundedProbe:
     """Sources too large to enumerate fall back to a sampled, fueled walk."""
 
-    def _huge(self, factory, top):
+    def _chain(self, factory, top):
+        # factory yields every member of 0..top, the values contains accepts
         sp = lazy_explicit(factory,
                            contains=lambda v: isinstance(v, Int)
-                           and 0 <= v.value <= top,
-                           estimate=10 ** 9)
+                           and 0 <= v.value <= top)
         return Relation(
             sp, sp, lambda a: (Int(a.value - 1),) if a.value > 0 else ())
 
     def test_clean_probe_stays_unknown(self):
-        r = self._huge(lambda: (Int(i) for i in range(16)), top=15)
-        v = is_noetherian(r)
+        r = self._chain(lambda: (Int(i) for i in range(16)), top=15)
+        v = is_noetherian(r, cap=15)
         assert v.holds is None
         assert v.method == "bounded" and v.witness is None
         assert v.render() == ("unknown: bounded probe walked 15 edges "
@@ -110,7 +111,8 @@ class TestBoundedProbe:
 
     def test_fuel_cut_reports_the_partial_chain(self):
         top = 10 ** 6
-        r = self._huge(lambda: (Int(top - i) for i in range(200)), top=top)
+        r = self._chain(lambda: (Int(top - i) for i in range(top + 1)),
+                        top=top)
         v = is_noetherian(r, fuel=100)
         assert v.status == "unknown_fuel_exhausted"
         assert v.witness is not None and v.witness.steps >= 100
@@ -123,6 +125,18 @@ class TestDescentMeasures:
         assert height_from(greater_on(6), Int(5)) == 5
         assert height_from(SPLIT, Node("a")) == 2
         assert height_from(SPLIT, Node("b")) == 0
+
+    @pytest.mark.parametrize("materialize_first", [False, True])
+    def test_start_outside_the_source_raises(self, materialize_first):
+        r = named("SUCCESSOR", int_range(0, 5))
+        if materialize_first:
+            r.pairs()
+        with pytest.raises(ValueOutsideSpace,
+                           match=r"^value 9 is not a member of int_range 0..5$"):
+            height_from(r, Int(9))
+        with pytest.raises(ValueOutsideSpace):
+            limit_from(r, Int(9))
+        assert height_from(r, Int(5)) == 5
 
     def test_cycle_raises(self):
         with pytest.raises(NotNoetherian):

@@ -5,8 +5,8 @@ from hypothesis import given, strategies as st
 
 from noet.errors import SpaceTooLarge
 from noet.values import Int, Interval, IntervalSet, Pair, sorted_unique
-from noet.spaces import (explicit, filtered, int_range, interval_sets_of,
-                         intervals_of, lazy_explicit, product, same_space)
+from noet.spaces import (Space, explicit, int_range, interval_sets_of, intervals_of,
+                         lazy_explicit, product, same_space)
 
 
 class TestIntRange:
@@ -68,7 +68,7 @@ class TestLimitsAndLazy:
     def test_cap_is_enforced_after_caching(self):
         sp = int_range(0, 50)
         assert len(sp.values(1000)) == 51
-        assert sp.enumerable(51) and not sp.enumerable(3)
+        assert sp.size() == 51
         with pytest.raises(SpaceTooLarge):
             sp.values(3)
         assert len(sp.values(51)) == 51
@@ -81,24 +81,89 @@ class TestLimitsAndLazy:
             return (Int(i) for i in range(3))
 
         sp = lazy_explicit(factory, lambda v: isinstance(v, Int) and 0 <= v.value < 3,
-                           estimate=3, label="tiny")
+                           label="tiny")
         assert not calls
         assert sp.contains(Int(2))
         assert not calls
         assert sp.values() == (Int(0), Int(1), Int(2))
         assert calls
 
-    def test_filtered_membership_and_enumeration(self):
-        evens = filtered(int_range(0, 9), lambda v: v.value % 2 == 0,
-                         pred_id="even")
-        assert [v.value for v in evens.values()] == [0, 2, 4, 6, 8]
-        assert evens.contains(Int(4))
-        assert not evens.contains(Int(5))
 
 
-def _keep_some(base, m):
-    # Int, Pair and Tup hashes take no per-process salt
-    return filtered(base, lambda v: hash(v) % m != 0)
+def _ints(factory):
+    """A lazy space of Ints whose factory is counted: (space, draws), where
+    draws[0] is the number of values drawn so far."""
+    draws = [0]
+
+    def counted():
+        for v in factory():
+            draws[0] += 1
+            yield Int(v)
+
+    return lazy_explicit(counted, lambda v: isinstance(v, Int)), draws
+
+
+class TestCapRule:
+    """A size is exact or counted, so values(cap) answers the same whatever
+    ran before."""
+
+    @pytest.mark.parametrize("sp,n", [
+        (int_range(3, 1), 0), (int_range(-2, 7), 10), (intervals_of(1, 3), 10),
+        (interval_sets_of(1, 2), 8), (interval_sets_of(1, 0), 1),
+        (product(int_range(0, 2), intervals_of(1, 3)), 30),
+        (explicit([Int(2), Int(1), Int(2)]), 2)])
+    def test_defined_sizes_are_exact(self, sp, n):
+        assert sp.size() == n
+        assert len(sp.values()) == n
+
+    def test_a_lazy_size_is_the_count_it_generates(self):
+        sp, _ = _ints(lambda: [4, 1, 4, 2])
+        pairs = product(sp, int_range(0, 1))
+        assert sp.size() is None and pairs.size() is None
+        assert list(pairs.values()) == sorted_unique(pairs.values())
+        assert len(pairs.values()) == 6
+        assert sp.size() == 3
+
+    def test_a_lazy_answer_does_not_depend_on_history(self):
+        fresh = lambda: _ints(lambda: range(50))[0]
+        with pytest.raises(SpaceTooLarge,
+                           match="^space needs more than 10 elements, cap is 10$"):
+            fresh().values(10)
+        assert len(fresh().values(50)) == 50
+        warm = fresh()
+        assert len(warm.values(1000)) == 50
+        with pytest.raises(SpaceTooLarge, match="^space needs 50 elements"):
+            warm.values(10)
+        assert warm.values(50) == fresh().values(50)
+
+    def test_exactly_cap_members_enumerate(self):
+        sp, draws = _ints(lambda: range(5))
+        assert [v.value for v in sp.values(5)] == [0, 1, 2, 3, 4]
+        assert draws[0] == 5
+
+    def test_more_than_cap_members_refuse_after_cap_plus_one_draws(self):
+        sp, draws = _ints(itertools.count)
+        with pytest.raises(SpaceTooLarge) as exc:
+            sp.values(5)
+        assert draws[0] == 6
+        assert (exc.value.size, exc.value.cap) == (None, 5)
+
+    def test_repeated_members_count_once(self):
+        sp, draws = _ints(lambda: [1, 2, 1, 2, 1, 2, 3])
+        assert [v.value for v in sp.values(3)] == [1, 2, 3]
+        assert draws[0] == 7
+
+    def test_a_known_size_refuses_without_generating(self, monkeypatch):
+        monkeypatch.setattr(Space, "_generate", None)
+        with pytest.raises(SpaceTooLarge,
+                           match="^space needs 101 elements, cap is 100$"):
+            int_range(0, 100).values(100)
+        # 2**66 sets: only "more than" is stated, and no power is built
+        for wide in (interval_sets_of(1, 11), interval_sets_of(1, 10 ** 9)):
+            with pytest.raises(SpaceTooLarge,
+                               match="^space needs more than 100 elements"):
+                wide.values(100)
+        assert interval_sets_of(1, 10).size() == 2 ** 55
 
 
 ordered_spaces = st.recursive(
@@ -106,14 +171,13 @@ ordered_spaces = st.recursive(
               st.integers(-3, 3), st.integers(-1, 3)),
     lambda inner: st.one_of(
         st.builds(product, inner, inner),
-        st.builds(product, inner, inner, inner),
-        st.builds(_keep_some, inner, st.integers(2, 3))),
+        st.builds(product, inner, inner, inner)),
     max_leaves=4)
 
 
 class TestGeneratedOrder:
     @given(ordered_spaces)
-    def test_int_range_product_and_filtered_enumerate_sorted(self, sp):
+    def test_int_range_and_product_enumerate_sorted(self, sp):
         # these kinds skip the sort in Space.values
         vs = sp.values()
         assert list(vs) == sorted_unique(vs)
@@ -131,19 +195,9 @@ class TestIdentity:
         assert same_space(explicit([Int(2), Int(1)]), explicit([Int(1), Int(2)]))
         assert not same_space(explicit([Int(1)]), explicit([Int(2)]))
 
-    def test_filtered_needs_predicate_id(self):
-        a = filtered(int_range(0, 9), lambda v: v.value % 2 == 0, pred_id="even")
-        b = filtered(int_range(0, 9), lambda v: v.value % 2 == 0, pred_id="even")
-        c = filtered(int_range(0, 9), lambda v: v.value % 2 == 1, pred_id="odd")
-        assert same_space(a, b)
-        assert not same_space(a, c)
-        anon = filtered(int_range(0, 9), lambda v: True)
-        assert same_space(anon, anon)
-        assert not same_space(anon, filtered(int_range(0, 9), lambda v: True))
-
     def test_lazy_is_identity_only(self):
         mk = lambda: lazy_explicit(lambda: iter([Int(0)]),
-                                   lambda v: v == Int(0), estimate=1)
+                                   lambda v: v == Int(0))
         one = mk()
         assert same_space(one, one)
         assert not same_space(mk(), mk())

@@ -273,8 +273,8 @@ def reverify(finding: AuditFinding) -> bool:
         s = parse_rel(ce["s"], space)
         at = parse_value(ce["at"])
         mode = ce["mode"]
-        lr = sort_values(limit_from(r, at, mode=mode))
-        ls = sort_values(limit_from(s, at, mode=mode))
+        lr = limit_from(r, at, mode=mode)
+        ls = limit_from(s, at, mode=mode)
         want_r = [parse_value(d) for d in ce["limit_r"]]
         want_s = [parse_value(d) for d in ce["limit_s"]]
         return lr == want_r and ls == want_s and lr != ls

@@ -184,17 +184,20 @@ def assert_noetherian(r: Relation, cap: int = DEFAULT_MAX_SPACE) -> None:
 def height_from(r: Relation, a, fuel: int | None = None) -> int:
     """Longest descending chain length from one value.
 
-    Computed bottom up over the reachable part by an iterative post-order
-    with an explicit stack; a gray node seen again is a cycle, reported
-    through NotNoetherian with the offending loop. A start outside
-    r.source raises ValueOutsideSpace.
+    Computed bottom up over the reachable part by a depth-first walk on
+    one iterator stack: each value on the path keeps its successor list
+    and an iterator over it, last successor first, and the value's height
+    is settled when that iterator runs out. A successor already on the
+    path is a cycle, reported through NotNoetherian with the offending
+    loop. A start outside r.source raises ValueOutsideSpace.
 
     Heights are memoized on r and shared by later calls, so fuel bounds
-    the edges this call walks: values whose height an earlier call on r
-    already settled are neither walked nor charged. A value is settled only
-    once its whole reach is, and that reach is acyclic, so entries stay
-    valid when a call raises and skipping them never changes which cycle
-    is reported.
+    the edges this call walks: a value is charged its successor count when
+    first expanded, and values whose height an earlier call on r already
+    settled are neither walked nor charged. A value is settled only once
+    its whole reach is, and that reach is acyclic, so entries stay valid
+    when a call raises and skipping them never changes which cycle is
+    reported.
     """
     memo = r._heights
     if memo is None:
@@ -203,37 +206,37 @@ def height_from(r: Relation, a, fuel: int | None = None) -> int:
         return memo[a]
     if not r.source.contains(a):
         raise ValueOutsideSpace(a, r.source)
-    on_path = set()
-    path = []
-    succ_cache = {}
-    explored = 0
-    stack = [(a, False)]
-    while stack:
-        node, processed = stack.pop()
-        if processed:
-            kids = succ_cache[node]
-            memo[node] = 1 + max([memo[k] for k in kids]) if kids else 0
-            on_path.discard(node)
-            path.pop()
-            continue
-        if node in memo:
-            continue
-        if node in on_path:
-            idx = path.index(node)
-            raise NotNoetherian(render_chain(path[idx:] + [node]))
-        on_path.add(node)
-        path.append(node)
-        kids = succ_cache.get(node)
-        if kids is None:
-            kids = list(r._succ(node))
-            succ_cache[node] = kids
+    succ = r._succ
+    path = [a]
+    on_path = {a}
+    kids = list(succ(a))
+    explored = len(kids)
+    if fuel is not None and explored > fuel:
+        raise FuelExhausted(fuel, partial=render_chain(path))
+    lists = [kids]
+    iters = [reversed(kids)]
+    while iters:
+        for k in iters[-1]:
+            if k in memo:
+                continue
+            if k in on_path:
+                idx = path.index(k)
+                raise NotNoetherian(render_chain(path[idx:] + [k]))
+            path.append(k)
+            on_path.add(k)
+            kids = list(succ(k))
             explored += len(kids)
             if fuel is not None and explored > fuel:
                 raise FuelExhausted(fuel, partial=render_chain(path))
-        stack.append((node, True))
-        for k in kids:
-            if k not in memo:
-                stack.append((k, False))
+            lists.append(kids)
+            iters.append(reversed(kids))
+            break
+        else:
+            iters.pop()
+            kids = lists.pop()
+            node = path.pop()
+            on_path.discard(node)
+            memo[node] = 1 + max([memo[k] for k in kids]) if kids else 0
     return memo[a]
 
 
@@ -256,7 +259,8 @@ def limit_from(r: Relation, a, mode: str = REACHABLE_MINIMA,
 
     maxdepth: the image of a under r^height(a), the ends of its longest
     chains. reachable_minima: minimal values reachable from a. Minimal
-    values map to themselves under both modes. Raises NotNoetherian on a
+    values map to themselves under both modes, so a start of height 0
+    walks nothing after its height check. Raises NotNoetherian on a
     reachable cycle.
 
     fuel bounds each walk separately: the height walk (free where
@@ -266,6 +270,8 @@ def limit_from(r: Relation, a, mode: str = REACHABLE_MINIMA,
     if mode not in LIMIT_MODES:
         raise ValueError(f"unknown limit mode: {mode!r}")
     h = height_from(r, a, fuel)   # doubles as the reachable-cycle check
+    if h == 0:
+        return [a]
     if mode == MAXDEPTH:
         return sort_values(after(r, a, h))
     # the height walk settled every value below a; height 0 is minimal

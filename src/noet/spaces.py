@@ -173,8 +173,15 @@ class Space:
                      (self.lo + self.hi) // 2, self.hi - 1, self.hi}
             probes = sorted(c for c in cands if self.lo <= c <= self.hi)
             return [Int(c) for c in probes[:k]]
-        if self.kind == "explicit" and self._factory is not None:
-            return sort_values(itertools.islice(self._factory(), k))
+        if self.kind == "product":
+            # the i-th probes of every component, so the probes spread
+            # along each axis instead of holding all but one at its least
+            probes = zip(*(c.sample_values(k) for c in self.components))
+            if len(self.components) == 2:
+                return [Pair(x, y) for x, y in probes]
+            return [Tup(items) for items in probes]
+        if self.kind == "interval_sets_of" or self._factory is not None:
+            return sort_values(itertools.islice(self._generate(k), k))
         return []
 
     # -- identity ----------------------------------------------------------

@@ -12,8 +12,9 @@ from noet.noether import (MAXDEPTH, REACHABLE_MINIMA, Chain, assert_noetherian,
                           limit_from, limit_relation, minima, reachable_from)
 from noet.relations import (Relation, after, empty_relation, from_pairs,
                             reach)
-from noet.spaces import explicit, int_range, lazy_explicit, product
-from noet.values import Int, Node, sort_values
+from noet.spaces import (explicit, int_range, interval_sets_of, lazy_explicit,
+                         product)
+from noet.values import Int, IntervalSet, Node, Pair, sort_values
 
 
 def rel(n, pairs):
@@ -119,6 +120,28 @@ class TestBoundedProbe:
         assert v.render().startswith("unknown: fuel exhausted after")
         assert "descending chain of" in v.render()
 
+    def test_product_probe_walks_from_the_paired_probes(self):
+        # (m, n) -> (m - 1, n): the probes (i, i) for i in 1..16 walk
+        # 0 + 1 + ... + 15 edges
+        sp = product(int_range(1, 400), int_range(1, 400))
+        r = Relation(sp, sp, lambda p: (Pair(Int(p.first.value - 1), p.second),)
+                     if p.first.value > 1 else ())
+        assert is_noetherian(r).render() == (
+            "unknown: bounded probe walked 120 edges without a verdict")
+
+    def test_interval_set_probe_walks_from_the_first_sets(self):
+        # drop the greatest member: the empty set and 15 singletons
+        def drop_greatest(s):
+            if not s.members:
+                return ()
+            top = max(s.members, key=lambda m: (m.lo, m.hi))
+            return (IntervalSet(s.members - {top}),)
+
+        sp = interval_sets_of(1, 6)
+        r = Relation(sp, sp, drop_greatest)
+        assert is_noetherian(r).render() == (
+            "unknown: bounded probe walked 15 edges without a verdict")
+
 
 class TestDescentMeasures:
     def test_height_pinned(self):
@@ -190,6 +213,51 @@ class TestHeightMemo:
                     for mode in (MAXDEPTH, REACHABLE_MINIMA)]
         for fn, *args in data.draw(st.permutations(queries)):
             assert _outcome(fn, r, *args) == _outcome(fn, fresh(), *args)
+
+
+def two_cycles_and_a_chain():
+    """0 steps to 1, 5 and 10, in that order. 1 -> 2 -> 1 and
+    5 -> 6 -> 7 -> 5 are cycles; 10 -> 11 -> ... -> 19 is a chain."""
+    adj = {0: [1, 5, 10], 1: [2], 2: [1], 5: [6], 6: [7], 7: [5]}
+    adj.update((i, [i + 1]) for i in range(10, 19))
+    sp = int_range(0, 19)
+    return Relation(sp, sp, lambda a: [Int(b) for b in adj.get(a.value, ())])
+
+
+class TestWalkOrder:
+    """height_from tries successors last first: from 0 it settles the
+    chain, then meets the cycle through 5, and never reaches 1."""
+
+    CYCLE = "relation admits an infinite descending chain: 5 → 6 → 7 → 5"
+
+    @pytest.mark.parametrize("warm", [False, True])
+    def test_the_cycle_reported(self, warm):
+        r = two_cycles_and_a_chain()
+        if warm:
+            assert height_from(r, Int(10)) == 9
+            with pytest.raises(NotNoetherian):
+                height_from(r, Int(0))
+        for walk in (lambda: height_from(r, Int(0)),
+                     lambda: limit_from(r, Int(0), MAXDEPTH),
+                     lambda: limit_from(r, Int(0), REACHABLE_MINIMA)):
+            with pytest.raises(NotNoetherian) as exc:
+                walk()
+            assert str(exc.value) == self.CYCLE
+        assert sorted(v.value for v in r._heights) == list(range(10, 20))
+
+    def test_fuel_partial_on_a_fresh_memo(self):
+        # 0 charges its three successors, then 10, 11 and 12 one each
+        with pytest.raises(FuelExhausted) as exc:
+            height_from(two_cycles_and_a_chain(), Int(0), fuel=5)
+        assert exc.value.partial == "0 → 10 → 11 → 12"
+
+    def test_fuel_partial_on_a_warm_memo(self):
+        # the settled chain is skipped unpaid, so the walk gets further
+        r = two_cycles_and_a_chain()
+        height_from(r, Int(10))
+        with pytest.raises(FuelExhausted) as exc:
+            height_from(r, Int(0), fuel=5)
+        assert exc.value.partial == "0 → 5 → 6 → 7"
 
 
 class TestChainEnumeration:
@@ -341,6 +409,37 @@ class TestLimitDefinition:
     def test_cyclic_relation_raises_where_a_cycle_is_reachable(self, r, data):
         self.check(r, data)
         self.check(r.plus(), data)
+
+
+class TestMinimalStart:
+    """A start of height 0 is its own limit and walks nothing after its
+    height check; any other start still pays for its walk."""
+
+    @given(lazy_relation_on_int_range(cyclic=False))
+    def test_fuel_zero_before_and_after_pairs(self, r):
+        for materialize in (False, True):
+            if materialize:
+                r.pairs()
+            for a in r.source.values():
+                for mode in (MAXDEPTH, REACHABLE_MINIMA):
+                    if is_minimal(r, a):
+                        assert limit_from(r, a, mode, fuel=0) == [a]
+                    else:
+                        with pytest.raises(FuelExhausted):
+                            limit_from(r, a, mode, fuel=0)
+
+    def test_minimal_start_steps_its_successors_once(self):
+        calls = []
+
+        def succ(a):
+            calls.append(a)
+            return (Int(a.value - 1),) if a.value > 0 else ()
+
+        sp = int_range(0, 3)
+        for mode in (MAXDEPTH, REACHABLE_MINIMA):
+            calls.clear()
+            assert limit_from(Relation(sp, sp, succ), Int(0), mode) == [Int(0)]
+            assert calls == [Int(0)]
 
 
 class TestSeeds:

@@ -88,6 +88,28 @@ class TestLimitsAndLazy:
         assert sp.values() == (Int(0), Int(1), Int(2))
         assert calls
 
+    def test_product_over_the_cap_pairs_its_components_probes(self):
+        # each component is small, so its probes are its least members
+        sp = product(int_range(1, 400), int_range(1, 400))
+        assert sp.sample_values(3) == [Pair(Int(i), Int(i)) for i in (1, 2, 3)]
+        big = product(int_range(0, 10 ** 6), int_range(0, 10 ** 6))
+        probes = big.sample_values(16)
+        assert probes[0] == Pair(Int(0), Int(0))
+        assert probes[-1] == Pair(Int(10 ** 6), Int(10 ** 6))
+        assert all(big.contains(p) for p in probes)
+
+    def test_interval_sets_over_the_cap_probe_their_first_members(self):
+        sp = interval_sets_of(1, 6)   # 2 ** 21 sets
+        assert sp.size() > 100_000
+        assert sp.sample_values(3) == [
+            IntervalSet(frozenset()),
+            IntervalSet(frozenset({Interval(1, 1)})),
+            IntervalSet(frozenset({Interval(1, 2)}))]
+
+    def test_intervals_over_the_cap_have_no_probes(self):
+        # its generator yields only empty intervals first
+        assert intervals_of(0, 500).sample_values(8) == []
+
 
 
 def _ints(factory):

@@ -30,6 +30,22 @@ def _interval_count(lo: int, hi: int) -> int:
     return w * (w + 1) // 2 + w + 1
 
 
+def _interval_sets(lo: int, hi: int):
+    # by size, then in combinations order over the subintervals; the empty
+    # set and the singletons come before the subinterval list is built, so
+    # the first few sets of any window cost only their own count
+    yield IntervalSet(frozenset())
+    for a in range(lo, hi + 1):
+        for b in range(a, hi + 1):
+            yield IntervalSet(frozenset({Interval(a, b)}))
+    base = [Interval(a, b)
+            for a in range(lo, hi + 1)
+            for b in range(a, hi + 1)]
+    for n in range(2, len(base) + 1):
+        for s in itertools.combinations(base, n):
+            yield IntervalSet(frozenset(s))
+
+
 class Space:
     """One finite collection of values. Construct through the module functions."""
 
@@ -117,13 +133,7 @@ class Space:
                        for b in range(a, hi + 1))
             return out
         if k == "interval_sets_of":
-            lo, hi = self.lo, self.hi
-            base = [Interval(a, b)
-                    for a in range(lo, hi + 1)
-                    for b in range(a, hi + 1)]
-            subsets = itertools.chain.from_iterable(
-                itertools.combinations(base, n) for n in range(len(base) + 1))
-            return (IntervalSet(frozenset(s)) for s in subsets)
+            return _interval_sets(self.lo, self.hi)
         if k == "explicit":
             return self._factory()
         raise AssertionError(self.kind)

@@ -106,9 +106,24 @@ class TestLimitsAndLazy:
             IntervalSet(frozenset({Interval(1, 1)})),
             IntervalSet(frozenset({Interval(1, 2)}))]
 
-    def test_intervals_over_the_cap_have_no_probes(self):
-        # its generator yields only empty intervals first
-        assert intervals_of(0, 500).sample_values(8) == []
+    def test_a_wide_interval_set_window_probes_without_listing_it(self):
+        # 5 * 10 ** 17 subintervals: the probes must not build that list
+        sp = interval_sets_of(1, 10 ** 9)
+        probes = sp.sample_values(16)
+        assert probes == [IntervalSet(frozenset())] + [
+            IntervalSet(frozenset({Interval(1, b)})) for b in range(1, 16)]
+        assert product(sp, sp).sample_values(16) == [
+            Pair(x, x) for x in probes]
+
+    def test_interval_sets_generate_in_the_same_order(self):
+        for lo, hi in ((1, 0), (1, 1), (1, 2), (2, 4)):
+            w = hi - lo + 1
+            base = [Interval(a, b) for a in range(lo, hi + 1)
+                    for b in range(a, hi + 1)]
+            want = [IntervalSet(frozenset(c)) for n in range(len(base) + 1)
+                    for c in itertools.combinations(base, n)]
+            got = list(interval_sets_of(lo, hi)._generate(None))
+            assert got == want and len(got) == 2 ** (w * (w + 1) // 2)
 
 
 

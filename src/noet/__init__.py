@@ -13,7 +13,7 @@ from .errors import (BodyNotSubsetOfOrder, DomainMismatch, EmptySpace,
                      LimitExceeded, MalformedExpr, MalformedInput,
                      NegativeVariantValue, NoetError, NonTotalFunction,
                      NotNoetherian, OrderNotNoetherian, ParameterOutOfRange,
-                     SpaceMismatch, SpaceTooLarge,
+                     Refuted, SpaceMismatch, SpaceTooLarge,
                      UnknownNamedFunction, UnknownOracle, ValueOutsideSpace)
 from .values import (Int, Interval, IntervalSet, Node, Pair, Seq, Tup,
                      render, render_chain, render_set, sort_values, value_key)
@@ -36,8 +36,7 @@ from .loops import (ExecTrace, LoopDef, OBLIGATIONS, ObligationResult,
                     VerificationReport, denotation_closure, denotation_limit,
                     exit_condition, make_loop, run, served_inputs,
                     terminals_of, variant_to_relation, verify)
-from .examples import (EXAMPLE_NAMES, EXAMPLE_PARAMS, ExampleInstance,
-                       instantiate)
+from .examples import EXAMPLE_NAMES, EXAMPLES, ExampleInstance, instantiate
 from .audit import (AuditFinding, CLAIM_IDS, reverify, run_audit)
 
 __version__ = "0.1.0"

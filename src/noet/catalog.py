@@ -8,9 +8,10 @@ them are wrong on purpose (composition being the canonical offender).
 
 A relation's certificate is read-only, and only this module sets it, on a
 relation it has just built, so a certificate always covers the relation
-that carries it. The seven measure families are one table, ``_MEASURES``,
-of a space guard and an integer measure each, all built by
-``measure_descent``.
+that carries it. The families that share a shape share a table and a
+builder: ``_MEASURES`` (a space guard and an integer measure, built by
+``measure_descent``), ``_SCANNED`` (a scan of the space by a pair test)
+and ``_INT_WINDOWS`` (a step over an integer window).
 """
 
 from __future__ import annotations
@@ -28,15 +29,6 @@ from .values import (Int, Interval, IntervalSet, Node, Pair, Seq, Tup,
                      interval_strictly_within)
 
 CLAIMED_RULES = frozenset({"COMPOSE", "PARENT", "ANCESTOR"})
-
-RULES = (
-    "COMPOSE", "CLOSURE", "SUBREL", "RESTRICT", "INDUCED", "PROJECTION",
-    "INVERSE", "ACYCLIC", "ACYCLIC'", "PARENT", "ANCESTOR", "CHILD",
-    "DESCENDANT", "SUPSET", "SUBSET", "SUCCESSOR", "INTGREATER",
-    "PREDECESSOR", "INTLESSER", "INTDIFF", "INTSUM", "MAXINT", "MININT",
-    "SUPINTERVAL", "SUBINTERVAL", "INTERVAL", "INTERVAL'", "INTERVALSUPSET",
-    "INTERVALSUBSET", "INTERVALMAX",
-)
 
 
 @dataclass(frozen=True, slots=True)
@@ -173,44 +165,30 @@ def measure_descent(space: Space, measure, rule: str = "INDUCED",
 
 # -- the named families ------------------------------------------------------
 
-def _successor(space, params, cap):
-    _want_int_range(space, "SUCCESSOR", natural=True)
-    lo = space.lo
+# rule -> (naturals only, the range of successors of a in the window
+# lo..hi, pair test), all on plain integers; successors come out lazily,
+# so a wide window costs a walk only what it visits
+_INT_WINDOWS = {
+    "SUCCESSOR": (True, lambda a, lo, hi: range(max(a - 1, lo), a),
+                  lambda a, b, lo, hi: b == a - 1 >= lo),
+    "INTGREATER": (True, lambda a, lo, hi: range(lo, a),
+                   lambda a, b, lo, hi: b < a),
+    "PREDECESSOR": (False, lambda a, lo, hi: range(a + 1, min(a + 2, hi + 1)),
+                    lambda a, b, lo, hi: b == a + 1 <= hi),
+    "INTLESSER": (False, lambda a, lo, hi: range(a + 1, hi + 1),
+                  lambda a, b, lo, hi: b > a),
+}
+
+
+def _int_window(space, params, cap, *, rule):
+    natural, step, test = _INT_WINDOWS[rule]
+    _want_int_range(space, rule, natural=natural)
+    lo, hi = space.lo, space.hi
     def succ(a):
-        return (Int(a.value - 1),) if a.value - 1 >= lo else ()
+        return map(Int, step(a.value, lo, hi))
     def holds(a, b):
-        return b.value == a.value - 1 and a.value - 1 >= lo
-    return _leaf(space, succ, holds, "SUCCESSOR")
-
-
-def _intgreater(space, params, cap):
-    _want_int_range(space, "INTGREATER", natural=True)
-    lo = space.lo
-    def succ(a):
-        return [Int(k) for k in range(lo, a.value)]
-    def holds(a, b):
-        return b.value < a.value
-    return _leaf(space, succ, holds, "INTGREATER")
-
-
-def _predecessor(space, params, cap):
-    _want_int_range(space, "PREDECESSOR")
-    hi = space.hi
-    def succ(a):
-        return (Int(a.value + 1),) if a.value + 1 <= hi else ()
-    def holds(a, b):
-        return b.value == a.value + 1 and a.value + 1 <= hi
-    return _leaf(space, succ, holds, "PREDECESSOR")
-
-
-def _intlesser(space, params, cap):
-    _want_int_range(space, "INTLESSER")
-    hi = space.hi
-    def succ(a):
-        return [Int(k) for k in range(a.value + 1, hi + 1)]
-    def holds(a, b):
-        return b.value > a.value
-    return _leaf(space, succ, holds, "INTLESSER")
+        return test(a.value, b.value, lo, hi)
+    return _leaf(space, succ, holds, rule)
 
 
 _want_natural_pairs = partial(_want_int_pairs, natural=True)
@@ -262,13 +240,13 @@ def _supinterval(space, params, cap):
     lo, hi = space.lo, space.hi
     def succ(a):
         if a.empty:
-            return []
-        out = [Interval(s, s - 1) for s in range(lo, hi + 2)]
+            return
+        for s in range(lo, hi + 2):
+            yield Interval(s, s - 1)
         for s in range(a.lo, a.hi + 1):
             for e in range(s, a.hi + 1):
                 if not (s == a.lo and e == a.hi):
-                    out.append(Interval(s, e))
-        return out
+                    yield Interval(s, e)
     def holds(a, b):
         return interval_strictly_within(b, a)
     return _leaf(space, succ, holds, "SUPINTERVAL")
@@ -279,17 +257,15 @@ def _subinterval(space, params, cap):
     _want_intervals(space, "SUBINTERVAL", cap)
     lo, hi = space.lo, space.hi
     def succ(a):
-        out = []
         if a.empty:
             for s in range(lo, hi + 1):
                 for e in range(s, hi + 1):
-                    out.append(Interval(s, e))
-            return out
+                    yield Interval(s, e)
+            return
         for s in range(lo, a.lo + 1):
             for e in range(a.hi, hi + 1):
                 if not (s == a.lo and e == a.hi):
-                    out.append(Interval(s, e))
-        return out
+                    yield Interval(s, e)
     def holds(a, b):
         return interval_strictly_within(a, b)
     return _leaf(space, succ, holds, "SUBINTERVAL")
@@ -372,10 +348,7 @@ _FOREST = ("parent",)
 _BUILDERS = {
     **{rule: (partial(_measure_family, rule=rule), ()) for rule in _MEASURES},
     **{rule: (partial(_scanned_family, rule=rule), ()) for rule in _SCANNED},
-    "SUCCESSOR": (_successor, ()),
-    "INTGREATER": (_intgreater, ()),
-    "PREDECESSOR": (_predecessor, ()),
-    "INTLESSER": (_intlesser, ()),
+    **{rule: (partial(_int_window, rule=rule), ()) for rule in _INT_WINDOWS},
     "SUPINTERVAL": (_supinterval, ()),
     "SUBINTERVAL": (_subinterval, ()),
     "ACYCLIC": (partial(_acyclic_edges, flip=False, rule="ACYCLIC"), _EDGES),
@@ -386,6 +359,10 @@ _BUILDERS = {
     "DESCENDANT": (partial(_transitive, step=_child, rule="DESCENDANT"),
                    _FOREST),
 }
+
+# every rule a certificate can name: the combinators, then the families
+RULES = ("COMPOSE", "CLOSURE", "SUBREL", "RESTRICT", "INDUCED", "PROJECTION",
+         "INVERSE", *_BUILDERS)
 
 
 def check_params(name: str, given) -> None:

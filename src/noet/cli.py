@@ -1,8 +1,8 @@
 """Command line front end.
 
-Exit codes: 0 all checks pass, 1 a checked property fails (witness printed),
-2 malformed input or a resource limit. Reports go to standard output,
-diagnostics to standard error.
+Exit codes: 0 all checks pass, 1 a checked property fails (a Refuted
+error; witness printed), 2 malformed input or a resource limit. Reports go
+to standard output, diagnostics to standard error.
 """
 
 from __future__ import annotations
@@ -16,9 +16,7 @@ import sys
 from . import audit as audit_mod
 from . import examples as examples_mod
 from . import oracles
-from .errors import (BodyNotSubsetOfOrder, DomainMismatch, EmptySpace,
-                     InitEscapesSpace, MalformedExpr, MalformedInput,
-                     NoetError, NotNoetherian, OrderNotNoetherian)
+from .errors import MalformedExpr, MalformedInput, NoetError, Refuted
 from .loops import run as run_loop
 from .loops import served_inputs, verify
 from .noether import (DEFAULT_FUEL, MAXDEPTH, NOETHERIAN, NOT_NOETHERIAN,
@@ -30,6 +28,12 @@ from .spaces import DEFAULT_MAX_SPACE, same_space
 from .values import Int, Node, render, render_set
 
 _MODES = {"maxdepth": MAXDEPTH, "minima": REACHABLE_MINIMA}
+
+# every example parameter once, flag -> kind, in the order the examples
+# table first names it
+_EXAMPLE_FLAGS = {flag: kind.rstrip("?")
+                  for _, params, _ in examples_mod.EXAMPLES.values()
+                  for flag, kind in params}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -79,12 +83,11 @@ def _build_parser() -> argparse.ArgumentParser:
                            help="print the visited states")
             p.add_argument("--all", action="store_true",
                            help="explore every nondeterministic branch")
-        p.add_argument("--a", type=int)
-        p.add_argument("--b", type=int)
-        p.add_argument("--bound", type=int)
-        p.add_argument("--t", help="comma-separated integers")
-        p.add_argument("--x", type=int)
-        p.add_argument("--pivot", type=int)
+        for flag, kind in _EXAMPLE_FLAGS.items():
+            if kind == "ints":
+                p.add_argument(f"--{flag}", help="comma-separated integers")
+            else:
+                p.add_argument(f"--{flag}", type=int)
         p.add_argument("--a-max", dest="a_max", type=int)
         p.add_argument("--b-max", dest="b_max", type=int)
 
@@ -116,18 +119,18 @@ def _parse_value_arg(raw: str):
 
 def _example_params(args) -> dict:
     params = {}
-    for key in ("a", "b", "bound", "x", "pivot"):
-        v = getattr(args, key, None)
-        if v is not None:
-            params[key] = v
-    t = getattr(args, "t", None)
-    if t is not None:
-        t = t.strip()
-        try:
-            params["t"] = tuple(int(part) for part in t.split(",")) if t else ()
-        except ValueError:
-            raise MalformedInput(
-                f"--t needs comma-separated integers, got {t!r}") from None
+    for flag, kind in _EXAMPLE_FLAGS.items():
+        v = getattr(args, flag)
+        if v is None:
+            continue
+        if kind == "ints":
+            v = v.strip()
+            try:
+                v = tuple(int(part) for part in v.split(",")) if v else ()
+            except ValueError:
+                raise MalformedInput(f"--{flag} needs comma-separated "
+                                     f"integers, got {v!r}") from None
+        params[flag] = v
     return params
 
 
@@ -346,11 +349,9 @@ def _verify_gcd_sweep(args) -> int:
 
 
 def _cmd_examples(args) -> int:
-    rows = []
-    for name in examples_mod.EXAMPLE_NAMES:
-        flags = [f"--{flag}" + ("?" if kind.endswith("?") else "")
-                 for flag, kind in examples_mod.EXAMPLE_PARAMS[name]]
-        rows.append((name, flags, examples_mod.EXAMPLE_SUMMARIES[name]))
+    rows = [(name, [f"--{flag}" + ("?" if kind.endswith("?") else "")
+                    for flag, kind in params], summary)
+            for name, (_, params, summary) in examples_mod.EXAMPLES.items()]
     if args.json:
         _print_doc({"examples": [{"name": n, "params": f, "summary": s}
                                  for n, f, s in rows]})
@@ -390,17 +391,12 @@ _COMMANDS = {
     "audit": _cmd_audit,
 }
 
-# construction-time loop failures and cycles met by limit or height are
-# verdicts with witnesses, not crashes
-_PROPERTY_ERRORS = (EmptySpace, InitEscapesSpace, BodyNotSubsetOfOrder,
-                    DomainMismatch, OrderNotNoetherian, NotNoetherian)
-
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except _PROPERTY_ERRORS as exc:
+    except Refuted as exc:
         print(f"check failed: {exc}", file=sys.stderr)
         return 1
     except NoetError as exc:

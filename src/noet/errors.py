@@ -17,6 +17,11 @@ class LimitExceeded(NoetError):
     """A configured resource bound (space size, fuel) was hit."""
 
 
+class Refuted(NoetError):
+    """A checked property fails, with a witness: a verdict, not a crash.
+    Construction-time loop failures and cycles met by limit or height."""
+
+
 # -- spaces ------------------------------------------------------------
 
 class ValueOutsideSpace(NoetError):
@@ -46,7 +51,7 @@ class SpaceMismatch(NoetError):
 
 # -- relations ---------------------------------------------------------
 
-class NotNoetherian(NoetError):
+class NotNoetherian(Refuted):
     def __init__(self, witness=None):
         self.witness = witness
         super().__init__("relation admits an infinite descending chain"
@@ -67,30 +72,30 @@ class UnknownNamedFunction(MalformedInput):
 
 # -- loops -------------------------------------------------------------
 
-class EmptySpace(NoetError):
+class EmptySpace(Refuted):
     pass
 
 
-class InitEscapesSpace(NoetError):
+class InitEscapesSpace(Refuted):
     def __init__(self, witness):
         self.witness = witness
         super().__init__(f"initialization produces a state outside the space: {witness!r}")
 
 
-class BodyNotSubsetOfOrder(NoetError):
+class BodyNotSubsetOfOrder(Refuted):
     def __init__(self, witness):
         self.witness = witness
         super().__init__(f"body pair not contained in the order: {witness!r}")
 
 
-class DomainMismatch(NoetError):
+class DomainMismatch(Refuted):
     def __init__(self, witness, side):
         self.witness = witness
         self.side = side
         super().__init__(f"body and order domains differ at {witness!r} ({side})")
 
 
-class OrderNotNoetherian(NoetError):
+class OrderNotNoetherian(Refuted):
     def __init__(self, witness):
         self.witness = witness
         super().__init__(f"order is not Noetherian: {witness}")

@@ -4,7 +4,8 @@ Every instance bundles its loop definition with the oracle context, the
 designated input, a single-run choice policy where the classical algorithm
 has one, and the classical variant measure for that loop. Spaces are built
 lazily so bulk sweeps never enumerate what a run does not touch, and each
-generates only its own members.
+generates only its own members. ``EXAMPLES`` registers each example once:
+its builder, its parameters and its summary.
 """
 
 from __future__ import annotations
@@ -24,28 +25,6 @@ from .spaces import (explicit, int_range, interval_sets_of, intervals_of,
 from .values import (Int, Interval, IntervalSet, Node, Pair, Seq, Tup,
                      sort_values, value_key)
 
-EXAMPLE_NAMES = ("gcd", "seq_search", "general_search_interval",
-                 "general_search_intervalset", "partition", "lamsort")
-
-# flag name -> parser kind, per example; used by the command line
-EXAMPLE_PARAMS = {
-    "gcd": (("a", "int"), ("b", "int"), ("bound", "int?")),
-    "seq_search": (("t", "ints"), ("x", "int")),
-    "general_search_interval": (("t", "ints"), ("x", "int")),
-    "general_search_intervalset": (("t", "ints"), ("x", "int")),
-    "partition": (("t", "ints"), ("pivot", "int")),
-    "lamsort": (("t", "ints"),),
-}
-
-EXAMPLE_SUMMARIES = {
-    "gcd": "subtractive gcd on pairs sharing a gcd, ordered by max",
-    "seq_search": "scan a growing prefix until a hit or the end",
-    "general_search_interval": "shrink a candidate interval set-wise",
-    "general_search_intervalset": "accumulate intervals that miss the key",
-    "partition": "three-way pointer walk splitting around a pivot",
-    "lamsort": "sort by repeatedly partitioning a widest-enough block",
-}
-
 
 @dataclass(frozen=True, slots=True)
 class ExampleInstance:
@@ -53,7 +32,6 @@ class ExampleInstance:
     loop: LoopDef
     input: object
     ctx: dict
-    params: dict
     chooser: object
     variant: object
     variant_name: str
@@ -151,8 +129,7 @@ def _gcd_instance(params, check):
     loop = _gcd_core(g, bound, check)
     return ExampleInstance(
         name="gcd", loop=loop, input=Pair(Int(a), Int(b)), ctx={},
-        params={"a": a, "b": b, "bound": bound}, chooser=None,
-        variant=lambda s: max(s.first.value, s.second.value),
+        chooser=None, variant=lambda s: max(s.first.value, s.second.value),
         variant_name="max", checked=check)
 
 
@@ -188,7 +165,7 @@ def _seq_search_instance(params, check):
                      postcondition="membership_prefix", check=check)
     return ExampleInstance(
         name="seq_search", loop=loop, input=Node("start"),
-        ctx={"t": t, "x": x}, params={"t": t, "x": x}, chooser=None,
+        ctx={"t": t, "x": x}, chooser=None,
         variant=lambda s: n - s.hi, variant_name="interval_width (unscanned side)",
         checked=check)
 
@@ -241,7 +218,7 @@ def _gsi_instance(params, check):
                      check=check)
     return ExampleInstance(
         name="general_search_interval", loop=loop, input=Node("start"),
-        ctx={"t": t, "x": x}, params={"t": t, "x": x}, chooser=midpoint,
+        ctx={"t": t, "x": x}, chooser=midpoint,
         variant=lambda s: s.width, variant_name="interval_width",
         checked=check)
 
@@ -282,11 +259,7 @@ def _gsis_instance(params, check):
         return [IntervalSet(s.members | {j}) for j in eligible
                 if j not in s.members]
 
-    def body_holds(s, q):
-        return s.members < q.members and len(q.members - s.members) == 1
-
-    body = Relation(space, space, body_succ, holds=body_holds,
-                    name="add-one-interval")
+    body = Relation(space, space, body_succ, name="add-one-interval")
     inputs = explicit([Node("start")])
     init = Relation(inputs, space,
                     lambda v: (IntervalSet(frozenset()),),
@@ -297,7 +270,7 @@ def _gsis_instance(params, check):
                      check=check)
     return ExampleInstance(
         name="general_search_intervalset", loop=loop, input=Node("start"),
-        ctx={"t": t, "x": x}, params={"t": t, "x": x}, chooser=None,
+        ctx={"t": t, "x": x}, chooser=None,
         variant=lambda s: len(eligible) - len(s.members),
         variant_name="missing_subintervals", checked=check)
 
@@ -367,7 +340,7 @@ def _partition_instance(params, check):
                      check=check)
     return ExampleInstance(
         name="partition", loop=loop, input=Seq(t),
-        ctx={"pivot": pivot}, params={"t": t, "pivot": pivot}, chooser=None,
+        ctx={"pivot": pivot}, chooser=None,
         variant=lambda s: s.items[1].width, variant_name="interval_width",
         checked=check)
 
@@ -457,36 +430,48 @@ def _lamsort_instance(params, check):
                      postcondition="sorted_permutation", check=check)
     return ExampleInstance(
         name="lamsort", loop=loop, input=Seq(t), ctx={},
-        params={"t": t}, chooser=leftmost_longest,
-        variant=lambda s: s.items[1].max_width(),
+        chooser=leftmost_longest, variant=lambda s: s.items[1].max_width(),
         variant_name="max_interval_length", checked=check)
 
 
-_INSTANCERS = {
-    "gcd": _gcd_instance,
-    "seq_search": _seq_search_instance,
-    "general_search_interval": _gsi_instance,
-    "general_search_intervalset": _gsis_instance,
-    "partition": _partition_instance,
-    "lamsort": _lamsort_instance,
+_SEARCH = (("t", "ints"), ("x", "int"))
+
+# name -> (builder(params, check), parameters as (flag, kind), summary);
+# a kind is int, int? (optional) or ints (a tuple of integers), and the
+# command line takes its example flags and listing from here
+EXAMPLES = {
+    "gcd": (_gcd_instance, (("a", "int"), ("b", "int"), ("bound", "int?")),
+            "subtractive gcd on pairs sharing a gcd, ordered by max"),
+    "seq_search": (_seq_search_instance, _SEARCH,
+                   "scan a growing prefix until a hit or the end"),
+    "general_search_interval": (_gsi_instance, _SEARCH,
+                                "shrink a candidate interval set-wise"),
+    "general_search_intervalset": (_gsis_instance, _SEARCH,
+                                   "accumulate intervals that miss the key"),
+    "partition": (_partition_instance, (("t", "ints"), ("pivot", "int")),
+                  "three-way pointer walk splitting around a pivot"),
+    "lamsort": (_lamsort_instance, (("t", "ints"),),
+                "sort by repeatedly partitioning a widest-enough block"),
 }
+
+EXAMPLE_NAMES = tuple(EXAMPLES)
 
 
 def instantiate(name: str, *, check: bool | None = None,
                 **params) -> ExampleInstance:
     """Build one example instance. check defaults to construction-time
     proof whenever the space is small enough to enumerate comfortably."""
-    maker = _INSTANCERS.get(name)
-    if maker is None:
+    row = EXAMPLES.get(name)
+    if row is None:
         raise ParameterOutOfRange(f"unknown example: {name!r}")
-    needed = {flag for flag, kind in EXAMPLE_PARAMS[name]
-              if not kind.endswith("?")}
+    build, flags, _ = row
+    needed = {flag for flag, kind in flags if not kind.endswith("?")}
     missing = needed - set(params)
     if missing:
         raise ParameterOutOfRange(
             f"{name} needs parameters: {', '.join(sorted(missing))}")
-    extra = set(params) - {flag for flag, _ in EXAMPLE_PARAMS[name]}
+    extra = set(params) - {flag for flag, _ in flags}
     if extra:
         raise ParameterOutOfRange(
             f"{name} does not take: {', '.join(sorted(extra))}")
-    return maker(params, check)
+    return build(params, check)

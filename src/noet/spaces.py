@@ -126,12 +126,13 @@ class Space:
                 return (Pair(a, b) for a, b in itertools.product(*parts))
             return (Tup(items) for items in itertools.product(*parts))
         if k == "intervals_of":
+            # non-empty intervals first, so the first few are probes that
+            # can step; values() sorts what this yields
             lo, hi = self.lo, self.hi
-            out = [Interval(a, a - 1) for a in range(lo, hi + 2)]
-            out.extend(Interval(a, b)
-                       for a in range(lo, hi + 1)
-                       for b in range(a, hi + 1))
-            return out
+            return itertools.chain(
+                (Interval(a, b)
+                 for a in range(lo, hi + 1) for b in range(a, hi + 1)),
+                (Interval(a, a - 1) for a in range(lo, hi + 2)))
         if k == "interval_sets_of":
             return _interval_sets(self.lo, self.hi)
         if k == "explicit":
@@ -190,7 +191,8 @@ class Space:
             if len(self.components) == 2:
                 return [Pair(x, y) for x, y in probes]
             return [Tup(items) for items in probes]
-        if self.kind == "interval_sets_of" or self._factory is not None:
+        if (self.kind in ("intervals_of", "interval_sets_of")
+                or self._factory is not None):
             return sort_values(itertools.islice(self._generate(k), k))
         return []
 

@@ -98,6 +98,45 @@ class TestEveryNamedFamily:
         expect_sound = rule not in CLAIMED_RULES
         assert r.cert.sound == expect_sound
 
+    @pytest.mark.parametrize("rule,space,params", NAMED_FIXTURES,
+                             ids=[f[0] for f in NAMED_FIXTURES])
+    def test_pair_test_agrees_with_the_successors(self, rule, space, params):
+        r = named(rule, space, **params)
+        vals = space.values()
+        for a in vals:
+            succ = set(r._succ(a))
+            for b in vals:
+                assert r.holds(a, b) == (b in succ), (a, b)
+
+
+class TestWideWindows:
+    """A family over a window too large to enumerate steps lazily, so the
+    bounded probe holds one iterator per level, not one list."""
+
+    @pytest.mark.parametrize("rule", ["SUCCESSOR", "INTGREATER",
+                                      "PREDECESSOR", "INTLESSER"])
+    def test_integer_windows(self, rule):
+        r = named(rule, int_range(0, 10 ** 9))
+        succ = r._succ(Int(5))
+        assert iter(succ) is succ
+        v = is_noetherian(r)
+        assert v.method == "bounded" and v.holds is None
+
+    def test_intlesser_probe_walks_its_fuel(self):
+        v = is_noetherian(named("INTLESSER", int_range(0, 10 ** 9)))
+        assert v.render() == ("unknown: fuel exhausted after 10001 edges; "
+                              "descending chain of 10001 steps found")
+
+    @pytest.mark.parametrize("rule,steps", [("SUPINTERVAL", 1),
+                                            ("SUBINTERVAL", 10001)])
+    def test_interval_windows(self, rule, steps):
+        r = named(rule, intervals_of(1, 10 ** 6))
+        succ = r._succ(iv(1, 3))
+        assert iter(succ) is succ
+        assert is_noetherian(r).render() == (
+            "unknown: fuel exhausted after 10001 edges; "
+            f"descending chain of {steps} steps found")
+
 
 class TestNumericFamilies:
     def test_successor_steps_down_once(self):

@@ -14,8 +14,11 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from noet.cli import main
-from noet.examples import _gcd_core, instantiate
+from noet.cli import _build_parser, _example_params, main
+from noet.errors import (BodyNotSubsetOfOrder, DomainMismatch, EmptySpace,
+                         InitEscapesSpace, NoetError, NotNoetherian,
+                         OrderNotNoetherian, Refuted)
+from noet.examples import EXAMPLES, _gcd_core, instantiate
 
 CORPUS = Path(__file__).parent / "corpus"
 
@@ -353,6 +356,21 @@ class TestExamplesListing:
             "general_search_intervalset", "partition", "lamsort"]
 
 
+class TestExampleFlags:
+    @pytest.mark.parametrize("command", ["run", "verify"])
+    @pytest.mark.parametrize("name", sorted(EXAMPLES))
+    def test_every_parameter_parses(self, command, name):
+        _, params, _ = EXAMPLES[name]
+        argv = [command, name]
+        want = {}
+        for flag, kind in params:
+            raw, want[flag] = (("3, 1,2", (3, 1, 2)) if kind == "ints"
+                               else ("7", 7))
+            argv += [f"--{flag}", raw]
+        args = _build_parser().parse_args(argv)
+        assert _example_params(args) == want
+
+
 class TestAudit:
     def test_report(self, capsys):
         code = main(["audit", "--samples", "40"])
@@ -414,6 +432,23 @@ class TestErrors:
         err = capsys.readouterr().err
         assert err.startswith("error: NOET_SEED must be an integer")
         assert "Traceback" not in err
+
+    def test_verdict_errors_are_refutations(self):
+        for err in (EmptySpace, InitEscapesSpace, BodyNotSubsetOfOrder,
+                    DomainMismatch, OrderNotNoetherian, NotNoetherian):
+            assert issubclass(err, Refuted) and issubclass(err, NoetError)
+
+    @pytest.mark.parametrize("rule", ["INTERVAL", "INTERVAL'"])
+    def test_a_measure_over_too_many_intervals_exits_two(self, rule,
+                                                         tmp_rel_file, capsys):
+        # the probes are non-empty intervals, and measuring the space to
+        # step from one of them is a limit
+        f = tmp_rel_file({"space": {"kind": "intervals_of", "lo": 1,
+                                    "hi": 500},
+                          "relation": nm(rule)})
+        assert main(["check", f]) == 2
+        assert capsys.readouterr().err == (
+            "error: space needs 125751 elements, cap is 100000\n")
 
     def test_usage_error_exits_two(self):
         with pytest.raises(SystemExit) as exc:

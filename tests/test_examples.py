@@ -6,8 +6,7 @@ import math
 import pytest
 
 from noet.errors import ParameterOutOfRange, SpaceTooLarge
-from noet.examples import (EXAMPLE_NAMES, EXAMPLE_PARAMS, EXAMPLE_SUMMARIES,
-                           _gcd_core, instantiate)
+from noet.examples import EXAMPLE_NAMES, EXAMPLES, _gcd_core, instantiate
 from noet.loops import run, terminals_of, variant_to_relation, verify
 from noet.noether import is_noetherian
 from noet.spaces import (Space, int_range, interval_sets_of, intervals_of,
@@ -22,8 +21,11 @@ def drive(inst, **kw):
 
 class TestRegistry:
     def test_names_and_metadata_line_up(self):
-        assert set(EXAMPLE_NAMES) == set(EXAMPLE_PARAMS) == set(EXAMPLE_SUMMARIES)
+        assert EXAMPLE_NAMES == tuple(EXAMPLES)
         assert len(EXAMPLE_NAMES) == 6
+        for build, params, summary in EXAMPLES.values():
+            assert callable(build) and summary
+            assert all(kind in ("int", "int?", "ints") for _, kind in params)
 
 
 class TestInstantiateValidation:

@@ -98,6 +98,19 @@ class TestLimitsAndLazy:
         assert probes[-1] == Pair(Int(10 ** 6), Int(10 ** 6))
         assert all(big.contains(p) for p in probes)
 
+    def test_intervals_over_the_cap_probe_non_empty_intervals(self):
+        sp = intervals_of(1, 500)
+        assert sp.size() == 125_751
+        assert sp.sample_values(3) == [Interval(1, 1), Interval(1, 2),
+                                       Interval(1, 3)]
+
+    def test_intervals_enumerate_in_value_order(self):
+        for lo, hi in ((1, 0), (1, 1), (2, 5)):
+            every = [Interval(a, a - 1) for a in range(lo, hi + 2)] + [
+                Interval(a, b) for a in range(lo, hi + 1)
+                for b in range(a, hi + 1)]
+            assert list(intervals_of(lo, hi).values()) == sorted_unique(every)
+
     def test_interval_sets_over_the_cap_probe_their_first_members(self):
         sp = interval_sets_of(1, 6)   # 2 ** 21 sets
         assert sp.size() > 100_000

@@ -24,9 +24,9 @@ from .relations import (Relation, RelationFlags, empty_relation, from_pairs,
                         identity, pair_values)
 from .noether import (DEFAULT_FUEL, Chain, MAXDEPTH, NOETHERIAN,
                       NOT_NOETHERIAN, REACHABLE_MINIMA, UNKNOWN,
-                      NoetherianVerdict, SeedReport, assert_noetherian,
-                      height_from, is_minimal, is_noetherian, is_seed,
-                      limit_from, limit_relation, minima, reachable_from)
+                      NoetherianVerdict, SeedReport, height_from, is_minimal,
+                      is_noetherian, is_seed, limit_from, limit_relation,
+                      minima, reachable_from)
 from .catalog import (NAMED_FUNCTIONS, NoetherianCert, RULES, certify,
                       closure_of, component_of, compose_rel, induced,
                       inverse_of, make_depth_fn, measure_descent, named,

@@ -1,20 +1,23 @@
 """Property audit for three contested closure/limit claims.
 
-Each claim gets hammered with random relation samples plus deterministic
-regression fixtures. Findings carry serialized counterexamples that can be
-re-verified from the document alone, and identical seeds reproduce the
-report byte for byte.
+Each claim is a row of CLAIMS: a claim id, a restriction, a deterministic
+regression fixture or none, a draw of one random sample and a refuter of
+one sample. One loop runs every row. Findings carry serialized
+counterexamples that can be re-verified from the document alone, and
+identical seeds reproduce the report byte for byte.
 
 Samples are drawn from five spaces, int_range(0, 1..5), built once per
 claim. A sample is drawn as a list of pairs; its relations are built only
-when the claim evaluates it. A claim its fixture refutes still draws every
-sample, so the claims after it see the same random stream.
+when the refuter evaluates it, which happens only while nothing has
+refuted the claim. A claim its fixture refutes still draws every sample,
+so the claims after it see the same random stream.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import partial
 
 from .errors import MalformedExpr
 from .noether import MAXDEPTH, NOETHERIAN, REACHABLE_MINIMA, is_noetherian, limit_from
@@ -106,6 +109,14 @@ def _random_pairs(rng: random.Random, space: Space) -> list:
     return pairs
 
 
+def _draw_one(rng: random.Random, space: Space):
+    return (_random_pairs(rng, space),)
+
+
+def _draw_two(rng: random.Random, space: Space):
+    return _random_pairs(rng, space), _random_pairs(rng, space)
+
+
 def _seed_pairs(rng: random.Random, space: Space):
     """(pairs of r, s) with r a subset of s over the same domain."""
     s = from_pairs(space, space, _random_pairs(rng, space))
@@ -119,47 +130,21 @@ def _seed_pairs(rng: random.Random, space: Space):
     return pairs, s
 
 
-# -- the three claims ------------------------------------------------------------
+# -- the claims ------------------------------------------------------------------
 
-def _compose_fixture():
-    space = explicit([Node("a"), Node("b")])
-    first = from_pairs(space, space, [(Node("a"), Node("b"))])
-    second = from_pairs(space, space, [(Node("b"), Node("a"))])
-    return space, first, second
-
-
-def _compose_counterexample(space, first, second, verdict) -> dict:
+def _refute_compose(space, first_pairs, second_pairs) -> dict | None:
+    """Is the composition of two Noetherian relations Noetherian?"""
+    first = from_pairs(space, space, first_pairs)
+    second = from_pairs(space, space, second_pairs)
+    composite = first.compose(second)
+    verdict = is_noetherian(composite)
+    if verdict.status == NOETHERIAN:
+        return None
     return {"space": space_doc(space),
             "first": rel_doc_extensional(first),
             "second": rel_doc_extensional(second),
-            "composite": rel_doc_extensional(first.compose(second)),
+            "composite": rel_doc_extensional(composite),
             "cycle": [value_doc(v) for v in verdict.witness.elements]}
-
-
-def _audit_compose(rng, samples, seed) -> AuditFinding:
-    space, first, second = _compose_fixture()
-    verdict = is_noetherian(first.compose(second))
-    counterexample = None
-    if verdict.status != NOETHERIAN:
-        counterexample = _compose_counterexample(space, first, second, verdict)
-    spaces = _sample_spaces()
-    for _ in range(samples):
-        sp = _random_space(rng, spaces)
-        p1 = _random_pairs(rng, sp)
-        p2 = _random_pairs(rng, sp)
-        # refuted: keep drawing, so later claims see the same random stream
-        if counterexample is not None:
-            continue
-        r1 = from_pairs(sp, sp, p1)
-        r2 = from_pairs(sp, sp, p2)
-        v = is_noetherian(r1.compose(r2))
-        if v.status != NOETHERIAN:
-            counterexample = _compose_counterexample(sp, r1, r2, v)
-    if counterexample is None:
-        return AuditFinding(CLAIM_COMPOSE, VALIDATED, None, None,
-                            samples, seed)
-    return AuditFinding(CLAIM_COMPOSE, REFUTED, None, counterexample,
-                        samples, seed)
 
 
 def _limits_everywhere(r: Relation, mode: str):
@@ -182,56 +167,66 @@ def _limit_pair_counterexample(space, r, s, mode) -> dict | None:
     return None
 
 
-def _limit_fixture():
-    space = explicit([Node("a"), Node("b"), Node("e")])
-    r = from_pairs(space, space, [(Node("a"), Node("b"))])
-    s = from_pairs(space, space,
-                   [(Node("a"), Node("b")), (Node("a"), Node("e"))])
-    return space, r, s
+def _refute_limit_subset(space, r_pairs, s) -> dict | None:
+    """Does a seed r of s have the limits of s, under minima and then
+    maxdepth?"""
+    r = from_pairs(space, space, r_pairs)
+    return (_limit_pair_counterexample(space, r, s, REACHABLE_MINIMA)
+            or _limit_pair_counterexample(space, r, s, MAXDEPTH))
 
 
-def _audit_limit_subset(rng, samples, seed) -> AuditFinding:
-    space, r, s = _limit_fixture()
-    counterexample = _limit_pair_counterexample(space, r, s, REACHABLE_MINIMA)
-    if counterexample is None:
-        counterexample = _limit_pair_counterexample(space, r, s, MAXDEPTH)
-    spaces = _sample_spaces()
-    for _ in range(samples):
-        sp = _random_space(rng, spaces)
-        r_pairs, ss = _seed_pairs(rng, sp)
-        # refuted: keep drawing, so later claims see the same random stream
-        if counterexample is not None:
-            continue
-        rr = from_pairs(sp, sp, r_pairs)
-        for mode in (REACHABLE_MINIMA, MAXDEPTH):
-            if counterexample is None:
-                counterexample = _limit_pair_counterexample(sp, rr, ss, mode)
-    if counterexample is None:
-        return AuditFinding(CLAIM_LIMIT_SUBSET, VALIDATED, None, None,
-                            samples, seed)
-    return AuditFinding(CLAIM_LIMIT_SUBSET, REFUTED, None, counterexample,
-                        samples, seed)
-
-
-def _audit_plus_limits(rng, samples, seed, claim_id, mode,
-                       restriction) -> AuditFinding:
+def _refute_plus_limits(space, pairs, mode) -> dict | None:
     """Does r keep its limits under mode when it grows to its transitive
     closure? This is the restricted reading of the limit-subset claim (the
     bigger relation is plus(r)), and for maxdepth the closest checkable
     reading of the star identity: the stated identity uses the reflexive
     closure, which is never Noetherian (every element loops on itself),
     so the limit is undefined there."""
-    counterexample = None
+    r = from_pairs(space, space, pairs)
+    s = r.plus()
+    s.pairs()   # one closure walk; the limits read its adjacency
+    return _limit_pair_counterexample(space, r, s, mode)
+
+
+def _compose_fixture():
+    space = explicit([Node("a"), Node("b")])
+    return space, [(Node("a"), Node("b"))], [(Node("b"), Node("a"))]
+
+
+def _limit_fixture():
+    space = explicit([Node("a"), Node("b"), Node("e")])
+    s = from_pairs(space, space,
+                   [(Node("a"), Node("b")), (Node("a"), Node("e"))])
+    return space, [(Node("a"), Node("b"))], s
+
+
+# (claim id, restriction, fixture or None, draw(rng, space), refute(space,
+# ...)), in report order. A fixture returns a space and refute's other
+# arguments, a draw returns those arguments for a drawn space, and refute
+# builds the sample's relations and returns a counterexample or None.
+CLAIMS = (
+    (CLAIM_COMPOSE, None, _compose_fixture, _draw_two, _refute_compose),
+    (CLAIM_LIMIT_SUBSET, None, _limit_fixture, _seed_pairs,
+     _refute_limit_subset),
+    (CLAIM_LIMIT_SUBSET, "s = plus(r)", None, _draw_one,
+     partial(_refute_plus_limits, mode=REACHABLE_MINIMA)),
+    (CLAIM_STAR_IDENTITY, "closure without the reflexive step", None,
+     _draw_one, partial(_refute_plus_limits, mode=MAXDEPTH)),
+)
+
+
+def _audit_claim(claim, rng, samples, seed) -> AuditFinding:
+    """Evaluate the fixture, then draw every sample and evaluate it while
+    nothing has refuted the claim. A refuted claim keeps drawing, so the
+    claims after it see the same random stream."""
+    claim_id, restriction, fixture, draw, refute = claim
+    counterexample = refute(*fixture()) if fixture else None
     spaces = _sample_spaces()
     for _ in range(samples):
-        sp = _random_space(rng, spaces)
-        r = from_pairs(sp, sp, _random_pairs(rng, sp))
-        s = r.plus()
-        s.pairs()   # one closure walk; the limits below read its adjacency
-        ce = _limit_pair_counterexample(sp, r, s, mode)
-        if ce is not None:
-            counterexample = ce
-            break
+        space = _random_space(rng, spaces)
+        args = draw(rng, space)
+        if counterexample is None:
+            counterexample = refute(space, *args)
     status = VALIDATED if counterexample is None else REFUTED
     return AuditFinding(claim_id, status, restriction, counterexample,
                         samples, seed)
@@ -240,14 +235,7 @@ def _audit_plus_limits(rng, samples, seed, claim_id, mode,
 def run_audit(seed: int = DEFAULT_SEED,
               samples: int = DEFAULT_SAMPLES) -> list[AuditFinding]:
     rng = random.Random(seed)
-    return [
-        _audit_compose(rng, samples, seed),
-        _audit_limit_subset(rng, samples, seed),
-        _audit_plus_limits(rng, samples, seed, CLAIM_LIMIT_SUBSET,
-                           REACHABLE_MINIMA, "s = plus(r)"),
-        _audit_plus_limits(rng, samples, seed, CLAIM_STAR_IDENTITY, MAXDEPTH,
-                           "closure without the reflexive step"),
-    ]
+    return [_audit_claim(claim, rng, samples, seed) for claim in CLAIMS]
 
 
 # -- counterexample re-verification -------------------------------------------------

@@ -316,8 +316,8 @@ def _cmd_verify(args) -> int:
 
 
 def _verify_gcd_sweep(args) -> int:
-    a_max = args.a_max or args.b_max
-    b_max = args.b_max or args.a_max
+    a_max = args.b_max if args.a_max is None else args.a_max
+    b_max = args.a_max if args.b_max is None else args.b_max
     if a_max < 1 or b_max < 1:
         raise MalformedExpr("sweep bounds must be positive")
     bound = max(a_max, b_max)

@@ -120,7 +120,9 @@ def _gcd_instance(params, check):
     b = params["b"]
     if not (isinstance(a, int) and isinstance(b, int)) or a < 1 or b < 1:
         raise ParameterOutOfRange("gcd needs positive integers a and b")
-    bound = params.get("bound") or max(a, b)
+    bound = params.get("bound")
+    if bound is None:
+        bound = max(a, b)
     if bound < max(a, b):
         raise ParameterOutOfRange("gcd bound must cover both inputs")
     g = math.gcd(a, b)

@@ -227,10 +227,8 @@ def denotation_closure(loop: LoopDef, cap: int = DEFAULT_MAX_SPACE):
     exits = frozenset(exit_condition(loop, cap))
     def succ(inp):
         return [s for s in full._succ(inp) if s in exits]
-    def holds(inp, s):
-        return s in exits and full.holds(inp, s)
     terminal = Relation(loop.init.source, loop.space, succ,
-                        holds=holds, name="denotation[terminal]")
+                        name="denotation[terminal]")
     return full, terminal
 
 

@@ -173,12 +173,6 @@ def is_noetherian(r: Relation, cap: int = DEFAULT_MAX_SPACE,
     return NoetherianVerdict(NOETHERIAN, None, method, explored)
 
 
-def assert_noetherian(r: Relation, cap: int = DEFAULT_MAX_SPACE) -> None:
-    verdict = is_noetherian(r, cap)
-    if verdict.status != NOETHERIAN:
-        raise NotNoetherian(verdict.witness.render() if verdict.witness else None)
-
-
 # -- heights ---------------------------------------------------------------
 
 def height_from(r: Relation, a, fuel: int | None = None) -> int:

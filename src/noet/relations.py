@@ -107,9 +107,6 @@ class Relation:
     def domain(self, cap: int = DEFAULT_MAX_SPACE) -> frozenset:
         return frozenset(a for a, _ in self.pairs(cap))
 
-    def is_empty(self, cap: int = DEFAULT_MAX_SPACE) -> bool:
-        return not self.pairs(cap)
-
     # -- algebra ---------------------------------------------------------
 
     def inverse(self, cap: int = DEFAULT_MAX_SPACE) -> "Relation":
@@ -178,21 +175,6 @@ class Relation:
             return out
         return Relation(self.source, self.target, succ,
                         name=_derived_name("star", self.name))
-
-    def union(self, other: "Relation") -> "Relation":
-        if not (same_space(self.source, other.source)
-                and same_space(self.target, other.target)):
-            raise SpaceMismatch("cannot union relations over different spaces")
-        def succ(a):
-            out = set(self._succ(a))
-            out.update(other._succ(a))
-            return out
-        holds = None
-        if self._holds_fn is not None and other._holds_fn is not None:
-            f, g = self._holds_fn, other._holds_fn
-            holds = lambda a, b: f(a, b) or g(a, b)
-        return Relation(self.source, self.target, succ, holds=holds,
-                        name=_derived_name("union", self.name, other.name))
 
     def is_subset_of(self, other: "Relation", cap: int = DEFAULT_MAX_SPACE):
         """(True, None) or (False, witness_pair), the witness being the

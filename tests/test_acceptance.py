@@ -1,11 +1,13 @@
 """Acceptance sweep: nine numbered criteria, one printed verdict line each.
 
-Run with -rA to see every verdict line in the summary. Each test prints
-exactly one line of the form
+Run with -rA to see every verdict line in the summary. Each criterion test
+prints exactly one line of the form
 
     criterion N (slug): PASS [counts, elapsed]
 
-before asserting, so a red run still reports the line honestly.
+before asserting, so a red run still reports the line honestly. Next to
+criterion 1, an unnumbered test exhausts the audit's claims over every
+DAG on 2-4 states.
 """
 
 import itertools
@@ -17,6 +19,7 @@ import time
 
 import pytest
 
+from noet import audit
 from noet.audit import render_report, report_json, reverify, run_audit
 from noet.catalog import (CLAIMED_RULES, RULES, closure_of, component_of,
                           induced, inverse_of, named, powerset_space,
@@ -25,7 +28,8 @@ from noet.cli import main
 from noet.examples import instantiate
 from noet.loops import denotation_closure, denotation_limit, run, terminals_of
 from noet.loops import variant_to_relation
-from noet.noether import NOETHERIAN, is_noetherian, is_seed, minima
+from noet.noether import (MAXDEPTH, NOETHERIAN, REACHABLE_MINIMA,
+                          is_noetherian, is_seed, minima)
 from noet.relations import from_pairs
 from noet.serialize import canonical_json, normalize_file, parse_loop_file
 from noet.spaces import explicit, int_range, interval_sets_of, intervals_of, product
@@ -108,6 +112,72 @@ def test_criterion_1_finite_equivalence():
     line = verdict_line(1, "finite equivalence", ok,
                         f"{checked} relations, {bad} discrepancies, {dt:.1f}s")
     assert ok, line
+
+
+# -- small-scope exhaustion of the audit's claims ---------------------------------
+
+def small_dags(n):
+    """(space, pairs) for every labelled DAG on n states, in the order of
+    the bitmask over the off-diagonal cells taken row by row."""
+    space = int_range(0, n - 1)
+    vals = [Int(i) for i in range(n)]
+    cells = [(a, b) for a in vals for b in vals if a != b]
+    for mask in range(1 << len(cells)):
+        pairs = [c for i, c in enumerate(cells) if mask >> i & 1]
+        if naive_acyclic(pairs):
+            yield space, pairs
+
+
+def sub_pairs(pairs):
+    """Every subset of pairs, in bitmask order."""
+    for mask in range(1 << len(pairs)):
+        yield [p for i, p in enumerate(pairs) if mask >> i & 1]
+
+
+def test_small_scope_exhaustion():
+    # the audit's refuters and criterion 2's consequences over every DAG on
+    # 2-4 states, the scope of the audit's three smallest sample spaces
+    t0 = time.monotonic()
+    dags = {n: list(small_dags(n)) for n in (2, 3, 4)}
+    assert [len(dags[n]) for n in (2, 3, 4)] == [3, 25, 543]
+    for n, found in dags.items():
+        for space, pairs in found:
+            for mode in (REACHABLE_MINIMA, MAXDEPTH):
+                assert audit._refute_plus_limits(space, pairs, mode) is None
+            r = from_pairs(space, space, pairs)
+            for derived in (r.plus(), r.power(2), r.power(3)):
+                flags = derived.classify()
+                assert flags.irreflexive and flags.asymmetric, (n, pairs)
+                assert is_noetherian(derived).status == NOETHERIAN
+
+    seeds = {n: 0 for n in dags}
+    least = None
+    for n, found in dags.items():
+        for space, s_pairs in found:
+            s = from_pairs(space, space, s_pairs)
+            domain = {a for a, _ in s_pairs}
+            for r_pairs in sub_pairs(s_pairs):
+                if {a for a, _ in r_pairs} != domain:
+                    continue
+                seeds[n] += 1
+                ce = audit._refute_limit_subset(space, r_pairs, s)
+                if least is None and ce is not None:
+                    least = ce
+    assert list(seeds.values()) == [3, 43, 2823]
+    assert least is not None
+    zero, one, two = ({"int": i} for i in range(3))
+    assert least["r"]["pairs"] == [[zero, one]]
+    assert least["s"]["pairs"] == [[zero, one], [zero, two]]
+    assert least["at"] == zero and least["mode"] == REACHABLE_MINIMA
+
+    space, _ = dags[2][0]
+    composed = [audit._refute_compose(space, first, second)
+                for _, first in dags[2] for _, second in dags[2]]
+    least = next(ce for ce in composed if ce is not None)
+    assert least["first"]["pairs"] == [[zero, one]]
+    assert least["second"]["pairs"] == [[one, zero]]
+    assert least["cycle"] == [zero, zero]
+    assert time.monotonic() - t0 < 2.0
 
 
 # -- criterion 2 ---------------------------------------------------------------

@@ -175,27 +175,31 @@ class TestSkippedSamples:
         calls = []
         inner = getattr(audit, name)
         def wrapper(*args, **kwargs):
-            calls.append(args)
+            calls.append((args, kwargs))
             return inner(*args, **kwargs)
         monkeypatch.setattr(audit, name, wrapper)
         return calls
 
+    def audit_claim(self, claim_id, restriction, samples):
+        claim, = [c for c in audit.CLAIMS if c[:2] == (claim_id, restriction)]
+        return audit._audit_claim(claim, random.Random(0), samples, 0)
+
     def test_compose_checks_only_its_fixture(self, monkeypatch):
         calls = self.counting(monkeypatch, "is_noetherian")
-        finding = audit._audit_compose(random.Random(0), 200, 0)
+        finding = self.audit_claim(CLAIM_COMPOSE, None, 200)
         assert finding.status == REFUTED and finding.sample_size == 200
         assert len(calls) == 1
 
     def test_limit_subset_checks_only_its_fixture(self, monkeypatch):
         # three values on each of the fixture's two relations
         calls = self.counting(monkeypatch, "limit_from")
-        finding = audit._audit_limit_subset(random.Random(0), 200, 0)
+        finding = self.audit_claim(CLAIM_LIMIT_SUBSET, None, 200)
         assert finding.status == REFUTED and finding.sample_size == 200
         assert len(calls) == 6
 
     def test_compose_builds_only_its_fixture(self, monkeypatch):
         calls = self.counting(monkeypatch, "from_pairs")
-        finding = audit._audit_compose(random.Random(0), 200, 0)
+        finding = self.audit_claim(CLAIM_COMPOSE, None, 200)
         assert finding.status == REFUTED and finding.sample_size == 200
         assert len(calls) == 2
 
@@ -203,7 +207,7 @@ class TestSkippedSamples:
         # the fixture's r and s, then one s per sample: its successors
         # drive the draw of r's pairs, but r itself is never built
         calls = self.counting(monkeypatch, "from_pairs")
-        finding = audit._audit_limit_subset(random.Random(0), 200, 0)
+        finding = self.audit_claim(CLAIM_LIMIT_SUBSET, None, 200)
         assert finding.status == REFUTED and finding.sample_size == 200
         assert len(calls) == 2 + 200
 
@@ -223,10 +227,10 @@ class TestSkippedSamples:
             audit._random_pairs(replay, sp)
             want += 2 * len(sp.values())
         calls = self.counting(monkeypatch, "limit_from")
-        finding = audit._audit_plus_limits(random.Random(0), 50, 0, claim_id,
-                                           mode, restriction)
+        finding = self.audit_claim(claim_id, restriction, 50)
         assert finding.status == VALIDATED and finding.sample_size == 50
         assert len(calls) == want
+        assert {kwargs["mode"] for _, kwargs in calls} == {mode}
 
 
 class TestGenerators:

@@ -699,6 +699,10 @@ OUTSIDE_STARTS = [("SUCC", "9"), ("SUCC", "-1"), ("SUCC", "x"),
                   ("SUCC", '{"pair": [{"int": 0}, {"int": 1}]}'),
                   ("SPLIT", "z"), ("SPLIT", "3"),
                   ("SPLIT", '{"seq": [1, 2]}')]
+# gcd bounds of 0, once read as absent: each must be refused, not defaulted
+ZERO_GCD_BOUNDS = [["verify", "gcd", "--a-max", "0"],
+                   ["verify", "gcd", "--a-max", "0", "--b-max", "3"],
+                   ["run", "gcd", "--a", "3", "--b", "5", "--bound", "0"]]
 EMPTY_T = [["seq_search", "--x", "1"], ["general_search_interval", "--x", "1"],
            ["general_search_intervalset", "--x", "1"],
            ["partition", "--pivot", "1"], ["lamsort"]]
@@ -771,6 +775,12 @@ class TestExitContractFuzz:
     def test_bad_flags_are_usage_errors(self, fuzz_files, argv):
         code, _ = assert_exit_contract([fuzz_files.get(w, w) for w in argv])
         assert code == 2
+
+    @pytest.mark.parametrize("argv", ZERO_GCD_BOUNDS,
+                             ids=lambda argv: " ".join(argv))
+    def test_zero_gcd_bounds_exit_two(self, argv):
+        code, err = assert_exit_contract(argv)
+        assert code == 2 and err.startswith("error:")
 
     @pytest.mark.parametrize("example", EMPTY_T, ids=[e[0] for e in EMPTY_T])
     @pytest.mark.parametrize("command", ["run", "verify"])

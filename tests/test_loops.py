@@ -216,6 +216,10 @@ class TestDenotations:
         full, terminal = denotation_closure(loop)
         assert full.image_of(Int(2)) == frozenset({Int(i) for i in range(3)})
         assert terminal.image_of(Int(2)) == frozenset({Int(0)})
+        for i in range(4):
+            image = terminal.image_of(Int(i))
+            assert all(terminal.holds(Int(i), s) == (s in image)
+                       for s in loop.space.values())
 
     def test_limit_route_agrees(self):
         loop = counting_loop(4)

@@ -66,7 +66,7 @@ class TestOperations:
 
     def test_inverse_of_a_successor_function(self):
         sp = int_space(3)
-        assert Relation(sp, sp, lambda a: ()).inverse().is_empty()
+        assert not Relation(sp, sp, lambda a: ()).inverse().pairs()
         down = Relation(sp, sp,
                         lambda a: (Int(a.value - 1),) if a.value else ())
         assert sorted((a.value, b.value) for a, b in down.inverse().pairs()) \
@@ -145,10 +145,6 @@ class TestOperations:
         s = r.star()
         assert s.holds(Int(1), Int(1))
         assert s.holds(Int(0), Int(1))
-
-    def test_union(self):
-        u = rel(3, [(0, 1)]).union(rel(3, [(1, 2)]))
-        assert u.holds(Int(0), Int(1)) and u.holds(Int(1), Int(2))
 
     def test_subset_with_witness(self):
         small, big = rel(3, [(0, 1)]), rel(3, [(0, 1), (1, 2)])
@@ -230,5 +226,5 @@ class TestPrefabs:
     def test_identity_and_empty(self):
         sp = int_space(3)
         assert identity(sp).holds(Int(2), Int(2))
-        assert empty_relation(sp, sp).is_empty()
+        assert not empty_relation(sp, sp).pairs()
         assert not empty_relation(sp, sp).holds(Int(0), Int(1))

@@ -788,3 +788,47 @@ class TestExitContractFuzz:
         for json_flag in ([], ["--json"]):
             assert_exit_contract([command, example[0], "--t=", *example[1:],
                                   *json_flag])
+
+
+# -- the bytes of every command that TestOutputDigest does not run ----------------
+
+RED_LOOP = dict(COUNT_LOOP, body={"kind": "extensional",
+                                  "pairs": [[{"int": 5}, {"int": 4}],
+                                            [{"int": 4}, {"int": 3}],
+                                            [{"int": 3}, {"int": 2}]]})
+DIGEST_FILES = dict(FUZZ_FILES, RED=RED_LOOP, SMALL=TestSeed.SMALL,
+                    BIG=TestSeed.BIG)
+RUN_TARGETS = [["COUNT"], ["RED"], ["gcd", "--a", "12", "--b", "8"],
+               ["lamsort", "--t", "3,1,2"]]
+DIGEST_COMMANDS = (
+    [["run", *target, *flags] for target in RUN_TARGETS
+     for flags in ([], ["--all"], ["--trace"], ["--all", "--trace"])]
+    + [["verify", "COUNT"], ["verify", "RED"],
+       ["verify", "seq_search", "--t", "1,2", "--x", "2"],
+       ["verify", "gcd", "--a-max", "3"],
+       ["seed", "SUCC", "SUCC"], ["seed", "SMALL", "BIG"],
+       ["seed", "BIG", "SMALL"],
+       ["examples"], ["audit", "--samples", "3"]])
+
+
+class TestCommandDigest:
+    def test_every_other_command_is_pinned(self, tmp_path):
+        # One sha256 over the stdout, stderr and exit code of each command
+        # above, with and without --json: together with TestOutputDigest it
+        # covers every way a command writes its result.
+        paths = {}
+        for key, doc in DIGEST_FILES.items():
+            paths[key] = tmp_path / f"{key.lower()}.json"
+            paths[key].write_text(json.dumps(doc), encoding="utf-8")
+        h = hashlib.sha256()
+        runs = 0
+        for command in DIGEST_COMMANDS:
+            for json_flag in ([], ["--json"]):
+                argv = [str(paths[w]) if w in paths else w for w in command]
+                code, out, err = run_in_process(argv + json_flag)
+                h.update(repr((command, json_flag, out, err,
+                               code)).encode("utf-8"))
+                runs += 1
+        assert runs == 50
+        assert h.hexdigest() == (
+            "94da5fa8416143219f2349a0448515a0866f5fa96fa30ef338edd85855bc2c4c")

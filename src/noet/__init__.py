@@ -20,8 +20,8 @@ from .values import (Int, Interval, IntervalSet, Node, Pair, Seq, Tup,
 from .spaces import (DEFAULT_MAX_SPACE, Space, explicit, int_range,
                      interval_sets_of, intervals_of, lazy_explicit, product,
                      same_space)
-from .relations import (Relation, RelationFlags, empty_relation, from_pairs,
-                        identity, pair_values)
+from .relations import (Relation, RelationFlags, from_pairs, identity,
+                        pair_values)
 from .noether import (DEFAULT_FUEL, Chain, MAXDEPTH, NOETHERIAN,
                       NOT_NOETHERIAN, REACHABLE_MINIMA, UNKNOWN,
                       NoetherianVerdict, SeedReport, height_from, is_minimal,

@@ -1,8 +1,10 @@
 """Command line front end.
 
 Exit codes: 0 all checks pass, 1 a checked property fails (a Refuted
-error; witness printed), 2 malformed input or a resource limit. Reports go
-to standard output, diagnostics to standard error.
+error; witness printed), 2 malformed input or a resource limit. Each command
+computes one result, (exit code, JSON document, text), and `main` writes it
+to standard output, as canonical JSON under --json and as text otherwise;
+diagnostics go to standard error.
 """
 
 from __future__ import annotations
@@ -134,26 +136,18 @@ def _example_params(args) -> dict:
     return params
 
 
-def _print_doc(doc):
-    sys.stdout.write(canonical_json(doc))
-
-
 # -- relation subcommands -------------------------------------------------------
 
-def _cmd_check(args) -> int:
+def _cmd_check(args) -> tuple:
     _, rel = parse_relation_file(load_json(args.file), cap=args.max_space)
     verdict = is_noetherian(rel, cap=args.max_space, fuel=args.fuel)
-    if args.json:
-        witness = verdict.witness
-        _print_doc({"status": verdict.status, "method": verdict.method,
-                    "explored": verdict.explored,
-                    "witness": ([value_doc(v) for v in witness.elements]
-                                if witness else None)})
-    else:
-        print(verdict.render())
-    if verdict.status == NOETHERIAN:
-        return 0
-    return 1 if verdict.status == NOT_NOETHERIAN else 2
+    witness = verdict.witness
+    doc = {"status": verdict.status, "method": verdict.method,
+           "explored": verdict.explored,
+           "witness": ([value_doc(v) for v in witness.elements]
+                       if witness else None)}
+    code = {NOETHERIAN: 0, NOT_NOETHERIAN: 1}.get(verdict.status, 2)
+    return code, doc, verdict.render()
 
 
 def _relation_and_start(args):
@@ -163,29 +157,22 @@ def _relation_and_start(args):
     return rel, _parse_value_arg(args.from_value)
 
 
-def _cmd_limit(args) -> int:
+def _cmd_limit(args) -> tuple:
     rel, start = _relation_and_start(args)
     mode = _MODES[args.mode]
     values = limit_from(rel, start, mode=mode, fuel=args.fuel)
-    if args.json:
-        _print_doc({"from": value_doc(start), "mode": mode,
-                    "values": [value_doc(v) for v in values]})
-    else:
-        print(render_set(values))
-    return 0
+    doc = {"from": value_doc(start), "mode": mode,
+           "values": [value_doc(v) for v in values]}
+    return 0, doc, render_set(values)
 
 
-def _cmd_height(args) -> int:
+def _cmd_height(args) -> tuple:
     rel, start = _relation_and_start(args)
     h = height_from(rel, start, fuel=args.fuel)
-    if args.json:
-        _print_doc({"from": value_doc(start), "height": h})
-    else:
-        print(h)
-    return 0
+    return 0, {"from": value_doc(start), "height": h}, str(h)
 
 
-def _cmd_seed(args) -> int:
+def _cmd_seed(args) -> tuple:
     small_space, small = parse_relation_file(load_json(args.small),
                                              cap=args.max_space)
     big_space, big = parse_relation_file(load_json(args.big),
@@ -193,18 +180,14 @@ def _cmd_seed(args) -> int:
     if not same_space(small_space, big_space):
         raise MalformedExpr("the two relation files use different spaces")
     report = is_seed(small, big, cap=args.max_space)
-    if args.json:
-        sw = report.subset_witness
-        _print_doc({"holds": report.holds,
-                    "subset_witness": ([value_doc(sw[0]), value_doc(sw[1])]
-                                       if sw else None),
-                    "domain_witness": (value_doc(report.domain_witness)
-                                       if report.domain_witness is not None
-                                       else None),
-                    "domain_side": report.domain_side})
-    else:
-        print(report.render())
-    return 0 if report.holds else 1
+    sw = report.subset_witness
+    doc = {"holds": report.holds,
+           "subset_witness": ([value_doc(sw[0]), value_doc(sw[1])]
+                              if sw else None),
+           "domain_witness": (value_doc(report.domain_witness)
+                              if report.domain_witness is not None else None),
+           "domain_side": report.domain_side}
+    return (0 if report.holds else 1), doc, report.render()
 
 
 # -- loop subcommands -------------------------------------------------------------
@@ -233,13 +216,7 @@ def _pick_input(args, loop, inst):
     raise MalformedExpr("loop has several possible inputs; pass --input")
 
 
-def _oracle_ctx(loop, inst) -> dict:
-    ctx = dict(inst.ctx) if inst is not None else {}
-    ctx["loop"] = loop
-    return ctx
-
-
-def _cmd_run(args) -> int:
+def _cmd_run(args) -> tuple:
     loop, inst = _load_target(args, check=False)
     input_value = _pick_input(args, loop, inst)
     chooser = inst.chooser if inst is not None else None
@@ -252,42 +229,32 @@ def _cmd_run(args) -> int:
 
     failed = []
     if loop.postcondition:
-        ctx = _oracle_ctx(loop, inst)
-        for tr in traces:
-            if not oracles.check(loop.postcondition, ctx, input_value,
-                                 tr.terminal):
-                failed.append(tr.terminal)
-
-    if args.json:
-        doc = {"input": value_doc(input_value), "mode": mode,
-               "terminals": [value_doc(tr.terminal) for tr in traces],
-               "steps": [tr.steps for tr in traces],
-               "traces": ([[value_doc(s) for s in tr.states]
-                           for tr in traces] if args.trace else None),
-               "postcondition": ({"name": loop.postcondition,
-                                  "passed": not failed}
-                                 if loop.postcondition else None)}
-        _print_doc(doc)
-        return 1 if failed else 0
+        ctx = {**(inst.ctx if inst is not None else {}), "loop": loop}
+        failed = [tr.terminal for tr in traces
+                  if not oracles.check(loop.postcondition, ctx, input_value,
+                                       tr.terminal)]
+    doc = {"input": value_doc(input_value), "mode": mode,
+           "terminals": [value_doc(tr.terminal) for tr in traces],
+           "steps": [tr.steps for tr in traces],
+           "traces": ([[value_doc(s) for s in tr.states]
+                       for tr in traces] if args.trace else None),
+           "postcondition": ({"name": loop.postcondition,
+                              "passed": not failed}
+                             if loop.postcondition else None)}
 
     if mode == "single":
         tr = traces[0]
-        if args.trace:
-            print(f"trace: {tr.render()}")
-        print(f"terminal: {render(tr.terminal)}")
-        print(f"steps: {tr.steps}")
+        lines = [f"trace: {tr.render()}"] if args.trace else []
+        lines += [f"terminal: {render(tr.terminal)}", f"steps: {tr.steps}"]
     else:
-        print(f"terminals: {render_set(tr.terminal for tr in traces)}")
+        lines = [f"terminals: {render_set(tr.terminal for tr in traces)}"]
         if args.trace:
-            for tr in traces:
-                print(f"trace to {render(tr.terminal)}: {tr.render()}")
+            lines += [f"trace to {render(tr.terminal)}: {tr.render()}"
+                      for tr in traces]
     if loop.postcondition:
-        if failed:
-            print(f"postcondition {loop.postcondition}: "
-                  f"FAIL at {render(failed[0])}")
-        else:
-            print(f"postcondition {loop.postcondition}: pass")
-    return 1 if failed else 0
+        outcome = f"FAIL at {render(failed[0])}" if failed else "pass"
+        lines.append(f"postcondition {loop.postcondition}: {outcome}")
+    return (1 if failed else 0), doc, "\n".join(lines)
 
 
 def _report_doc(report) -> dict:
@@ -298,24 +265,20 @@ def _report_doc(report) -> dict:
                             for r in report.results]}
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args) -> tuple:
     if (args.target == "gcd"
             and (args.a_max is not None or args.b_max is not None)):
         return _verify_gcd_sweep(args)
     loop, inst = _load_target(args, check=False)
-    ctx = _oracle_ctx(loop, inst)
     # default: sweep every input the initialization serves
     inputs = [_parse_value_arg(args.input)] if args.input is not None else None
-    report = verify(loop, inputs=inputs, ctx=ctx, cap=args.max_space,
-                    fuel=args.fuel)
-    if args.json:
-        _print_doc(_report_doc(report))
-    else:
-        print(report.render())
-    return 0 if report.passed else 1
+    report = verify(loop, inputs=inputs,
+                    ctx=inst.ctx if inst is not None else None,
+                    cap=args.max_space, fuel=args.fuel)
+    return (0 if report.passed else 1), _report_doc(report), report.render()
 
 
-def _verify_gcd_sweep(args) -> int:
+def _verify_gcd_sweep(args) -> tuple:
     a_max = args.b_max if args.a_max is None else args.a_max
     b_max = args.a_max if args.b_max is None else args.b_max
     if a_max < 1 or b_max < 1:
@@ -324,44 +287,33 @@ def _verify_gcd_sweep(args) -> int:
     gs = sorted({math.gcd(a, b)
                  for a in range(1, a_max + 1) for b in range(1, b_max + 1)})
     reports = []
-    total = 0
-    ok = True
     for g in gs:
         inst = examples_mod.instantiate("gcd", a=g, b=g, bound=bound)
-        report = verify(inst.loop, ctx=_oracle_ctx(inst.loop, inst),
-                        cap=args.max_space, fuel=args.fuel)
-        reports.append((g, report))
-        total += report.inputs_checked
-        ok = ok and report.passed
-    if args.json:
-        _print_doc({"target": "gcd", "passed": ok, "inputs_checked": total,
-                    "cores": [{"gcd": g, "report": _report_doc(r)}
-                              for g, r in reports]})
-        return 0 if ok else 1
-    print(f"gcd sweep: a <= {a_max}, b <= {b_max} ({len(gs)} gcd classes)")
+        reports.append((g, verify(inst.loop, ctx=inst.ctx,
+                                  cap=args.max_space, fuel=args.fuel)))
+    total = sum(r.inputs_checked for _, r in reports)
+    ok = all(r.passed for _, r in reports)
+    doc = {"target": "gcd", "passed": ok, "inputs_checked": total,
+           "cores": [{"gcd": g, "report": _report_doc(r)} for g, r in reports]}
+    lines = [f"gcd sweep: a <= {a_max}, b <= {b_max} ({len(gs)} gcd classes)"]
     for g, report in reports:
         if not report.passed:
-            print(f"-- gcd class {g} --")
-            print(report.render())
-    print(f"inputs checked: {total}")
-    print(f"verdict: {'pass' if ok else 'FAIL'}")
-    return 0 if ok else 1
+            lines += [f"-- gcd class {g} --", report.render()]
+    lines += [f"inputs checked: {total}",
+              f"verdict: {'pass' if ok else 'FAIL'}"]
+    return (0 if ok else 1), doc, "\n".join(lines)
 
 
-def _cmd_examples(args) -> int:
+def _cmd_examples(args) -> tuple:
     rows = [(name, [f"--{flag}" + ("?" if kind.endswith("?") else "")
                     for flag, kind in params], summary)
             for name, (_, params, summary) in examples_mod.EXAMPLES.items()]
-    if args.json:
-        _print_doc({"examples": [{"name": n, "params": f, "summary": s}
-                                 for n, f, s in rows]})
-    else:
-        for n, f, s in rows:
-            print(f"{n} ({', '.join(f)}): {s}")
-    return 0
+    doc = {"examples": [{"name": n, "params": f, "summary": s}
+                        for n, f, s in rows]}
+    return 0, doc, "\n".join(f"{n} ({', '.join(f)}): {s}" for n, f, s in rows)
 
 
-def _cmd_audit(args) -> int:
+def _cmd_audit(args) -> tuple:
     seed = args.seed
     env = os.environ.get("NOET_SEED")
     if env is not None:
@@ -373,11 +325,8 @@ def _cmd_audit(args) -> int:
     if seed is None:
         seed = audit_mod.DEFAULT_SEED
     findings = audit_mod.run_audit(seed=seed, samples=args.samples)
-    if args.json:
-        sys.stdout.write(audit_mod.report_json(findings))
-    else:
-        print(audit_mod.render_report(findings))
-    return 0
+    return (0, audit_mod.report_doc(findings),
+            audit_mod.render_report(findings))
 
 
 _COMMANDS = {
@@ -395,13 +344,15 @@ _COMMANDS = {
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        code, doc, text = _COMMANDS[args.command](args)
     except Refuted as exc:
         print(f"check failed: {exc}", file=sys.stderr)
         return 1
     except NoetError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    sys.stdout.write(canonical_json(doc) if args.json else text + "\n")
+    return code
 
 
 if __name__ == "__main__":

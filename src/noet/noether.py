@@ -237,7 +237,10 @@ def height_from(r: Relation, a, fuel: int | None = None) -> int:
 # -- reachability and minima ------------------------------------------------
 
 def reachable_from(r: Relation, a, fuel: int | None = None) -> frozenset:
-    """a and every value below it. fuel bounds the edges walked."""
+    """a and every value below it. fuel bounds the edges walked. A start
+    outside r.source raises ValueOutsideSpace."""
+    if not r.source.contains(a):
+        raise ValueOutsideSpace(a, r.source)
     return frozenset(reach(r, (a,), fuel))
 
 

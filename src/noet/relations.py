@@ -178,9 +178,13 @@ class Relation:
 
     def is_subset_of(self, other: "Relation", cap: int = DEFAULT_MAX_SPACE):
         """(True, None) or (False, witness_pair), the witness being the
-        least pair of self that other lacks."""
-        witness = least_failing(self.pairs(cap),
-                                other._holds_fn or other.holds)
+        least pair of self that other lacks. A relation is a subset of
+        itself once its pairs enumerate within cap, since holds agrees
+        with the successor function."""
+        pairs = self.pairs(cap)
+        if other is self:
+            return True, None
+        witness = least_failing(pairs, other._holds_fn or other.holds)
         return witness is None, witness
 
     def same_pairs(self, other: "Relation", cap: int = DEFAULT_MAX_SPACE) -> bool:
@@ -314,10 +318,6 @@ def from_pairs(source: Space, target: Space, pairs, *,
 
 def identity(space: Space) -> Relation:
     return Relation(space, space, lambda a: (a,), name="id")
-
-
-def empty_relation(source: Space, target: Space) -> Relation:
-    return from_pairs(source, target, (), name="empty", check=False)
 
 
 def pair_values(pairs) -> list:

@@ -2,10 +2,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import any_relation, dag_relation, int_space
-from noet.errors import FuelExhausted, SpaceMismatch, ValueOutsideSpace
+from noet.errors import (FuelExhausted, SpaceMismatch, SpaceTooLarge,
+                         ValueOutsideSpace)
 from noet.noether import is_noetherian
-from noet.relations import (Relation, after, empty_relation, from_pairs,
-                            identity, is_minimal, reach)
+from noet.relations import (Relation, after, from_pairs, identity,
+                            is_minimal, reach)
 from noet.spaces import explicit, int_range
 from noet.values import Int, Node, Pair, value_key
 
@@ -152,6 +153,16 @@ class TestOperations:
         ok, witness = big.is_subset_of(small)
         assert not ok and witness == (Int(1), Int(2))
 
+    def test_a_relation_is_its_own_subset(self):
+        # answered without a pair test, which leans on holds agreeing with
+        # the successors: test_catalog.py's TestEveryNamedFamily::
+        # test_pair_test_agrees_with_the_successors checks that per family
+        r = rel(3, [(0, 1), (1, 2)])
+        assert r.is_subset_of(r) == (True, None)
+        wide = Relation(int_range(0, 99), int_range(0, 99), lambda a: ())
+        with pytest.raises(SpaceTooLarge):
+            wide.is_subset_of(wide, cap=10)
+
     @given(any_relation(), st.data())
     def test_subset_witness_is_the_first_failure_of_a_sorted_scan(self, r,
                                                                   data):
@@ -223,8 +234,5 @@ class TestClassify:
 
 
 class TestPrefabs:
-    def test_identity_and_empty(self):
-        sp = int_space(3)
-        assert identity(sp).holds(Int(2), Int(2))
-        assert not empty_relation(sp, sp).pairs()
-        assert not empty_relation(sp, sp).holds(Int(0), Int(1))
+    def test_identity(self):
+        assert identity(int_space(3)).holds(Int(2), Int(2))

@@ -19,7 +19,7 @@ import random
 from dataclasses import dataclass
 from functools import partial
 
-from .errors import MalformedExpr
+from .errors import MalformedExpr, MalformedInput
 from .noether import MAXDEPTH, NOETHERIAN, REACHABLE_MINIMA, is_noetherian, limit_from
 from .relations import Relation, from_pairs
 from .serialize import (canonical_json, parse_space, parse_value, parse_rel,
@@ -234,6 +234,9 @@ def _audit_claim(claim, rng, samples, seed) -> AuditFinding:
 
 def run_audit(seed: int = DEFAULT_SEED,
               samples: int = DEFAULT_SAMPLES) -> list[AuditFinding]:
+    if samples < 0:
+        raise MalformedInput(
+            f"sample count must be non-negative, got {samples}")
     rng = random.Random(seed)
     return [_audit_claim(claim, rng, samples, seed) for claim in CLAIMS]
 

@@ -11,7 +11,9 @@ relation it has just built, so a certificate always covers the relation
 that carries it. The families that share a shape share a table and a
 builder: ``_MEASURES`` (a space guard and an integer measure, built by
 ``measure_descent``), ``_SCANNED`` (a scan of the space by a pair test)
-and ``_INT_WINDOWS`` (a step over an integer window).
+and ``_INT_WINDOWS`` (a step over an integer window). The scanned
+families, ``induced`` and ``projection`` are all pull-backs of a pair
+test, built by ``_pulled_back``.
 """
 
 from __future__ import annotations
@@ -122,11 +124,21 @@ def _leaf(space, succ, holds, name) -> Relation:
     return _stamp(Relation(space, space, succ, holds=holds, name=name), name)
 
 
-def _space_filter(space, holds, name, cap) -> Relation:
+def _pulled_back(test, space, cap, fn=None):
+    """(succ, holds) for the pair test pulled back through fn over space:
+    a steps to b when test(fn(a), fn(b)), with fn=None the identity.
+    Successors are a lazy scan of the space in value order, so emptiness
+    probes stop at the first hit."""
+    if fn is None:
+        def succ(a):
+            return (b for b in space.values(cap) if test(a, b))
+        return succ, test
     def succ(a):
-        # generator so emptiness probes stop at the first hit
-        return (b for b in space.values(cap) if holds(a, b))
-    return _leaf(space, succ, holds, name)
+        fa = fn(a)
+        return (b for b in space.values(cap) if test(fa, fn(b)))
+    def holds(a, b):
+        return test(fn(a), fn(b))
+    return succ, holds
 
 
 def measure_descent(space: Space, measure, rule: str = "INDUCED",
@@ -229,9 +241,9 @@ _SCANNED = {
 
 
 def _scanned_family(space, params, cap, *, rule):
-    guard, holds = _SCANNED[rule]
+    guard, test = _SCANNED[rule]
     guard(space, rule, cap)
-    return _space_filter(space, holds, rule, cap)
+    return _leaf(space, *_pulled_back(test, space, cap), rule)
 
 
 def _supinterval(space, params, cap):
@@ -279,15 +291,12 @@ def _acyclic_edges(space, params, cap, *, flip: bool, rule: str):
     for a, b in edges:
         if not space.contains(a) or not space.contains(b):
             raise MalformedExpr(f"{rule} edge endpoint outside the space")
-        pairs.append((a, b))
-    probe = from_pairs(space, space, pairs, check=False)
-    outcome, path, _ = _find_cycle(probe, pair_values(pairs), None)
-    if outcome == "cycle":
+        pairs.append((b, a) if flip else (a, b))
+    out = from_pairs(space, space, pairs, name=rule, check=False)
+    # reversing every edge keeps a cycle a cycle, so one check serves both
+    if _find_cycle(out, pair_values(pairs), None)[0] == "cycle":
         raise MalformedExpr(f"{rule} edges contain a cycle")
-    if flip:
-        pairs = [(b, a) for a, b in pairs]
-    return _stamp(from_pairs(space, space, pairs, name=rule, check=False),
-                  rule)
+    return _stamp(out, rule)
 
 
 def _forest_maps(space, params, cap, rule):
@@ -305,14 +314,21 @@ def _forest_maps(space, params, cap, rule):
             raise MalformedExpr(f"{rule} parent map mentions unknown node")
         kids.setdefault(par, []).append(child)
     for start in parent:
-        seen = set()
-        cur = start
-        while cur in parent:
-            if cur in seen:
-                raise MalformedExpr(f"{rule} parent map loops at {cur!r}")
-            seen.add(cur)
-            cur = parent[cur]
+        _depth(parent, start, f"{rule} ")
     return parent, kids
+
+
+def _depth(parent: dict, start, who: str = "") -> int:
+    """Steps from start up the parent map to a root; MalformedExpr,
+    prefixed by who, when the chain loops."""
+    d, cur, seen = 0, start, set()
+    while cur in parent:
+        if cur in seen:
+            raise MalformedExpr(f"{who}parent map loops at {cur!r}")
+        seen.add(cur)
+        cur = parent[cur]
+        d += 1
+    return d
 
 
 def _parent(space, params, cap):
@@ -398,15 +414,12 @@ def closure_of(r: Relation) -> Relation:
 
 
 def subrel(r: Relation, pairs, name: str | None = None) -> Relation:
-    """Explicit subset of a relation's pairs."""
-    got = []
-    for a, b in pairs:
-        if not r.holds(a, b):
-            raise MalformedExpr(
-                "subset constructor given a pair the base relation lacks")
-        got.append((a, b))
-    out = from_pairs(r.source, r.target, got, name=name or "subrel",
-                     check=False)
+    """Explicit subset of a relation's pairs, each between members of its
+    spaces: a pair test may hold past the space it is built over."""
+    out = from_pairs(r.source, r.target, pairs, name=name or "subrel")
+    if not all(r.holds(a, b) for a, b in out.pairs()):
+        raise MalformedExpr(
+            "subset constructor given a pair the base relation lacks")
     return _stamp(out, "SUBREL", r)
 
 
@@ -421,16 +434,9 @@ def inverse_of(r: Relation, cap: int = DEFAULT_MAX_SPACE) -> Relation:
 def induced(fn, over: Relation, space: Space, fn_name: str | None = None,
             cap: int = DEFAULT_MAX_SPACE) -> Relation:
     """Pull a relation back through a function: a steps to b when fn(a)
-    steps to fn(b) in the underlying relation."""
-    if isinstance(fn, str):
-        fn_name = fn_name or fn
-        fn = resolve_function(fn)
-    test = over._holds_fn or over.holds
-    def holds(a, b):
-        return test(fn(a), fn(b))
-    def succ(a):
-        fa = fn(a)
-        return (b for b in space.values(cap) if test(fa, fn(b)))
+    steps to fn(b) in the underlying relation. fn=None is the identity,
+    which restricts the relation's own pair test to space."""
+    succ, holds = _pulled_back(over._holds_fn or over.holds, space, cap, fn)
     label = f"induced[{fn_name}]" if fn_name else "induced"
     out = Relation(space, space, succ, holds=holds, name=label)
     return _stamp(out, "INDUCED", over)
@@ -452,18 +458,14 @@ def component_of(v, i: int):
 
 def projection(i: int, comp: Relation, space: Space,
                cap: int = DEFAULT_MAX_SPACE) -> Relation:
-    """Compare one coordinate of a product space by a component relation."""
+    """Compare one coordinate of a product space by a component relation:
+    the component relation pulled back through the coordinate."""
     if space.kind != "product":
         raise MalformedExpr("projection needs a product space")
     if not (0 <= i < len(space.components)):
         raise MalformedExpr(f"product has no component {i}")
-    def holds(a, b):
-        return comp.holds(component_of(a, i), component_of(b, i))
-    def succ(a):
-        ca = component_of(a, i)
-        return (b for b in space.values(cap)
-                if comp.holds(ca, component_of(b, i)))
-    out = Relation(space, space, succ, holds=holds, name=f"projection[{i}]")
+    out = induced(partial(component_of, i=i), comp, space, cap=cap)
+    out.name = f"projection[{i}]"
     return _stamp(out, "PROJECTION", comp)
 
 
@@ -543,14 +545,7 @@ def make_depth_fn(parent: dict):
     def depth(v):
         if not isinstance(v, Node):
             raise MalformedExpr(f"depth wants a node, got {v!r}")
-        d, cur, seen = 0, v.name, set()
-        while cur in parent:
-            if cur in seen:
-                raise MalformedExpr(f"parent map loops at {cur!r}")
-            seen.add(cur)
-            cur = parent[cur]
-            d += 1
-        return Int(d)
+        return Int(_depth(parent, v.name))
     return depth
 
 

@@ -193,7 +193,7 @@ def _gsi_instance(params, check):
             if (x in _interval_slice(t, Interval(lo, hi))) == present:
                 states.append(Interval(lo, hi))
     space = explicit(states)
-    order = induced(lambda v: v, named("SUPINTERVAL", intervals_of(1, n)),
+    order = induced(None, named("SUPINTERVAL", intervals_of(1, n)),
                     space, fn_name="interval")
 
     # any strict subinterval that keeps the space predicate is a legal move
@@ -254,7 +254,7 @@ def _gsis_instance(params, check):
         members, avoids_x,
         label=f"filtered({base.describe()}, avoid x at {hits} in 1..{n})")
 
-    order = induced(lambda v: v, named("INTERVALSUBSET", base), space,
+    order = induced(None, named("INTERVALSUBSET", base), space,
                     fn_name="interval_set")
 
     def body_succ(s):

@@ -78,12 +78,6 @@ class Relation:
             return (a, b) in self._pairs
         return any(b == c for c in self._succ_fn(a))
 
-    def image_of(self, a) -> frozenset:
-        """Successors of one checked member of the source space."""
-        if not self.source.contains(a):
-            raise ValueOutsideSpace(a, self.source)
-        return frozenset(self._succ(a))
-
     # -- materialization ----------------------------------------------------
 
     def pairs(self, cap: int = DEFAULT_MAX_SPACE) -> frozenset:

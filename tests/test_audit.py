@@ -13,6 +13,7 @@ from noet.audit import (CLAIM_COMPOSE, CLAIM_IDS, CLAIM_LIMIT_SUBSET,
                         CLAIM_STAR_IDENTITY, DEFAULT_SEED, REFUTED, VALIDATED,
                         AuditFinding, render_report, report_doc, report_json,
                         reverify, run_audit)
+from noet.errors import MalformedInput
 from noet.noether import (MAXDEPTH, NOETHERIAN, REACHABLE_MINIMA,
                           is_noetherian, is_seed)
 from noet.relations import from_pairs
@@ -60,6 +61,11 @@ class TestFindings:
         assert lines[3] == ("maxdepth_star_identity [closure without the "
                             "reflexive step]: validated_on_sample "
                             "(60 samples, seed 0)")
+
+    def test_sample_count_must_not_be_negative(self):
+        with pytest.raises(MalformedInput):
+            run_audit(seed=0, samples=-1)
+        assert [f.sample_size for f in run_audit(seed=0, samples=0)] == [0] * 4
 
     def test_validated_findings_carry_no_counterexample(self):
         assert FINDINGS[2].counterexample is None

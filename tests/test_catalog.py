@@ -12,7 +12,8 @@ from noet.catalog import (CLAIMED_RULES, NAMED_FUNCTIONS, RULES,
                           named, powerset_space, projection, resolve_function,
                           restrict_to, subrel)
 from noet.catalog import _BUILDERS
-from noet.errors import MalformedExpr, OrderNotNoetherian, UnknownNamedFunction
+from noet.errors import (MalformedExpr, OrderNotNoetherian,
+                         UnknownNamedFunction, ValueOutsideSpace)
 from noet.loops import make_loop
 from noet.noether import is_noetherian
 from noet.relations import Relation, from_pairs
@@ -141,8 +142,8 @@ class TestWideWindows:
 class TestNumericFamilies:
     def test_successor_steps_down_once(self):
         r = named("SUCCESSOR", int_range(0, 5))
-        assert r.image_of(Int(3)) == frozenset({Int(2)})
-        assert r.image_of(Int(0)) == frozenset()
+        assert frozenset(r.successors(Int(3))) == frozenset({Int(2)})
+        assert frozenset(r.successors(Int(0))) == frozenset()
 
     def test_closure_of_successor_is_the_strict_order(self):
         succ = named("SUCCESSOR", int_range(0, 5))
@@ -150,8 +151,8 @@ class TestNumericFamilies:
 
     def test_predecessor_climbs_to_the_window_top(self):
         r = named("PREDECESSOR", int_range(0, 3))
-        assert r.image_of(Int(2)) == frozenset({Int(3)})
-        assert r.image_of(Int(3)) == frozenset()
+        assert frozenset(r.successors(Int(2))) == frozenset({Int(3)})
+        assert frozenset(r.successors(Int(3))) == frozenset()
 
     def test_intlesser_accepts_negative_windows(self):
         r = named("INTLESSER", int_range(-2, 1))
@@ -192,12 +193,12 @@ class TestSetFamilies:
         r = named("SUPSET", powerset_space([1, 2]))
         assert r.holds(Seq((1, 2)), Seq((2,)))
         assert not r.holds(Seq((1, 2)), Seq((1, 2)))
-        assert r.image_of(Seq(())) == frozenset()
+        assert frozenset(r.successors(Seq(()))) == frozenset()
 
     def test_subset_grows_toward_the_base(self):
         r = named("SUBSET", powerset_space([1, 2]))
         assert r.holds(Seq(()), Seq((1,)))
-        assert r.image_of(Seq((1, 2))) == frozenset()
+        assert frozenset(r.successors(Seq((1, 2)))) == frozenset()
 
     def test_members_must_be_increasing_sequences(self):
         with pytest.raises(MalformedExpr):
@@ -216,15 +217,15 @@ class TestIntervalFamilies:
     def test_supinterval_successor_count(self):
         r = named("SUPINTERVAL", IVALS)
         # everything strictly inside 1..3: 4 empty starts + 5 proper parts
-        assert len(r.image_of(iv(1, 3))) == 9
+        assert len(r.successors(iv(1, 3))) == 9
         assert r.holds(iv(1, 3), iv(2, 1))
-        assert r.image_of(iv(2, 1)) == frozenset()
+        assert frozenset(r.successors(iv(2, 1))) == frozenset()
 
     def test_subinterval_growth(self):
         r = named("SUBINTERVAL", IVALS)
-        assert len(r.image_of(iv(1, 0))) == 6
-        assert r.image_of(iv(1, 1)) == frozenset({iv(1, 2), iv(1, 3)})
-        assert r.image_of(iv(1, 3)) == frozenset()
+        assert len(r.successors(iv(1, 0))) == 6
+        assert frozenset(r.successors(iv(1, 1))) == frozenset({iv(1, 2), iv(1, 3)})
+        assert frozenset(r.successors(iv(1, 3))) == frozenset()
 
     def test_width_families_ignore_position(self):
         down = named("INTERVAL", IVALS)
@@ -276,10 +277,10 @@ class TestEdgeFamilies:
 class TestForestFamilies:
     def test_parent_steps_down_child_climbs_up(self):
         down = named("PARENT", forest_space(), parent=FOREST)
-        assert down.image_of(Node("r")) == frozenset({Node("x"), Node("z")})
+        assert frozenset(down.successors(Node("r"))) == frozenset({Node("x"), Node("z")})
         up = named("CHILD", forest_space(), parent=FOREST)
-        assert up.image_of(Node("y")) == frozenset({Node("x")})
-        assert up.image_of(Node("r")) == frozenset()
+        assert frozenset(up.successors(Node("y"))) == frozenset({Node("x")})
+        assert frozenset(up.successors(Node("r"))) == frozenset()
 
     def test_transitive_variants(self):
         anc = named("ANCESTOR", forest_space(), parent=FOREST)
@@ -404,6 +405,14 @@ class TestDerivedConstructors:
         with pytest.raises(MalformedExpr):
             subrel(base, [(Int(1), Int(3))])
 
+    def test_subrel_refuses_values_outside_its_space(self):
+        base = named("SUCCESSOR", int_range(0, 5))
+        # the window's pair test is open at the top
+        assert base.holds(Int(100), Int(99))
+        with pytest.raises(ValueOutsideSpace,
+                           match=r"^value 100 is not a member of int_range 0\.\.5$"):
+            subrel(base, [(Int(100), Int(99))])
+
     def test_restrict_to(self):
         base = named("SUCCESSOR", int_range(0, 4))
         r = restrict_to([Int(2)], base)
@@ -418,12 +427,12 @@ class TestDerivedConstructors:
 
     def test_induced_pulls_back_through_a_function(self):
         over = named("INTGREATER", int_range(0, 2))
-        r = induced("max", over, PAIRS22)
+        r = induced(resolve_function("max"), over, PAIRS22, fn_name="max")
         assert r.cert.rule == "INDUCED" and r.cert.sound
         assert r.name == "induced[max]"
         assert r.holds(Pair(Int(2), Int(0)), Pair(Int(1), Int(1)))
         assert not r.holds(Pair(Int(1), Int(1)), Pair(Int(0), Int(1)))
-        assert r.image_of(Pair(Int(0), Int(0))) == frozenset()
+        assert frozenset(r.successors(Pair(Int(0), Int(0)))) == frozenset()
         assert is_noetherian(r).holds is True
 
     def test_projection_matches_component_induction(self):
@@ -431,7 +440,9 @@ class TestDerivedConstructors:
         comp = named("SUCCESSOR", int_range(0, 2))
         proj = projection(1, comp, space)
         assert proj.cert.rule == "PROJECTION"
-        assert proj.same_pairs(induced("component_1", comp, space))
+        assert proj.name == "projection[1]"
+        assert proj.same_pairs(induced(resolve_function("component_1"), comp,
+                                       space))
 
     def test_projection_validates_the_space(self):
         comp = named("SUCCESSOR", int_range(0, 2))

@@ -301,6 +301,17 @@ class TestVerify:
         assert lines[-1] == "verdict: pass"
         assert lines[-2].startswith("inputs checked: ")
 
+    def test_gcd_sweep_reaches_the_cap_without_a_grid_pass(self):
+        # the classes are 1..min(a_max, b_max), listed without taking the
+        # gcd of every pair in the grid, so wide bounds reach the cap fast
+        proc = subprocess.run(
+            [sys.executable, "-m", "noet.cli", "verify", "gcd",
+             "--a-max", "100000", "--b-max", "100000"],
+            capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 2
+        assert proc.stderr == ("error: space needs more than 100000 "
+                               "elements, cap is 100000\n")
+
     def test_space_cap_is_an_error(self, tmp_rel_file, capsys):
         doc = dict(COUNT_LOOP)
         doc["space"] = ir(0, 200)
@@ -394,6 +405,17 @@ class TestAudit:
         main(["audit", "--samples", "25", "--json"])
         assert capsys.readouterr().out == report_json(run_audit(0, 25))
 
+    def test_negative_samples_exit_two(self, capsys):
+        assert main(["audit", "--samples", "-5"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: sample count must be non-negative, "
+                                "got -5\n")
+
+    def test_zero_samples_pass(self, capsys):
+        assert main(["audit", "--samples", "0"]) == 0
+        assert "(0 samples, seed 0)" in capsys.readouterr().out
+
 
 class TestErrors:
     def test_missing_file(self, capsys):
@@ -449,6 +471,23 @@ class TestErrors:
         assert main(["check", f]) == 2
         assert capsys.readouterr().err == (
             "error: space needs 125751 elements, cap is 100000\n")
+
+    # SUCCESSOR's pair test holds for 100 -> 99, past int_range 0..5, and
+    # cannot read a node at all
+    @pytest.mark.parametrize("pair,shown", [
+        ([{"int": 100}, {"int": 99}], "100"),
+        ([{"node": "a"}, {"int": 1}], "a"),
+    ], ids=["past-the-window", "wrong-kind"])
+    def test_subrel_pair_outside_its_space_exits_two(self, tmp_rel_file,
+                                                     capsys, pair, shown):
+        rel = {"kind": "subrel", "of": nm("SUCCESSOR"), "pairs": [pair]}
+        code = main(["check", tmp_rel_file({"space": ir(0, 5),
+                                            "relation": rel}), "--json"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: value {shown} is not a member of "
+                                "int_range 0..5\n")
 
     def test_usage_error_exits_two(self):
         with pytest.raises(SystemExit) as exc:

@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+from noet.catalog import induced, named
 from noet.errors import ParameterOutOfRange, SpaceTooLarge
 from noet.examples import EXAMPLE_NAMES, EXAMPLES, _gcd_core, instantiate
 from noet.loops import run, terminals_of, variant_to_relation, verify
@@ -293,6 +294,25 @@ class TestCatalogOrders:
                    for a in vals for b in vals)
         # the exhaustive search agrees with the certificate
         assert order.cert.sound and is_noetherian(order).holds is True
+
+    @pytest.mark.parametrize("t,x", [((), 1), ((1, 2, 3), 2), ((2, 1, 2), 7),
+                                     ((4, 4, 1, 4), 4)])
+    @pytest.mark.parametrize("name,rule,over_space", [
+        ("general_search_interval", "SUPINTERVAL", intervals_of),
+        ("general_search_intervalset", "INTERVALSUBSET", interval_sets_of),
+    ])
+    def test_identity_order_is_the_identity_pull_back(self, name, rule,
+                                                      over_space, t, x):
+        # the search orders pull their base back through fn=None; it must
+        # give what the identity function itself gives
+        inst = instantiate(name, t=t, x=x, check=False)
+        order, space = inst.loop.order, inst.loop.space
+        twin = induced(lambda v: v, named(rule, over_space(1, len(t))), space)
+        assert order.pairs() == twin.pairs()
+        assert order.cert.render() == twin.cert.render()
+        vals = space.values()
+        assert all(order.holds(a, b) == twin.holds(a, b)
+                   for a in vals for b in vals)
 
     @pytest.mark.parametrize("name", EXAMPLE_NAMES)
     def test_order_verifies_by_its_certificate(self, name):

@@ -48,11 +48,6 @@ class TestConstruction:
         r = rel(4, [(0, 3), (0, 1), (0, 3), (0, 2)])
         assert [v.value for v in r.successors(Int(0))] == [1, 2, 3]
 
-    def test_image_of_checks_membership(self):
-        r = rel(2, [(0, 1)])
-        with pytest.raises(ValueOutsideSpace):
-            r.image_of(Int(9))
-
     def test_holds(self):
         r = rel(3, [(0, 1)])
         assert r.holds(Int(0), Int(1))

@@ -18,8 +18,8 @@ from .errors import (BodyNotSubsetOfOrder, DomainMismatch, EmptySpace,
 from .values import (Int, Interval, IntervalSet, Node, Pair, Seq, Tup,
                      render, render_chain, render_set, sort_values, value_key)
 from .spaces import (DEFAULT_MAX_SPACE, Space, explicit, int_range,
-                     interval_sets_of, intervals_of, lazy_explicit, product,
-                     same_space)
+                     interval_sets_of, intervals_of, lazy_explicit,
+                     max_space, product, same_space)
 from .relations import (Relation, RelationFlags, from_pairs, identity,
                         pair_values)
 from .noether import (DEFAULT_FUEL, Chain, MAXDEPTH, NOETHERIAN,

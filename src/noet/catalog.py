@@ -26,7 +26,7 @@ from .errors import MalformedExpr, UnknownNamedFunction
 from .noether import (METHOD_CERTIFICATE, NOETHERIAN, NoetherianVerdict,
                       _find_cycle, is_noetherian)
 from .relations import Relation, from_pairs, pair_values
-from .spaces import DEFAULT_MAX_SPACE, Space, explicit
+from .spaces import Space, explicit
 from .values import (Int, Interval, IntervalSet, Node, Pair, Seq, Tup,
                      interval_strictly_within)
 
@@ -62,13 +62,12 @@ def _stamp(out: Relation, rule: str, *inputs: Relation) -> Relation:
     return out
 
 
-def certify(r: Relation, cap: int = DEFAULT_MAX_SPACE,
-            fuel: int | None = None) -> NoetherianVerdict:
+def certify(r: Relation, fuel: int | None = None) -> NoetherianVerdict:
     """A sound certificate is accepted outright. Claimed or absent:
     re-checked."""
     if r.cert is not None and r.cert.sound:
         return NoetherianVerdict(NOETHERIAN, None, METHOD_CERTIFICATE, 0)
-    return is_noetherian(r, cap, fuel)
+    return is_noetherian(r, fuel)
 
 
 # -- space shape guards: each raises MalformedExpr on a wrong space ----------
@@ -82,8 +81,7 @@ def _want_int_range(space: Space, rule: str, natural: bool = False) -> None:
                             f"got {space.describe()}")
 
 
-def _want_int_pairs(space: Space, rule: str, cap: int,
-                    natural: bool = False) -> None:
+def _want_int_pairs(space: Space, rule: str, natural: bool = False) -> None:
     ok = (space.kind == "product" and len(space.components) == 2
           and all(c.kind == "int_range" for c in space.components))
     if not ok:
@@ -94,23 +92,23 @@ def _want_int_pairs(space: Space, rule: str, cap: int,
                             f"got {space.describe()}")
 
 
-def _want_intervals(space: Space, rule: str, cap: int) -> None:
+def _want_intervals(space: Space, rule: str) -> None:
     if space.kind != "intervals_of":
         raise MalformedExpr(f"{rule} needs a space of subintervals, "
                             f"got {space.describe()}")
 
 
-def _want_interval_sets(space: Space, rule: str, cap: int) -> None:
+def _want_interval_sets(space: Space, rule: str) -> None:
     if space.kind != "interval_sets_of":
         raise MalformedExpr(f"{rule} needs a space of subinterval sets, "
                             f"got {space.describe()}")
 
 
-def _want_seq_sets(space: Space, rule: str, cap: int) -> None:
+def _want_seq_sets(space: Space, rule: str) -> None:
     if space.kind != "explicit":
         raise MalformedExpr(f"{rule} needs an explicit space of set-like "
                             f"sequences, got {space.describe()}")
-    for v in space.values(cap):
+    for v in space.values():
         if not isinstance(v, Seq):
             raise MalformedExpr(f"{rule} members must be sequences, got {v!r}")
         if any(v.items[i] >= v.items[i + 1] for i in range(len(v.items) - 1)):
@@ -124,26 +122,25 @@ def _leaf(space, succ, holds, name) -> Relation:
     return _stamp(Relation(space, space, succ, holds=holds, name=name), name)
 
 
-def _pulled_back(test, space, cap, fn=None):
+def _pulled_back(test, space, fn=None):
     """(succ, holds) for the pair test pulled back through fn over space:
     a steps to b when test(fn(a), fn(b)), with fn=None the identity.
     Successors are a lazy scan of the space in value order, so emptiness
     probes stop at the first hit."""
     if fn is None:
         def succ(a):
-            return (b for b in space.values(cap) if test(a, b))
+            return (b for b in space.values() if test(a, b))
         return succ, test
     def succ(a):
         fa = fn(a)
-        return (b for b in space.values(cap) if test(fa, fn(b)))
+        return (b for b in space.values() if test(fa, fn(b)))
     def holds(a, b):
         return test(fn(a), fn(b))
     return succ, holds
 
 
 def measure_descent(space: Space, measure, rule: str = "INDUCED",
-                    name: str | None = None,
-                    cap: int = DEFAULT_MAX_SPACE) -> Relation:
+                    name: str | None = None) -> Relation:
     """a steps to b when measure(b) < measure(a), for an integer measure.
 
     The first successor query measures the space once; then a value at the
@@ -157,7 +154,7 @@ def measure_descent(space: Space, measure, rule: str = "INDUCED",
     def succ(a):
         nonlocal table
         if table is None:
-            vals = space.values(cap)
+            vals = space.values()
             ms = [measure(v) for v in vals]
             table = (vals, ms, min(ms, default=0))
         vals, ms, low = table
@@ -192,7 +189,7 @@ _INT_WINDOWS = {
 }
 
 
-def _int_window(space, params, cap, *, rule):
+def _int_window(space, params, *, rule):
     natural, step, test = _INT_WINDOWS[rule]
     _want_int_range(space, rule, natural=natural)
     lo, hi = space.lo, space.hi
@@ -205,7 +202,7 @@ def _int_window(space, params, cap, *, rule):
 
 _want_natural_pairs = partial(_want_int_pairs, natural=True)
 
-# rule -> (guard(space, rule, cap), integer measure); each family steps to
+# rule -> (guard(space, rule), integer measure); each family steps to
 # a strictly smaller measure
 _MEASURES = {
     "INTDIFF": (_want_int_pairs,
@@ -221,13 +218,13 @@ _MEASURES = {
 }
 
 
-def _measure_family(space, params, cap, *, rule):
+def _measure_family(space, params, *, rule):
     guard, measure = _MEASURES[rule]
-    guard(space, rule, cap)
-    return measure_descent(space, measure, rule, cap=cap)
+    guard(space, rule)
+    return measure_descent(space, measure, rule)
 
 
-# rule -> (guard(space, rule, cap), pair test): the families that find
+# rule -> (guard(space, rule), pair test): the families that find
 # successors by a scan of the space, a strict subset or superset of a
 # set-like value
 _SCANNED = {
@@ -240,15 +237,15 @@ _SCANNED = {
 }
 
 
-def _scanned_family(space, params, cap, *, rule):
+def _scanned_family(space, params, *, rule):
     guard, test = _SCANNED[rule]
-    guard(space, rule, cap)
-    return _leaf(space, *_pulled_back(test, space, cap), rule)
+    guard(space, rule)
+    return _leaf(space, *_pulled_back(test, space), rule)
 
 
-def _supinterval(space, params, cap):
+def _supinterval(space, params):
     """Interval strictly shrinks, set-wise."""
-    _want_intervals(space, "SUPINTERVAL", cap)
+    _want_intervals(space, "SUPINTERVAL")
     lo, hi = space.lo, space.hi
     def succ(a):
         if a.empty:
@@ -264,9 +261,9 @@ def _supinterval(space, params, cap):
     return _leaf(space, succ, holds, "SUPINTERVAL")
 
 
-def _subinterval(space, params, cap):
+def _subinterval(space, params):
     """Interval strictly grows, set-wise, bounded by the window."""
-    _want_intervals(space, "SUBINTERVAL", cap)
+    _want_intervals(space, "SUBINTERVAL")
     lo, hi = space.lo, space.hi
     def succ(a):
         if a.empty:
@@ -283,7 +280,7 @@ def _subinterval(space, params, cap):
     return _leaf(space, succ, holds, "SUBINTERVAL")
 
 
-def _acyclic_edges(space, params, cap, *, flip: bool, rule: str):
+def _acyclic_edges(space, params, *, flip: bool, rule: str):
     edges = params.get("edges")
     if edges is None:
         raise MalformedExpr(f"{rule} needs an edges parameter")
@@ -299,12 +296,12 @@ def _acyclic_edges(space, params, cap, *, flip: bool, rule: str):
     return _stamp(out, rule)
 
 
-def _forest_maps(space, params, cap, rule):
+def _forest_maps(space, params, rule):
     parent = params.get("parent")
     if parent is None:
         raise MalformedExpr(f"{rule} needs a parent map")
     names = set()
-    for v in space.values(cap):
+    for v in space.values():
         if not isinstance(v, Node):
             raise MalformedExpr(f"{rule} space members must be nodes, got {v!r}")
         names.add(v.name)
@@ -331,8 +328,8 @@ def _depth(parent: dict, start, who: str = "") -> int:
     return d
 
 
-def _parent(space, params, cap):
-    parent, kids = _forest_maps(space, params, cap, "PARENT")
+def _parent(space, params):
+    parent, kids = _forest_maps(space, params, "PARENT")
     def succ(a):
         return [Node(c) for c in kids.get(a.name, ())]
     def holds(a, b):
@@ -340,8 +337,8 @@ def _parent(space, params, cap):
     return _leaf(space, succ, holds, "PARENT")
 
 
-def _child(space, params, cap):
-    parent, _ = _forest_maps(space, params, cap, "CHILD")
+def _child(space, params):
+    parent, _ = _forest_maps(space, params, "CHILD")
     def succ(a):
         p = parent.get(a.name)
         return (Node(p),) if p is not None else ()
@@ -350,8 +347,8 @@ def _child(space, params, cap):
     return _leaf(space, succ, holds, "CHILD")
 
 
-def _transitive(space, params, cap, *, step, rule):
-    base = step(space, params, cap)
+def _transitive(space, params, *, step, rule):
+    base = step(space, params)
     r = base.plus()
     r.name = rule
     return _stamp(r, rule, base)
@@ -390,15 +387,14 @@ def check_params(name: str, given) -> None:
         raise MalformedExpr(f"{name} does not take: {', '.join(extra)}")
 
 
-def named(name: str, space: Space, cap: int = DEFAULT_MAX_SPACE,
-          **params) -> Relation:
+def named(name: str, space: Space, **params) -> Relation:
     """One of the named families, validated against the space shape."""
     entry = _BUILDERS.get(name)
     if entry is None:
         raise MalformedExpr(f"unknown named relation: {name!r}")
     if params:
         check_params(name, params)
-    return entry[0](space, params, cap)
+    return entry[0](space, params)
 
 
 # -- combining constructors ---------------------------------------------------
@@ -427,16 +423,16 @@ def restrict_to(keep, r: Relation) -> Relation:
     return _stamp(r.restrict(keep), "RESTRICT", r)
 
 
-def inverse_of(r: Relation, cap: int = DEFAULT_MAX_SPACE) -> Relation:
-    return _stamp(r.inverse(cap), "INVERSE", r)
+def inverse_of(r: Relation) -> Relation:
+    return _stamp(r.inverse(), "INVERSE", r)
 
 
-def induced(fn, over: Relation, space: Space, fn_name: str | None = None,
-            cap: int = DEFAULT_MAX_SPACE) -> Relation:
+def induced(fn, over: Relation, space: Space,
+            fn_name: str | None = None) -> Relation:
     """Pull a relation back through a function: a steps to b when fn(a)
     steps to fn(b) in the underlying relation. fn=None is the identity,
     which restricts the relation's own pair test to space."""
-    succ, holds = _pulled_back(over._holds_fn or over.holds, space, cap, fn)
+    succ, holds = _pulled_back(over._holds_fn or over.holds, space, fn)
     label = f"induced[{fn_name}]" if fn_name else "induced"
     out = Relation(space, space, succ, holds=holds, name=label)
     return _stamp(out, "INDUCED", over)
@@ -456,15 +452,14 @@ def component_of(v, i: int):
     raise MalformedExpr(f"value {v!r} has no components")
 
 
-def projection(i: int, comp: Relation, space: Space,
-               cap: int = DEFAULT_MAX_SPACE) -> Relation:
+def projection(i: int, comp: Relation, space: Space) -> Relation:
     """Compare one coordinate of a product space by a component relation:
     the component relation pulled back through the coordinate."""
     if space.kind != "product":
         raise MalformedExpr("projection needs a product space")
     if not (0 <= i < len(space.components)):
         raise MalformedExpr(f"product has no component {i}")
-    out = induced(partial(component_of, i=i), comp, space, cap=cap)
+    out = induced(partial(component_of, i=i), comp, space)
     out.name = f"projection[{i}]"
     return _stamp(out, "PROJECTION", comp)
 

@@ -25,7 +25,7 @@ from .noether import (DEFAULT_FUEL, MAXDEPTH, NOETHERIAN, NOT_NOETHERIAN,
                       limit_from)
 from .serialize import (canonical_json, load_json, parse_loop_file,
                         parse_relation_file, parse_value, value_doc)
-from .spaces import DEFAULT_MAX_SPACE, same_space
+from .spaces import DEFAULT_MAX_SPACE, max_space, same_space
 from .values import Int, Node, render, render_set
 
 _MODES = {"maxdepth": MAXDEPTH, "minima": REACHABLE_MINIMA}
@@ -44,7 +44,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--fuel", type=int, default=DEFAULT_FUEL,
                         help="step budget for unbounded explorations")
     common.add_argument("--max-space", type=int, default=DEFAULT_MAX_SPACE,
-                        help="largest space the tool will enumerate")
+                        help="most values enumerated from any one space")
 
     top = argparse.ArgumentParser(
         prog="noet",
@@ -138,8 +138,8 @@ def _example_params(args) -> dict:
 # -- relation subcommands -------------------------------------------------------
 
 def _cmd_check(args) -> tuple:
-    _, rel = parse_relation_file(load_json(args.file), cap=args.max_space)
-    verdict = is_noetherian(rel, cap=args.max_space, fuel=args.fuel)
+    _, rel = parse_relation_file(load_json(args.file))
+    verdict = is_noetherian(rel, fuel=args.fuel)
     witness = verdict.witness
     doc = {"status": verdict.status, "method": verdict.method,
            "explored": verdict.explored,
@@ -152,7 +152,7 @@ def _cmd_check(args) -> tuple:
 def _relation_and_start(args):
     """The relation file's relation and the --from value; height_from
     refuses a value outside the relation's space."""
-    _, rel = parse_relation_file(load_json(args.file), cap=args.max_space)
+    _, rel = parse_relation_file(load_json(args.file))
     return rel, _parse_value_arg(args.from_value)
 
 
@@ -172,13 +172,11 @@ def _cmd_height(args) -> tuple:
 
 
 def _cmd_seed(args) -> tuple:
-    small_space, small = parse_relation_file(load_json(args.small),
-                                             cap=args.max_space)
-    big_space, big = parse_relation_file(load_json(args.big),
-                                         cap=args.max_space)
+    small_space, small = parse_relation_file(load_json(args.small))
+    big_space, big = parse_relation_file(load_json(args.big))
     if not same_space(small_space, big_space):
         raise MalformedExpr("the two relation files use different spaces")
-    report = is_seed(small, big, cap=args.max_space)
+    report = is_seed(small, big)
     sw = report.subset_witness
     doc = {"holds": report.holds,
            "subset_witness": ([value_doc(sw[0]), value_doc(sw[1])]
@@ -198,8 +196,7 @@ def _load_target(args, *, check: bool):
         inst = examples_mod.instantiate(target, **_example_params(args))
         return inst.loop, inst
     if os.path.exists(target):
-        loop = parse_loop_file(load_json(target), cap=args.max_space,
-                               check=check, fuel=args.fuel)
+        loop = parse_loop_file(load_json(target), check=check, fuel=args.fuel)
         return loop, None
     raise MalformedExpr(f"{target!r} is neither an example name nor a file")
 
@@ -209,7 +206,7 @@ def _pick_input(args, loop, inst):
         return _parse_value_arg(args.input)
     if inst is not None:
         return inst.input
-    served = served_inputs(loop, args.max_space)
+    served = served_inputs(loop)
     if len(served) == 1:
         return served[0]
     raise MalformedExpr("loop has several possible inputs; pass --input")
@@ -271,9 +268,8 @@ def _cmd_verify(args) -> tuple:
     loop, inst = _load_target(args, check=False)
     # default: sweep every input the initialization serves
     inputs = [_parse_value_arg(args.input)] if args.input is not None else None
-    report = verify(loop, inputs=inputs,
-                    ctx=inst.ctx if inst is not None else None,
-                    cap=args.max_space, fuel=args.fuel)
+    report = verify(loop, inputs=inputs, fuel=args.fuel,
+                    ctx=inst.ctx if inst is not None else None)
     return (0 if report.passed else 1), _report_doc(report), report.render()
 
 
@@ -288,8 +284,7 @@ def _verify_gcd_sweep(args) -> tuple:
     reports = []
     for g in gs:
         inst = examples_mod.instantiate("gcd", a=g, b=g, bound=bound)
-        reports.append((g, verify(inst.loop, ctx=inst.ctx,
-                                  cap=args.max_space, fuel=args.fuel)))
+        reports.append((g, verify(inst.loop, ctx=inst.ctx, fuel=args.fuel)))
     total = sum(r.inputs_checked for _, r in reports)
     ok = all(r.passed for _, r in reports)
     doc = {"target": "gcd", "passed": ok, "inputs_checked": total,
@@ -343,7 +338,8 @@ _COMMANDS = {
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        code, doc, text = _COMMANDS[args.command](args)
+        with max_space(args.max_space):
+            code, doc, text = _COMMANDS[args.command](args)
     except Refuted as exc:
         print(f"check failed: {exc}", file=sys.stderr)
         return 1

@@ -20,8 +20,8 @@ from .errors import ParameterOutOfRange
 from . import oracles
 from .loops import LoopDef, make_loop
 from .relations import Relation
-from .spaces import (explicit, int_range, interval_sets_of, intervals_of,
-                     lazy_explicit, product)
+from .spaces import (current_max_space, explicit, int_range,
+                     interval_sets_of, intervals_of, lazy_explicit, product)
 from .values import (Int, Interval, IntervalSet, Node, Pair, Seq, Tup,
                      sort_values, value_key)
 
@@ -45,7 +45,10 @@ class ExampleInstance:
 
 
 def _as_items(t) -> tuple:
-    items = tuple(t)
+    try:
+        items = tuple(t)
+    except TypeError:
+        raise ParameterOutOfRange(f"an array is a sequence, got {t!r}") from None
     for v in items:
         if not isinstance(v, int) or isinstance(v, bool):
             raise ParameterOutOfRange(f"array items must be integers, got {v!r}")
@@ -76,8 +79,8 @@ def _partition_run(items, lo, hi, pivot):
 
 # -- gcd -----------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
-def _gcd_core(g: int, bound: int, check: bool) -> LoopDef:
+@lru_cache(maxsize=None)   # max_space, the cap in force, only keys the cache
+def _gcd_core(g: int, bound: int, check: bool, max_space: int) -> LoopDef:
     base = product(int_range(1, bound), int_range(1, bound))
 
     def in_class(v):
@@ -116,19 +119,15 @@ def _gcd_core(g: int, bound: int, check: bool) -> LoopDef:
 
 
 def _gcd_instance(params, check):
-    a = params["a"]
-    b = params["b"]
-    if not (isinstance(a, int) and isinstance(b, int)) or a < 1 or b < 1:
+    a, b = params["a"], params["b"]
+    if a < 1 or b < 1:
         raise ParameterOutOfRange("gcd needs positive integers a and b")
-    bound = params.get("bound")
-    if bound is None:
-        bound = max(a, b)
+    bound = max(a, b) if params.get("bound") is None else params["bound"]
     if bound < max(a, b):
         raise ParameterOutOfRange("gcd bound must cover both inputs")
-    g = math.gcd(a, b)
     if check is None:
         check = bound <= 32
-    loop = _gcd_core(g, bound, check)
+    loop = _gcd_core(math.gcd(a, b), bound, check, current_max_space())
     return ExampleInstance(
         name="gcd", loop=loop, input=Pair(Int(a), Int(b)), ctx={},
         chooser=None, variant=lambda s: max(s.first.value, s.second.value),
@@ -140,7 +139,7 @@ def _gcd_instance(params, check):
 def _seq_search_instance(params, check):
     if check is None:
         check = True
-    t = _as_items(params["t"])
+    t = params["t"]
     x = params["x"]
     n = len(t)
     prefixes = []
@@ -181,7 +180,7 @@ def _interval_slice(t, interval):
 def _gsi_instance(params, check):
     if check is None:
         check = True
-    t = _as_items(params["t"])
+    t = params["t"]
     x = params["x"]
     n = len(t)
     present = x in t
@@ -228,7 +227,7 @@ def _gsi_instance(params, check):
 # -- general search, interval set model --------------------------------------------
 
 def _gsis_instance(params, check):
-    t = _as_items(params["t"])
+    t = params["t"]
     x = params["x"]
     n = len(t)
     eligible = tuple(sort_values(
@@ -315,7 +314,7 @@ def _partition_space(t, pivot):
 
 
 def _partition_instance(params, check):
-    t = _as_items(params["t"])
+    t = params["t"]
     pivot = params["pivot"]
     n = len(t)
     space = _partition_space(t, pivot)
@@ -399,7 +398,7 @@ def _lamsort_apply(state, block):
 
 
 def _lamsort_instance(params, check):
-    t = _as_items(params["t"])
+    t = params["t"]
     n = len(t)
     space = _lamsort_space(t)
 
@@ -439,8 +438,9 @@ def _lamsort_instance(params, check):
 _SEARCH = (("t", "ints"), ("x", "int"))
 
 # name -> (builder(params, check), parameters as (flag, kind), summary);
-# a kind is int, int? (optional) or ints (a tuple of integers), and the
-# command line takes its example flags and listing from here
+# a kind is int (not a bool), int? (optional) or ints (a tuple of ints).
+# instantiate checks each, and the command line takes its example flags
+# and listing from here
 EXAMPLES = {
     "gcd": (_gcd_instance, (("a", "int"), ("b", "int"), ("bound", "int?")),
             "subtractive gcd on pairs sharing a gcd, ordered by max"),
@@ -476,4 +476,10 @@ def instantiate(name: str, *, check: bool | None = None,
     if extra:
         raise ParameterOutOfRange(
             f"{name} does not take: {', '.join(sorted(extra))}")
+    for flag, kind in flags:
+        v = params.get(flag)
+        if kind == "ints":
+            params[flag] = _as_items(v)
+        elif type(v) is not int and not (v is None and kind == "int?"):
+            raise ParameterOutOfRange(f"{flag} must be an integer, got {v!r}")
     return build(params, check)

@@ -21,7 +21,7 @@ from .errors import (BodyNotSubsetOfOrder, DomainMismatch, EmptySpace,
 from .noether import (DEFAULT_FUEL, NOETHERIAN, REACHABLE_MINIMA,
                       is_seed, limit_relation, minima)
 from .relations import Relation, is_minimal, least_failing
-from .spaces import DEFAULT_MAX_SPACE, Space, same_space
+from .spaces import Space, same_space
 from .values import Int, render, render_chain, render_set, value_key
 
 
@@ -53,7 +53,6 @@ class ExecTrace:
 
 def make_loop(space: Space, order: Relation, init: Relation, body: Relation,
               postcondition: str | None = None, *, check: bool = True,
-              cap: int = DEFAULT_MAX_SPACE,
               fuel: int | None = None) -> LoopDef:
     """Assemble and, unless told otherwise, prove the construction
     obligations. check=False keeps only the cheap shape guards, for bulk
@@ -65,18 +64,18 @@ def make_loop(space: Space, order: Relation, init: Relation, body: Relation,
     if not same_space(init.target, space):
         raise SpaceMismatch("initialization must land in the loop space")
     if check:
-        if not space.values(cap):
+        if not space.values():
             raise EmptySpace()
-        escape = _init_escape(init, space, cap)
+        escape = _init_escape(init, space)
         if escape is not None:
             raise InitEscapesSpace(witness=escape)
-        report = is_seed(body, order, cap)
+        report = is_seed(body, order)
         if not report.holds:
             if report.subset_witness is not None:
                 raise BodyNotSubsetOfOrder(witness=report.subset_witness)
             raise DomainMismatch(witness=report.domain_witness,
                                  side=report.domain_side)
-        verdict = certify(order, cap, fuel)
+        verdict = certify(order, fuel)
         if verdict.status != NOETHERIAN:
             raise OrderNotNoetherian(
                 witness=verdict.witness.render() if verdict.witness else None)
@@ -84,20 +83,20 @@ def make_loop(space: Space, order: Relation, init: Relation, body: Relation,
                    postcondition=postcondition)
 
 
-def _init_escape(init: Relation, space: Space, cap: int):
+def _init_escape(init: Relation, space: Space):
     """The initial state of the least init pair that leaves space, or None."""
-    pair = least_failing(init.pairs(cap), lambda a, b: space.contains(b))
+    pair = least_failing(init.pairs(), lambda a, b: space.contains(b))
     return None if pair is None else pair[1]
 
 
-def exit_condition(loop: LoopDef, cap: int = DEFAULT_MAX_SPACE) -> list:
+def exit_condition(loop: LoopDef) -> list:
     """States the body cannot leave, canonically sorted."""
-    return minima(loop.body, cap)
+    return minima(loop.body)
 
 
-def served_inputs(loop: LoopDef, cap: int = DEFAULT_MAX_SPACE) -> list:
+def served_inputs(loop: LoopDef) -> list:
     """Inputs the initialization maps to some start state, sorted."""
-    return [v for v in loop.init.source.values(cap)
+    return [v for v in loop.init.source.values()
             if not is_minimal(loop.init, v)]
 
 
@@ -220,11 +219,11 @@ def terminals_of(loop: LoopDef, input_value,
 
 # -- denotations ----------------------------------------------------------------
 
-def denotation_closure(loop: LoopDef, cap: int = DEFAULT_MAX_SPACE):
+def denotation_closure(loop: LoopDef):
     """(full, terminal): inputs related to every reachable state, and the
     same cut down to exit states."""
     full = loop.init.compose(loop.body.star())
-    exits = frozenset(exit_condition(loop, cap))
+    exits = frozenset(exit_condition(loop))
     def succ(inp):
         return [s for s in full._succ(inp) if s in exits]
     terminal = Relation(loop.init.source, loop.space, succ,
@@ -232,10 +231,9 @@ def denotation_closure(loop: LoopDef, cap: int = DEFAULT_MAX_SPACE):
     return full, terminal
 
 
-def denotation_limit(loop: LoopDef, cap: int = DEFAULT_MAX_SPACE,
-                     fuel: int | None = None) -> Relation:
+def denotation_limit(loop: LoopDef) -> Relation:
     """Initialization composed with the body's limit."""
-    lim = limit_relation(loop.body, REACHABLE_MINIMA, cap, fuel)
+    lim = limit_relation(loop.body, REACHABLE_MINIMA)
     return loop.init.compose(lim)
 
 
@@ -274,35 +272,34 @@ class VerificationReport:
 
 
 def verify(loop: LoopDef, inputs=None, *, ctx: dict | None = None,
-           cap: int = DEFAULT_MAX_SPACE,
            fuel: int = DEFAULT_FUEL) -> VerificationReport:
     """Prove every obligation on an enumerable instance.
 
     inputs defaults to the initialized part of the input space. ctx carries
     oracle context (the loop itself is added under "loop")."""
     results = []
-    space_values = loop.space.values(cap)
+    space_values = loop.space.values()
     results.append(ObligationResult(
         "space_nonempty", bool(space_values), f"{len(space_values)} states"))
 
-    escape = _init_escape(loop.init, loop.space, cap)
+    escape = _init_escape(loop.init, loop.space)
     results.append(ObligationResult(
         "init_range", escape is None,
         "" if escape is None else f"initial state {render(escape)} outside the space"))
 
-    verdict = certify(loop.order, cap)
+    verdict = certify(loop.order)
     results.append(ObligationResult(
         "order_noetherian", verdict.status == NOETHERIAN, verdict.render()))
 
-    seed = is_seed(loop.body, loop.order, cap)
+    seed = is_seed(loop.body, loop.order)
     results.append(ObligationResult("body_is_seed", seed.holds,
                                     "" if seed.holds else seed.render()))
 
-    exits = exit_condition(loop, cap)
+    exits = exit_condition(loop)
     results.append(ObligationResult(
         "exit_nonempty", bool(exits), f"{len(exits)} exit states"))
 
-    inputs = served_inputs(loop, cap) if inputs is None else list(inputs)
+    inputs = served_inputs(loop) if inputs is None else list(inputs)
 
     oracle_ok = True
     oracle_detail = "no oracle named" if loop.postcondition is None else ""
@@ -311,8 +308,8 @@ def verify(loop: LoopDef, inputs=None, *, ctx: dict | None = None,
 
     agree_ok = True
     agree_detail = ""
-    _, terminal_rel = denotation_closure(loop, cap)
-    limit_rel = denotation_limit(loop, cap)
+    _, terminal_rel = denotation_closure(loop)
+    limit_rel = denotation_limit(loop)
 
     for inp in inputs:
         ts = terminals_of(loop, inp, fuel=fuel)
@@ -342,13 +339,13 @@ def verify(loop: LoopDef, inputs=None, *, ctx: dict | None = None,
 
 # -- classical variants ------------------------------------------------------------
 
-def variant_to_relation(f, space: Space, *, fn_name: str | None = None,
-                        cap: int = DEFAULT_MAX_SPACE) -> Relation:
+def variant_to_relation(f, space: Space, *,
+                        fn_name: str | None = None) -> Relation:
     """Turn a natural-valued measure into the strict descent relation it
     induces on a space. Total and non-negative, or it is no variant."""
     raw = f.get if isinstance(f, dict) else f
     measure = {}
-    for v in space.values(cap):
+    for v in space.values():
         got = raw(v)
         if isinstance(got, Int):
             got = got.value
@@ -358,4 +355,4 @@ def variant_to_relation(f, space: Space, *, fn_name: str | None = None,
             raise NegativeVariantValue(witness=v, value=got)
         measure[v] = got
     name = f"variant[{fn_name}]" if fn_name else "variant"
-    return measure_descent(space, measure.__getitem__, name=name, cap=cap)
+    return measure_descent(space, measure.__getitem__, name=name)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from .errors import (FuelExhausted, NotNoetherian, SpaceMismatch,
                      SpaceTooLarge, ValueOutsideSpace)
 from .relations import Relation, after, is_minimal, reach
-from .spaces import DEFAULT_MAX_SPACE, same_space
+from .spaces import same_space
 # value_key is unused here but stays bound: perfbench's tracer test expects
 # this module to hold the name it wraps
 from .values import render_chain, sort_values, value_key  # noqa: F401
@@ -142,8 +142,7 @@ def _find_cycle(r: Relation, starts, fuel: int | None):
     return "clear", None, explored
 
 
-def is_noetherian(r: Relation, cap: int = DEFAULT_MAX_SPACE,
-                  fuel: int | None = None) -> NoetherianVerdict:
+def is_noetherian(r: Relation, fuel: int | None = None) -> NoetherianVerdict:
     """Certify absence of infinite descent.
 
     Enumerable source: exhaustive, every value is a root, fuel ignored.
@@ -153,7 +152,7 @@ def is_noetherian(r: Relation, cap: int = DEFAULT_MAX_SPACE,
     if not same_space(r.source, r.target):
         raise SpaceMismatch("termination checks need matching source and target")
     try:
-        starts = r.source.values(cap)
+        starts = r.source.values()
         method = METHOD_EXHAUSTIVE
         budget = None
     except SpaceTooLarge:
@@ -244,8 +243,8 @@ def reachable_from(r: Relation, a, fuel: int | None = None) -> frozenset:
     return frozenset(reach(r, (a,), fuel))
 
 
-def minima(r: Relation, cap: int = DEFAULT_MAX_SPACE) -> list:
-    return [a for a in r.source.values(cap) if is_minimal(r, a)]
+def minima(r: Relation) -> list:
+    return [a for a in r.source.values() if is_minimal(r, a)]
 
 
 # -- the limit operator ------------------------------------------------------
@@ -277,37 +276,31 @@ def limit_from(r: Relation, a, mode: str = REACHABLE_MINIMA,
                        if heights[v] == 0)
 
 
-def limit_relation(r: Relation, mode: str = REACHABLE_MINIMA,
-                   cap: int = DEFAULT_MAX_SPACE,
-                   fuel: int | None = None) -> Relation:
+def limit_relation(r: Relation, mode: str = REACHABLE_MINIMA) -> Relation:
     """The limit as a relation over r's space, materialized here: each
-    start steps to its limit_from values.
-
-    fuel applies to each start's limit_from on its own; heights settled
-    for one start are reused, and not charged, for the next.
-    """
+    start steps to its limit_from values, with heights settled for one
+    start reused for the next."""
     if not same_space(r.source, r.target):
         raise SpaceMismatch("limits need matching source and target")
-    lim = Relation(r.source, r.source, lambda a: limit_from(r, a, mode, fuel),
+    lim = Relation(r.source, r.source, lambda a: limit_from(r, a, mode),
                    name=f"limit[{mode}]")
-    lim.pairs(cap)
+    lim.pairs()
     return lim
 
 
 # -- seeds -----------------------------------------------------------------
 
-def is_seed(body: Relation, order: Relation,
-            cap: int = DEFAULT_MAX_SPACE) -> SeedReport:
+def is_seed(body: Relation, order: Relation) -> SeedReport:
     """body is a seed of order: body subset of order, equal domains."""
     if not (same_space(body.source, order.source)
             and same_space(body.target, order.target)):
         raise SpaceMismatch("seed test needs relations over one space")
-    ok, witness = body.is_subset_of(order, cap)
+    ok, witness = body.is_subset_of(order)
     if not ok:
         return SeedReport(False, subset_witness=witness)
     # walk the space once; is_minimal stops at the first successor, so
     # dense orders never get materialized here
-    for a in body.source.values(cap):
+    for a in body.source.values():
         in_body = not is_minimal(body, a)
         in_order = not is_minimal(order, a)
         if in_body and not in_order:

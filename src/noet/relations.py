@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import FuelExhausted, SpaceMismatch, ValueOutsideSpace
-from .spaces import DEFAULT_MAX_SPACE, Space, same_space
+from .spaces import Space, same_space
 from .values import sort_values, sorted_unique, value_key
 
 
@@ -80,14 +80,14 @@ class Relation:
 
     # -- materialization ----------------------------------------------------
 
-    def pairs(self, cap: int = DEFAULT_MAX_SPACE) -> frozenset:
+    def pairs(self) -> frozenset:
         """The pair set, walking the source space once on first use; the
         same walk caches each value's successors as the function yields
         them."""
         if self._pairs is None:
             got = set()
             adj = {}
-            for a in self.source.values(cap):
+            for a in self.source.values():
                 bs = adj[a] = list(self._succ_fn(a))
                 for b in bs:
                     got.add((a, b))
@@ -95,17 +95,17 @@ class Relation:
             self._pairs = frozenset(got)
         return self._pairs
 
-    def sorted_pairs(self, cap: int = DEFAULT_MAX_SPACE) -> list:
-        return sorted(self.pairs(cap), key=_pair_key)
+    def sorted_pairs(self) -> list:
+        return sorted(self.pairs(), key=_pair_key)
 
-    def domain(self, cap: int = DEFAULT_MAX_SPACE) -> frozenset:
-        return frozenset(a for a, _ in self.pairs(cap))
+    def domain(self) -> frozenset:
+        return frozenset(a for a, _ in self.pairs())
 
     # -- algebra ---------------------------------------------------------
 
-    def inverse(self, cap: int = DEFAULT_MAX_SPACE) -> "Relation":
+    def inverse(self) -> "Relation":
         """Pair-swapped relation, over this relation's pair set."""
-        flipped = ((b, a) for a, b in self.pairs(cap))
+        flipped = ((b, a) for a, b in self.pairs())
         return from_pairs(self.target, self.source, flipped, check=False,
                           name=_derived_name("inverse", self.name))
 
@@ -170,24 +170,23 @@ class Relation:
         return Relation(self.source, self.target, succ,
                         name=_derived_name("star", self.name))
 
-    def is_subset_of(self, other: "Relation", cap: int = DEFAULT_MAX_SPACE):
+    def is_subset_of(self, other: "Relation"):
         """(True, None) or (False, witness_pair), the witness being the
-        least pair of self that other lacks. A relation is a subset of
-        itself once its pairs enumerate within cap, since holds agrees
-        with the successor function."""
-        pairs = self.pairs(cap)
+        least pair of self that other lacks. A relation whose pairs
+        enumerate is its own subset: holds agrees with the successors."""
+        pairs = self.pairs()
         if other is self:
             return True, None
         witness = least_failing(pairs, other._holds_fn or other.holds)
         return witness is None, witness
 
-    def same_pairs(self, other: "Relation", cap: int = DEFAULT_MAX_SPACE) -> bool:
-        return self.pairs(cap) == other.pairs(cap)
+    def same_pairs(self, other: "Relation") -> bool:
+        return self.pairs() == other.pairs()
 
     # -- classification -----------------------------------------------------
 
-    def classify(self, cap: int = DEFAULT_MAX_SPACE) -> RelationFlags:
-        ps = self.pairs(cap)
+    def classify(self) -> RelationFlags:
+        ps = self.pairs()
         irreflexive = all(a != b for a, b in ps)
         asymmetric = all((b, a) not in ps for a, b in ps)
         adj = {}

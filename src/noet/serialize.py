@@ -24,8 +24,8 @@ from . import catalog
 from .errors import MalformedExpr
 from .loops import LoopDef, make_loop
 from .relations import Relation, from_pairs
-from .spaces import (DEFAULT_MAX_SPACE, Space, explicit, int_range,
-                     interval_sets_of, intervals_of, product)
+from .spaces import (Space, explicit, int_range, interval_sets_of,
+                     intervals_of, product)
 from .values import (Int, Interval, IntervalSet, Node, Pair, Seq, Tup,
                      sort_values, value_key)
 
@@ -290,30 +290,30 @@ def parse_expr(doc) -> tuple:
     return kind, fields
 
 
-def build(tree, space: Space, cap: int = DEFAULT_MAX_SPACE) -> Relation:
+def build(tree, space: Space) -> Relation:
     """The relation a parsed expression denotes over one space."""
     kind, f = tree
     if kind == "extensional":
         return from_pairs(space, space, f["pairs"])
     if kind == "named":
         params = {k: f[k] for k in ("edges", "parent") if k in f}
-        return catalog.named(f["name"], space, cap=cap, **params)
+        return catalog.named(f["name"], space, **params)
     if kind == "closure":
-        return catalog.closure_of(build(f["of"], space, cap))
+        return catalog.closure_of(build(f["of"], space))
     if kind == "inverse":
-        return catalog.inverse_of(build(f["of"], space, cap), cap)
+        return catalog.inverse_of(build(f["of"], space))
     if kind == "compose":
-        return catalog.compose_rel(build(f["first"], space, cap),
-                                   build(f["second"], space, cap))
+        return catalog.compose_rel(build(f["first"], space),
+                                   build(f["second"], space))
     if kind == "restrict":
-        return catalog.restrict_to(f["keep"], build(f["of"], space, cap))
+        return catalog.restrict_to(f["keep"], build(f["of"], space))
     if kind == "subrel":
-        return catalog.subrel(build(f["of"], space, cap), f["pairs"])
+        return catalog.subrel(build(f["of"], space), f["pairs"])
     # induced and projection read their operand over a space of its own
-    over = build(f["over"], f["over_space"], cap)
+    over = build(f["over"], f["over_space"])
     if kind == "induced":
         fn = catalog.resolve_function(f["fn"], parent=f.get("parent"))
-        return catalog.induced(fn, over, space, fn_name=f["fn"], cap=cap)
+        return catalog.induced(fn, over, space, fn_name=f["fn"])
     return catalog.projection(f["component"], over, space)
 
 
@@ -324,12 +324,12 @@ def emit(tree) -> dict:
     return {"kind": kind, **_emit_fields(fields, _REL_GRAMMAR[kind])}
 
 
-def parse_rel(doc, space: Space, cap: int = DEFAULT_MAX_SPACE) -> Relation:
-    return build(parse_expr(doc), space, cap)
+def parse_rel(doc, space: Space) -> Relation:
+    return build(parse_expr(doc), space)
 
 
-def rel_doc_extensional(r: Relation, cap: int = DEFAULT_MAX_SPACE) -> dict:
-    pairs = r.sorted_pairs(cap)
+def rel_doc_extensional(r: Relation) -> dict:
+    pairs = r.sorted_pairs()
     return {"kind": "extensional",
             "pairs": [[value_doc(a), value_doc(b)] for a, b in pairs]}
 
@@ -342,22 +342,21 @@ def _parse_file(doc, kind) -> dict:
     return _parse_fields(doc, _FILE_GRAMMAR[kind], kind)
 
 
-def parse_relation_file(doc, cap: int = DEFAULT_MAX_SPACE):
+def parse_relation_file(doc):
     f = _parse_file(doc, "relation file")
-    return f["space"], build(f["relation"], f["space"], cap)
+    return f["space"], build(f["relation"], f["space"])
 
 
-def parse_loop_file(doc, cap: int = DEFAULT_MAX_SPACE, *,
-                    check: bool = True, fuel=None) -> LoopDef:
+def parse_loop_file(doc, *, check: bool = True, fuel=None) -> LoopDef:
     f = _parse_file(doc, "loop file")
     space = f["space"]
-    order = build(f["order"], space, cap)
+    order = build(f["order"], space)
     init = from_pairs(f.get("input_space", space), space,
                       f["init"][1]["pairs"])
-    body = build(f["body"], space, cap)
+    body = build(f["body"], space)
     return make_loop(space, order, init, body,
                      postcondition=f.get("postcondition"),
-                     check=check, cap=cap, fuel=fuel)
+                     check=check, fuel=fuel)
 
 
 def normalize_file(doc) -> dict:

@@ -1,15 +1,18 @@
 """Finite state spaces: enumerable, duplicate-free, with direct membership tests.
 
-Enumeration is canonical (sorted by value_key) and cached. A space's size
-is what its definition gives exactly, or else the count of what it
-generates, so `values(cap)` answers the same whatever ran before: a known
-size over the cap refuses at once, and an unknown one refuses once cap + 1
-distinct members have been generated. A refused space still answers
-membership; bounded exploration in noether relies on that.
+Enumeration is canonical (sorted by value_key), cached, and capped by one
+setting: `max_space(n)` sets it for a block, Space.values reads it, and
+examples._gcd_core keys its cache by it. A size is exact, by definition or
+by count, so `values()` answers the same under one cap whatever ran before:
+a known size over the cap refuses at once, an unknown one after cap + 1
+distinct members. Membership never consults the cap; bounded exploration
+in noether relies on that.
 """
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import itertools
 import math
 
@@ -18,6 +21,20 @@ from .values import (Int, Pair, Interval, IntervalSet, Tup, is_value,
                      sort_values, sorted_unique, value_key)
 
 DEFAULT_MAX_SPACE = 100_000
+
+_MAX_SPACE = contextvars.ContextVar("max_space", default=DEFAULT_MAX_SPACE)
+current_max_space = _MAX_SPACE.get   # the cap in force
+
+
+@contextlib.contextmanager
+def max_space(n: int):
+    """Enumerate at most n values per space inside the block."""
+    token = _MAX_SPACE.set(n)
+    try:
+        yield
+    finally:
+        _MAX_SPACE.reset(token)
+
 
 _GENERATED_IN_ORDER = frozenset({"int_range", "product"})
 
@@ -49,8 +66,8 @@ def _interval_sets(lo: int, hi: int):
 class Space:
     """One finite collection of values. Construct through the module functions."""
 
-    __slots__ = ("kind", "lo", "hi", "components", "_values", "_value_set",
-                 "_factory", "_contains", "_label")
+    __slots__ = ("kind", "lo", "hi", "components", "_values", "_factory",
+                 "_contains", "_label")
 
     def __init__(self, kind, **kw):
         self.kind = kind
@@ -58,7 +75,6 @@ class Space:
         self.hi = kw.get("hi")
         self.components = kw.get("components")
         self._values = kw.get("values")
-        self._value_set = None
         self._factory = kw.get("factory")
         self._contains = kw.get("contains")
         self._label = kw.get("label")
@@ -91,14 +107,15 @@ class Space:
             return 2 ** nonempty if nonempty <= 64 else math.inf
         return None
 
-    def values(self, cap: int = DEFAULT_MAX_SPACE) -> tuple:
-        """Every value, canonically sorted; more than cap, cached or not,
-        raises SpaceTooLarge."""
+    def values(self) -> tuple:
+        """Every value, canonically sorted; more than the cap in force,
+        cached or not, raises SpaceTooLarge."""
+        cap = _MAX_SPACE.get()
         if self._values is None:
             n = self.size()
             if n is not None and n > cap:
                 raise SpaceTooLarge(n, cap)
-            out = self._generate(cap)
+            out = self._generate()
             if n is None:
                 seen = {}   # distinct members, in the order generated
                 for v in out:
@@ -116,12 +133,12 @@ class Space:
             raise SpaceTooLarge(len(self._values), cap)
         return self._values
 
-    def _generate(self, cap):
+    def _generate(self):
         k = self.kind
         if k == "int_range":
             return (Int(i) for i in range(self.lo, self.hi + 1))
         if k == "product":
-            parts = [c.values(cap) for c in self.components]
+            parts = [c.values() for c in self.components]
             if len(parts) == 2:
                 return (Pair(a, b) for a, b in itertools.product(*parts))
             return (Tup(items) for items in itertools.product(*parts))
@@ -139,11 +156,6 @@ class Space:
             return self._factory()
         raise AssertionError(self.kind)
 
-    def value_set(self, cap: int = DEFAULT_MAX_SPACE) -> frozenset:
-        if self._value_set is None:
-            self._value_set = frozenset(self.values(cap))
-        return self._value_set
-
     # -- membership ------------------------------------------------------
 
     def contains(self, v) -> bool:
@@ -151,9 +163,7 @@ class Space:
         if k == "int_range":
             return isinstance(v, Int) and self.lo <= v.value <= self.hi
         if k == "explicit":
-            if self._contains is not None:
-                return is_value(v) and self._contains(v)
-            return v in self.value_set()
+            return is_value(v) and self._contains(v)
         if k == "product":
             cs = self.components
             if len(cs) == 2:
@@ -175,26 +185,28 @@ class Space:
         raise AssertionError(self.kind)
 
     def sample_values(self, k: int = 8) -> list:
-        """Small deterministic probe set; used when enumeration is off the table."""
-        n = self.size()
-        if n is not None and n <= DEFAULT_MAX_SPACE:
-            return list(self.values()[:k])
-        if self.kind == "int_range":
-            cands = {self.lo, self.lo + 1, -1, 0, 1,
-                     (self.lo + self.hi) // 2, self.hi - 1, self.hi}
-            probes = sorted(c for c in cands if self.lo <= c <= self.hi)
-            return [Int(c) for c in probes[:k]]
-        if self.kind == "product":
-            # the i-th probes of every component, so the probes spread
-            # along each axis instead of holding all but one at its least
-            probes = zip(*(c.sample_values(k) for c in self.components))
-            if len(self.components) == 2:
-                return [Pair(x, y) for x, y in probes]
-            return [Tup(items) for items in probes]
-        if (self.kind in ("intervals_of", "interval_sets_of")
-                or self._factory is not None):
-            return sort_values(itertools.islice(self._generate(k), k))
-        return []
+        """Small deterministic probe set, for when enumeration is off the
+        table; it enumerates up to DEFAULT_MAX_SPACE whatever the cap."""
+        with max_space(DEFAULT_MAX_SPACE):
+            n = self.size()
+            if n is not None and n <= DEFAULT_MAX_SPACE:
+                return list(self.values()[:k])
+            if self.kind == "int_range":
+                cands = {self.lo, self.lo + 1, -1, 0, 1,
+                         (self.lo + self.hi) // 2, self.hi - 1, self.hi}
+                probes = sorted(c for c in cands if self.lo <= c <= self.hi)
+                return [Int(c) for c in probes[:k]]
+            if self.kind == "product":
+                # the i-th probes of every component, so the probes spread
+                # along each axis instead of holding all but one at its least
+                probes = zip(*(c.sample_values(k) for c in self.components))
+                if len(self.components) == 2:
+                    return [Pair(x, y) for x, y in probes]
+                return [Tup(items) for items in probes]
+            if (self.kind in ("intervals_of", "interval_sets_of")
+                    or self._factory is not None):
+                return sort_values(itertools.islice(self._generate(), k))
+            return []
 
     # -- identity ----------------------------------------------------------
 
@@ -208,7 +220,7 @@ class Space:
         if k == "product":
             sigs = tuple(c.signature() for c in self.components)
             return None if any(s is None for s in sigs) else ("product", sigs)
-        if k == "explicit" and self._values is not None and self._contains is None:
+        if k == "explicit" and self._factory is None:
             return ("explicit", tuple(value_key(v) for v in self._values))
         return None
 
@@ -243,7 +255,9 @@ def int_range(lo: int, hi: int) -> Space:
 
 def explicit(values) -> Space:
     # value_key raises TypeError on anything that is not a value
-    return Space("explicit", values=tuple(sorted_unique(values)))
+    members = tuple(sorted_unique(values))
+    return Space("explicit", values=members,
+                 contains=frozenset(members).__contains__)
 
 
 def lazy_explicit(factory, contains, label=None) -> Space:

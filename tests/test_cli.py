@@ -324,18 +324,23 @@ class TestVerify:
 
     @pytest.mark.parametrize("warm", [False, True])
     def test_space_cap_answer_does_not_depend_on_the_shared_cores(self, warm):
-        # at bound 40, gcd class 7 has 19 states and class 1 has 979
+        # at bound 40, gcd class 7 has 19 states and class 1 has 979; at
+        # bound 6, class 2 (built and checked, since 6 <= 32) has 7
         _gcd_core.cache_clear()
         try:
             if warm:
                 for g in (1, 7):
                     instantiate("gcd", a=g, b=g, bound=40).loop.space.values()
+                instantiate("gcd", a=6, b=4)
             argv = ["verify", "gcd", "--bound", "40", "--max-space", "100"]
             assert run_in_process(argv + ["--a", "7", "--b", "7"])[0] == 0
             code, _, err = run_in_process(argv + ["--a", "1", "--b", "1"])
             assert code == 2
             assert err.startswith("error: space needs ")
             assert err.endswith(" elements, cap is 100\n")
+            assert run_in_process(["run", "gcd", "--a", "6", "--b", "4",
+                                   "--max-space", "1"]) == (
+                2, "", "error: space needs more than 1 elements, cap is 1\n")
         finally:
             _gcd_core.cache_clear()
 
@@ -347,6 +352,28 @@ class TestVerify:
         assert doc["inputs_checked"] == 1
         assert [o["name"] for o in doc["obligations"]][:2] \
             == ["space_nonempty", "init_range"]
+
+
+class TestMaxSpaceHoldsForEveryCommand:
+    def test_a_projection_scan_stops_at_the_cap(self, tmp_rel_file):
+        # 100 states; the probe's scans of the space meet the cap too
+        doc = {"space": {"kind": "product", "of": [ir(0, 9), ir(0, 9)]},
+               "relation": {"kind": "projection", "component": 0,
+                            "over": nm("INTGREATER"), "over_space": ir(0, 9)}}
+        path = tmp_rel_file(doc)
+        assert run_in_process(["check", path])[0] == 0
+        assert run_in_process(["check", path, "--max-space", "50"]) == (
+            2, "", "error: space needs 100 elements, cap is 50\n")
+
+    @pytest.mark.parametrize("argv,cap,err", [
+        (["run", "general_search_interval", "--t", "1,2,3,4", "--x", "2"],
+         "1", "error: space needs 6 elements, cap is 1\n"),
+        (["audit", "--samples", "3"],
+         "0", "error: space needs 2 elements, cap is 0\n")])
+    def test_examples_and_the_audit_enumerate_within_the_cap(self, argv, cap,
+                                                             err):
+        assert run_in_process(argv)[0] == 0
+        assert run_in_process(argv + ["--max-space", cap]) == (2, "", err)
 
 
 class TestExamplesListing:

@@ -10,8 +10,9 @@ from noet.errors import ParameterOutOfRange, SpaceTooLarge
 from noet.examples import EXAMPLE_NAMES, EXAMPLES, _gcd_core, instantiate
 from noet.loops import run, terminals_of, variant_to_relation, verify
 from noet.noether import is_noetherian
-from noet.spaces import (Space, int_range, interval_sets_of, intervals_of,
-                         lazy_explicit, product)
+from noet.spaces import (DEFAULT_MAX_SPACE, Space, int_range,
+                         interval_sets_of, intervals_of, lazy_explicit,
+                         product)
 from noet.values import (Int, Interval, IntervalSet, Node, Pair, Seq, Tup,
                          interval_strictly_within)
 
@@ -57,6 +58,21 @@ class TestInstantiateValidation:
             instantiate("seq_search", t=(1, "two"), x=1)
         with pytest.raises(ParameterOutOfRange):
             instantiate("lamsort", t=(True,))
+
+    @pytest.mark.parametrize("name,params", [
+        ("gcd", {"a": 1, "b": 1, "bound": 2.5}),
+        ("gcd", {"a": 1, "b": 1, "bound": "3"}),
+        ("gcd", {"a": True, "b": 1}),
+        ("partition", {"t": (1, 2), "pivot": 2.5}),
+        ("seq_search", {"t": (1, 2), "x": None}),
+        ("lamsort", {"t": 3})])
+    def test_each_parameter_has_its_declared_kind(self, name, params):
+        with pytest.raises(ParameterOutOfRange):
+            instantiate(name, **params)
+
+    def test_an_optional_parameter_may_be_none(self):
+        assert instantiate("gcd", a=4, b=6, bound=None).loop \
+            is instantiate("gcd", a=4, b=6).loop
 
     def test_gcd_cores_are_shared(self):
         a = instantiate("gcd", a=12, b=8)
@@ -365,7 +381,8 @@ class TestGeneratedSpaces:
         total = 0
         for g in range(1, bound + 1):
             # a fresh core: the shared one may have been enumerated already
-            space = _gcd_core.__wrapped__(g, bound, False).space
+            space = _gcd_core.__wrapped__(g, bound, False,
+                                          DEFAULT_MAX_SPACE).space
             want = _gcd_class_as_filter(g, bound)
             assert space.describe() == want.describe()
             got, expected = space.values(), want.values()
@@ -409,8 +426,8 @@ class TestGeneratedSpaces:
         generated = []
         real = Space._generate
 
-        def counting(space, cap):
-            out = list(real(space, cap))
+        def counting(space):
+            out = list(real(space))
             generated.append((space.describe(), len(out)))
             return out
 

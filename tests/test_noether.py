@@ -13,7 +13,7 @@ from noet.noether import (MAXDEPTH, NOETHERIAN, NOT_NOETHERIAN,
                           minima, reachable_from)
 from noet.relations import Relation, after, from_pairs, reach
 from noet.spaces import (explicit, int_range, interval_sets_of, lazy_explicit,
-                         product)
+                         max_space, product)
 from noet.values import Int, IntervalSet, Node, Pair, sort_values
 
 
@@ -103,7 +103,8 @@ class TestBoundedProbe:
 
     def test_clean_probe_stays_unknown(self):
         r = self._chain(lambda: (Int(i) for i in range(16)), top=15)
-        v = is_noetherian(r, cap=15)
+        with max_space(15):
+            v = is_noetherian(r)
         assert v.holds is None
         assert v.method == "bounded" and v.witness is None
         assert v.render() == ("unknown: bounded probe walked 15 edges "

@@ -5,8 +5,9 @@ from hypothesis import given, strategies as st
 
 from noet.errors import SpaceTooLarge
 from noet.values import Int, Interval, IntervalSet, Pair, sorted_unique
-from noet.spaces import (Space, explicit, int_range, interval_sets_of, intervals_of,
-                         lazy_explicit, product, same_space)
+from noet.spaces import (DEFAULT_MAX_SPACE, Space, explicit, int_range,
+                         interval_sets_of, intervals_of, lazy_explicit,
+                         max_space, product, same_space)
 
 
 class TestIntRange:
@@ -62,16 +63,18 @@ class TestIntervalSpaces:
 
 class TestLimitsAndLazy:
     def test_cap_is_enforced(self):
-        with pytest.raises(SpaceTooLarge):
-            int_range(0, 10 ** 6).values(1000)
+        with max_space(1000), pytest.raises(SpaceTooLarge):
+            int_range(0, 10 ** 6).values()
 
     def test_cap_is_enforced_after_caching(self):
         sp = int_range(0, 50)
-        assert len(sp.values(1000)) == 51
+        with max_space(1000):
+            assert len(sp.values()) == 51
         assert sp.size() == 51
-        with pytest.raises(SpaceTooLarge):
-            sp.values(3)
-        assert len(sp.values(51)) == 51
+        with max_space(3), pytest.raises(SpaceTooLarge):
+            sp.values()
+        with max_space(51):
+            assert len(sp.values()) == 51
 
     def test_lazy_factory_defers_until_needed(self):
         calls = []
@@ -135,7 +138,7 @@ class TestLimitsAndLazy:
                     for b in range(a, hi + 1)]
             want = [IntervalSet(frozenset(c)) for n in range(len(base) + 1)
                     for c in itertools.combinations(base, n)]
-            got = list(interval_sets_of(lo, hi)._generate(None))
+            got = list(interval_sets_of(lo, hi)._generate())
             assert got == want and len(got) == 2 ** (w * (w + 1) // 2)
 
 
@@ -154,8 +157,8 @@ def _ints(factory):
 
 
 class TestCapRule:
-    """A size is exact or counted, so values(cap) answers the same whatever
-    ran before."""
+    """A size is exact or counted, so values() answers the same under one
+    cap whatever ran before."""
 
     @pytest.mark.parametrize("sp,n", [
         (int_range(3, 1), 0), (int_range(-2, 7), 10), (intervals_of(1, 3), 10),
@@ -176,44 +179,65 @@ class TestCapRule:
 
     def test_a_lazy_answer_does_not_depend_on_history(self):
         fresh = lambda: _ints(lambda: range(50))[0]
-        with pytest.raises(SpaceTooLarge,
-                           match="^space needs more than 10 elements, cap is 10$"):
-            fresh().values(10)
-        assert len(fresh().values(50)) == 50
+        with max_space(10), pytest.raises(
+                SpaceTooLarge,
+                match="^space needs more than 10 elements, cap is 10$"):
+            fresh().values()
+        with max_space(50):
+            assert len(fresh().values()) == 50
         warm = fresh()
-        assert len(warm.values(1000)) == 50
-        with pytest.raises(SpaceTooLarge, match="^space needs 50 elements"):
-            warm.values(10)
-        assert warm.values(50) == fresh().values(50)
+        with max_space(1000):
+            assert len(warm.values()) == 50
+        with max_space(10), pytest.raises(SpaceTooLarge,
+                                          match="^space needs 50 elements"):
+            warm.values()
+        with max_space(50):
+            assert warm.values() == fresh().values()
 
     def test_exactly_cap_members_enumerate(self):
         sp, draws = _ints(lambda: range(5))
-        assert [v.value for v in sp.values(5)] == [0, 1, 2, 3, 4]
+        with max_space(5):
+            assert [v.value for v in sp.values()] == [0, 1, 2, 3, 4]
         assert draws[0] == 5
 
     def test_more_than_cap_members_refuse_after_cap_plus_one_draws(self):
         sp, draws = _ints(itertools.count)
-        with pytest.raises(SpaceTooLarge) as exc:
-            sp.values(5)
+        with max_space(5), pytest.raises(SpaceTooLarge) as exc:
+            sp.values()
         assert draws[0] == 6
         assert (exc.value.size, exc.value.cap) == (None, 5)
 
     def test_repeated_members_count_once(self):
         sp, draws = _ints(lambda: [1, 2, 1, 2, 1, 2, 3])
-        assert [v.value for v in sp.values(3)] == [1, 2, 3]
+        with max_space(3):
+            assert [v.value for v in sp.values()] == [1, 2, 3]
         assert draws[0] == 7
 
     def test_a_known_size_refuses_without_generating(self, monkeypatch):
         monkeypatch.setattr(Space, "_generate", None)
-        with pytest.raises(SpaceTooLarge,
-                           match="^space needs 101 elements, cap is 100$"):
-            int_range(0, 100).values(100)
+        with max_space(100), pytest.raises(
+                SpaceTooLarge, match="^space needs 101 elements, cap is 100$"):
+            int_range(0, 100).values()
         # 2**66 sets: only "more than" is stated, and no power is built
         for wide in (interval_sets_of(1, 11), interval_sets_of(1, 10 ** 9)):
-            with pytest.raises(SpaceTooLarge,
-                               match="^space needs more than 100 elements"):
-                wide.values(100)
+            with max_space(100), pytest.raises(
+                    SpaceTooLarge, match="^space needs more than 100 elements"):
+                wide.values()
         assert interval_sets_of(1, 10).size() == 2 ** 55
+
+    def test_spaces_enumerated_inside_meet_the_same_cap(self):
+        # a product's components and the spaces a factory enumerates read
+        # the setting too, so a raised cap reaches them as well
+        big = int_range(0, DEFAULT_MAX_SPACE)
+        wide = product(big, int_range(0, 0))
+        few = lazy_explicit(lambda: itertools.islice(big.values(), 3),
+                            lambda v: isinstance(v, Int) and v.value < 3)
+        for sp in (wide, few):
+            with pytest.raises(SpaceTooLarge):
+                sp.values()
+        with max_space(DEFAULT_MAX_SPACE + 1):
+            assert len(wide.values()) == DEFAULT_MAX_SPACE + 1
+            assert [v.value for v in few.values()] == [0, 1, 2]
 
 
 ordered_spaces = st.recursive(

@@ -4,8 +4,10 @@ A loop definition bundles a state space, an order relation certifying
 termination, an initialization relation from an input space, and a body
 that must be a seed of the order (contained in it, with the same domain).
 The loop stops exactly on the states the body cannot leave, so the exit
-condition is computed, never declared. Runs, closure-style denotations,
-limit denotations, and an obligation-by-obligation verifier live here too.
+condition is computed, never declared. Runs, the closure denotation
+(init ; body* cut to the exits, walked backwards from the exits over the
+body's inverse), the limit denotation, and an obligation-by-obligation
+verifier live here too.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from .errors import (BodyNotSubsetOfOrder, DomainMismatch, EmptySpace,
                      OrderNotNoetherian, SpaceMismatch)
 from .noether import (DEFAULT_FUEL, NOETHERIAN, REACHABLE_MINIMA,
                       is_seed, limit_relation, minima)
-from .relations import Relation, is_minimal, least_failing
+from .relations import Relation, is_minimal, least_failing, reach
 from .spaces import Space, same_space
 from .values import Int, render, render_chain, render_set, value_key
 
@@ -220,12 +222,24 @@ def terminals_of(loop: LoopDef, input_value,
 # -- denotations ----------------------------------------------------------------
 
 def denotation_closure(loop: LoopDef):
-    """(full, terminal): inputs related to every reachable state, and the
-    same cut down to exit states."""
+    """(full, terminal): init ; body*, inputs related to every reachable
+    state, and the same cut down to exit states.
+
+    terminal does not go through full. It walks backwards from the exits:
+    one reach over the body's inverse per exit records, for each state,
+    the exits it reaches, and an input's terminals are the union of those
+    records over its start states. The inverse holds the body's pairs
+    flipped, so these are the exits of init ; body*, found without the
+    forward walk that the runs and the limit make. The cost is the body's
+    pairs plus each exit's ancestors, whatever the number of inputs."""
     full = loop.init.compose(loop.body.star())
-    exits = frozenset(exit_condition(loop))
+    back = loop.body.inverse()
+    exits_from = {}
+    for e in exit_condition(loop):
+        for s in reach(back, (e,)):
+            exits_from.setdefault(s, []).append(e)
     def succ(inp):
-        return [s for s in full._succ(inp) if s in exits]
+        return {e for s in loop.init._succ(inp) for e in exits_from.get(s, ())}
     terminal = Relation(loop.init.source, loop.space, succ,
                         name="denotation[terminal]")
     return full, terminal

@@ -1,7 +1,10 @@
 """Loop assembly, execution, denotations, and the obligation verifier."""
 
+import itertools
+
 import pytest
 
+from noet import loops, noether
 from noet.catalog import named, subrel
 from noet.errors import (BodyNotSubsetOfOrder, DomainMismatch, EmptySpace,
                          FuelExhausted, InitEscapesSpace, InputOutsideSpace,
@@ -11,7 +14,7 @@ from noet.errors import (BodyNotSubsetOfOrder, DomainMismatch, EmptySpace,
 from noet.loops import (OBLIGATIONS, ObligationResult, denotation_closure,
                         denotation_limit, exit_condition, make_loop, run,
                         terminals_of, variant_to_relation, verify)
-from noet.relations import Relation, from_pairs
+from noet.relations import Relation, from_pairs, reach
 from noet.spaces import explicit, int_range, product
 from noet.values import Int, Node
 
@@ -232,6 +235,42 @@ class TestDenotations:
         _, terminal = denotation_closure(branch_loop())
         assert frozenset(terminal.successors(Int(0))) == frozenset({Node("b"), Node("c")})
 
+    def test_terminal_walks_neither_the_runs_nor_the_limit(self, monkeypatch):
+        # denotation_agreement cross-checks three walks, so the closure may
+        # not be served by the runs or by the limit's height memo
+        loop = counting_loop(4)
+        def refuse(*args, **kwargs):
+            raise AssertionError("the closure reused another walk")
+        for module in (noether, loops):
+            for name in ("height_from", "limit_from", "reachable_from",
+                         "terminals_of"):
+                monkeypatch.setattr(module, name, refuse, raising=False)
+        _, terminal = denotation_closure(loop)
+        assert [frozenset(terminal._succ(Int(i))) for i in range(5)] \
+            == [frozenset({Int(0)})] * 5
+        assert loop.body._heights is None
+
+    def test_terminal_is_the_forward_closure_cut_to_the_exits(self):
+        # every body on three states, cycles included, under an init that
+        # starts each input in place and one that starts it in two places
+        sp = int_range(0, 2)
+        order = named("INTGREATER", sp)
+        vals = sp.values()
+        all_pairs = list(itertools.product(vals, vals))
+        inits = (from_pairs(sp, sp, [(v, v) for v in vals]),
+                 from_pairs(sp, sp, [(v, w) for v in vals for w in vals
+                                     if w.value in (v.value, (v.value + 1) % 3)]))
+        for bits in range(2 ** len(all_pairs)):
+            body = from_pairs(sp, sp, [p for k, p in enumerate(all_pairs)
+                                       if bits >> k & 1])
+            for init in inits:
+                loop = make_loop(sp, order, init, body, check=False)
+                _, terminal = denotation_closure(loop)
+                exits = frozenset(exit_condition(loop))
+                for i in vals:
+                    forward = frozenset(reach(body, init._succ(i))) & exits
+                    assert frozenset(terminal._succ(i)) == forward, (bits, i)
+
 
 class TestVerify:
     def test_obligation_names_pinned(self):
@@ -268,6 +307,21 @@ class TestVerify:
         assert "oracle rejects terminal" in by_name["postcondition_at_minima"].detail
         assert not by_name["body_is_seed"].passed
         assert "FAIL" in report.render()
+
+    def test_disagreeing_denotations_name_the_first_input(self):
+        # the body leaves the space at 0: the run ends outside it, the
+        # closure finds no exit, and the limit follows the run
+        sp = int_range(0, 3)
+        body = Relation(sp, sp, lambda a: (Int(-1),) if a.value == 0 else ())
+        init = Relation(sp, sp, lambda a: (a,))
+        loop = make_loop(sp, named("INTGREATER", sp), init, body, check=False)
+        report = verify(loop)
+        by_name = {r.name: r for r in report.results}
+        assert not by_name["denotation_agreement"].passed
+        assert by_name["denotation_agreement"].render() == (
+            "denotation_agreement: FAIL "
+            "(input 0: runs {-1}, closure {}, limit {-1})")
+        assert not report.passed
 
     def test_explicit_input_list(self):
         report = verify(counting_loop(5), inputs=[Int(2), Int(3)])

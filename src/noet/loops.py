@@ -3,10 +3,11 @@
 A loop definition bundles a state space, an order relation certifying
 termination, an initialization relation from an input space, and a body
 that must be a seed of the order (contained in it, with the same domain).
-The loop stops exactly on the states the body cannot leave, so the exit
-condition is computed, never declared. Runs, the closure denotation
-(init ; body* cut to the exits, walked backwards from the exits over the
-body's inverse), the limit denotation, and an obligation-by-obligation
+One generator states the construction obligations: make_loop raises the
+first that fails, verify reports each. The loop stops exactly on the
+states the body cannot leave, so the exit condition is computed, never
+declared. Runs, the closure denotation (init ; body* cut to the exits,
+walked backwards over the body's inverse), the limit denotation and the
 verifier live here too.
 """
 
@@ -19,9 +20,9 @@ from .catalog import certify, measure_descent
 from .errors import (BodyNotSubsetOfOrder, DomainMismatch, EmptySpace,
                      FuelExhausted, InitEscapesSpace, InputOutsideSpace,
                      NegativeVariantValue, NonTotalFunction,
-                     OrderNotNoetherian, SpaceMismatch)
+                     NotNoetherian, OrderNotNoetherian, SpaceMismatch)
 from .noether import (DEFAULT_FUEL, NOETHERIAN, REACHABLE_MINIMA,
-                      is_seed, limit_relation, minima)
+                      height_from, is_seed, limit_relation, minima)
 from .relations import Relation, is_minimal, least_failing, reach
 from .spaces import Space, same_space
 from .values import Int, render, render_chain, render_set, value_key
@@ -65,30 +66,42 @@ def make_loop(space: Space, order: Relation, init: Relation, body: Relation,
         raise SpaceMismatch("body must relate the loop space to itself")
     if not same_space(init.target, space):
         raise SpaceMismatch("initialization must land in the loop space")
-    if check:
-        if not space.values():
-            raise EmptySpace()
-        escape = _init_escape(init, space)
-        if escape is not None:
-            raise InitEscapesSpace(witness=escape)
-        report = is_seed(body, order)
-        if not report.holds:
-            if report.subset_witness is not None:
-                raise BodyNotSubsetOfOrder(witness=report.subset_witness)
-            raise DomainMismatch(witness=report.domain_witness,
-                                 side=report.domain_side)
-        verdict = certify(order, fuel)
-        if verdict.status != NOETHERIAN:
-            raise OrderNotNoetherian(
-                witness=verdict.witness.render() if verdict.witness else None)
-    return LoopDef(space=space, order=order, init=init, body=body,
+    loop = LoopDef(space=space, order=order, init=init, body=body,
                    postcondition=postcondition)
+    if check:
+        for _, passed, _, error in _construction(loop, fuel):
+            if not passed:
+                raise error
+    return loop
 
 
-def _init_escape(init: Relation, space: Space):
-    """The initial state of the least init pair that leaves space, or None."""
-    pair = least_failing(init.pairs(), lambda a, b: space.contains(b))
-    return None if pair is None else pair[1]
+def _construction(loop: LoopDef, fuel: int | None = None):
+    """The construction obligations in OBLIGATIONS order, as (name, passed,
+    detail, error): error, the verdict make_loop raises, is built only on a
+    failure. Lazy, so a caller that stops at a failure runs no later check."""
+    n = len(loop.space.values())
+    yield "space_nonempty", n > 0, f"{n} states", None if n else EmptySpace()
+
+    pair = least_failing(loop.init.pairs(), lambda a, b: loop.space.contains(b))
+    yield ("init_range", pair is None, "" if pair is None else
+           f"initial state {render(pair[1])} outside the space",
+           None if pair is None else InitEscapesSpace(witness=pair[1]))
+
+    verdict = certify(loop.order, fuel)
+    ok = verdict.status == NOETHERIAN
+    witness = verdict.witness.render() if verdict.witness else None
+    yield ("order_noetherian", ok, verdict.render(),
+           None if ok else OrderNotNoetherian(witness=witness))
+
+    seed = is_seed(loop.body, loop.order)
+    if seed.holds:
+        yield "body_is_seed", True, "", None
+    elif seed.subset_witness is not None:
+        yield ("body_is_seed", False, seed.render(),
+               BodyNotSubsetOfOrder(witness=seed.subset_witness))
+    else:
+        yield ("body_is_seed", False, seed.render(), DomainMismatch(
+            witness=seed.domain_witness, side=seed.domain_side))
 
 
 def exit_condition(loop: LoopDef) -> list:
@@ -115,8 +128,7 @@ def _start_states(loop: LoopDef, input_value) -> list:
 
 def _step_checked(loop: LoopDef, state, nxt) -> None:
     if not loop.space.contains(nxt):
-        raise SpaceMismatch(
-            f"body left the loop space at {render(nxt)}")
+        raise SpaceMismatch(f"body left the loop space at {render(nxt)}")
     if not loop.order.holds(state, nxt):
         raise BodyNotSubsetOfOrder(witness=(state, nxt))
 
@@ -128,7 +140,8 @@ def run(loop: LoopDef, input_value, *, fuel: int = DEFAULT_FUEL,
     single: one trace, resolving choice canonically (or through choose).
     all: one witness trace per distinct terminal, exploring every
     resolution breadth-first. validate re-checks each step against the
-    space and the order as it happens.
+    space and the order as it happens, and in all mode first refuses a
+    body cycle reachable from a start.
     """
     if mode == "single":
         return _run_single(loop, input_value, fuel, choose, validate)
@@ -162,6 +175,9 @@ def _run_single(loop, input_value, fuel, choose, validate) -> ExecTrace:
 
 def _run_all(loop, input_value, fuel, validate) -> list[ExecTrace]:
     starts = _start_states(loop, input_value)
+    if validate:   # a reachable body cycle is a verdict, not an empty run
+        for s in starts:
+            height_from(loop.body, s, fuel)
     parent = {s: None for s in starts}
     frontier = list(starts)
     terminals = []
@@ -287,43 +303,28 @@ class VerificationReport:
 
 def verify(loop: LoopDef, inputs=None, *, ctx: dict | None = None,
            fuel: int = DEFAULT_FUEL) -> VerificationReport:
-    """Prove every obligation on an enumerable instance.
-
-    inputs defaults to the initialized part of the input space. ctx carries
-    oracle context (the loop itself is added under "loop")."""
-    results = []
-    space_values = loop.space.values()
-    results.append(ObligationResult(
-        "space_nonempty", bool(space_values), f"{len(space_values)} states"))
-
-    escape = _init_escape(loop.init, loop.space)
-    results.append(ObligationResult(
-        "init_range", escape is None,
-        "" if escape is None else f"initial state {render(escape)} outside the space"))
-
-    verdict = certify(loop.order)
-    results.append(ObligationResult(
-        "order_noetherian", verdict.status == NOETHERIAN, verdict.render()))
-
-    seed = is_seed(loop.body, loop.order)
-    results.append(ObligationResult("body_is_seed", seed.holds,
-                                    "" if seed.holds else seed.render()))
-
+    """Prove every obligation on an enumerable instance and report each, the
+    construction ones from the checks make_loop raises on. A body cycle
+    leaves no limit, so denotation_agreement fails "not evaluated:" with the
+    cycle. inputs defaults to the initialized part of the input space. ctx
+    carries oracle context (the loop itself is added under "loop")."""
+    results = [ObligationResult(name, passed, detail)
+               for name, passed, detail, _ in _construction(loop)]
     exits = exit_condition(loop)
     results.append(ObligationResult(
         "exit_nonempty", bool(exits), f"{len(exits)} exit states"))
 
     inputs = served_inputs(loop) if inputs is None else list(inputs)
-
     oracle_ok = True
     oracle_detail = "no oracle named" if loop.postcondition is None else ""
-    full_ctx = dict(ctx or {})
-    full_ctx["loop"] = loop
+    full_ctx = {**(ctx or {}), "loop": loop}
 
-    agree_ok = True
-    agree_detail = ""
+    agree_ok, agree_detail = True, ""
     _, terminal_rel = denotation_closure(loop)
-    limit_rel = denotation_limit(loop)
+    try:
+        limit_rel = denotation_limit(loop)
+    except NotNoetherian as err:   # a cyclic body has no limit to compare
+        agree_ok, agree_detail = False, f"not evaluated: {err}"
 
     for inp in inputs:
         ts = terminals_of(loop, inp, fuel=fuel)
@@ -347,8 +348,7 @@ def verify(loop: LoopDef, inputs=None, *, ctx: dict | None = None,
                                     oracle_detail))
     results.append(ObligationResult("denotation_agreement", agree_ok,
                                     agree_detail))
-    return VerificationReport(results=tuple(results),
-                              inputs_checked=len(inputs))
+    return VerificationReport(tuple(results), len(inputs))
 
 
 # -- classical variants ------------------------------------------------------------

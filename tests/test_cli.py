@@ -52,6 +52,12 @@ COUNT_LOOP = {"space": ir(0, 5), "order": nm("INTGREATER"),
               "body": nm("SUCCESSOR"),
               "postcondition": "minimum_characterization"}
 
+SPIN = {"kind": "extensional",
+        "pairs": [[{"int": 1}, {"int": 2}], [{"int": 2}, {"int": 1}]]}
+SPIN_LOOP = {"space": ir(0, 2), "order": SPIN, "body": SPIN,
+             "init": {"kind": "extensional",
+                      "pairs": [[{"int": 1}, {"int": 1}]]}}
+
 
 def out_lines(capsys):
     return capsys.readouterr().out.splitlines()
@@ -224,6 +230,15 @@ class TestRun:
         assert code == 0
         assert out_lines(capsys) == ["terminals: {b, d}"]
 
+    def test_all_mode_refuses_a_reachable_cycle(self, tmp_rel_file, capsys):
+        # order and body both hold 1 → 2 → 1, so every step is validated
+        # and no state is terminal; the cycle is the verdict
+        code = main(["run", tmp_rel_file(SPIN_LOOP, "spin.loop"), "--all"])
+        assert code == 1
+        assert capsys.readouterr() == (
+            "", "check failed: relation admits an infinite descending "
+                "chain: 1 → 2 → 1\n")
+
     def test_json_run(self, capsys):
         code = main(["run", "seq_search", "--t", "5,3", "--x", "3", "--json"])
         assert code == 0
@@ -292,6 +307,23 @@ class TestVerify:
         assert "body_is_seed: FAIL" in text
         assert "postcondition_at_minima: FAIL" in text
         assert "verdict: FAIL" in text
+
+    @pytest.mark.parametrize("order", [
+        SPIN, {"kind": "extensional", "pairs": [[{"int": 2}, {"int": 1}]]}],
+        ids=["cyclic order", "acyclic order"])
+    def test_a_cyclic_body_gets_a_report(self, tmp_rel_file, capsys, order):
+        path = tmp_rel_file(dict(SPIN_LOOP, order=order), "spin.loop")
+        detail = ("not evaluated: relation admits an infinite descending "
+                  "chain: 1 → 2 → 1")
+        assert main(["verify", path]) == 1
+        lines = out_lines(capsys)
+        assert f"denotation_agreement: FAIL ({detail})" in lines
+        assert lines[-1] == "verdict: FAIL"
+        assert main(["verify", path, "--json"]) == 1
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["passed"] is False
+        assert doc["obligations"][-1] == {
+            "name": "denotation_agreement", "passed": False, "detail": detail}
 
     def test_gcd_sweep(self, capsys):
         code = main(["verify", "gcd", "--a-max", "6", "--b-max", "6"])

@@ -9,8 +9,8 @@ from noet.catalog import named, subrel
 from noet.errors import (BodyNotSubsetOfOrder, DomainMismatch, EmptySpace,
                          FuelExhausted, InitEscapesSpace, InputOutsideSpace,
                          NegativeVariantValue, NonTotalFunction,
-                         OrderNotNoetherian, SpaceMismatch, SpaceTooLarge,
-                         UnknownOracle)
+                         NotNoetherian, OrderNotNoetherian, SpaceMismatch,
+                         SpaceTooLarge, UnknownOracle)
 from noet.loops import (OBLIGATIONS, ObligationResult, denotation_closure,
                         denotation_limit, exit_condition, make_loop, run,
                         terminals_of, variant_to_relation, verify)
@@ -47,6 +47,17 @@ class TestMakeLoop:
             make_loop(sp, inner, outer, inner, check=False)
         with pytest.raises(SpaceMismatch):
             make_loop(sp, inner, inner, outer, check=False)
+
+    def test_one_mismatched_space_is_enough_to_reject(self):
+        # each guard checks source and target separately
+        sp, other = int_range(0, 3), int_range(0, 4)
+        ok = from_pairs(sp, sp, [])
+        for half in (Relation(sp, other, lambda a: ()),
+                     Relation(other, sp, lambda a: ())):
+            with pytest.raises(SpaceMismatch, match="order"):
+                make_loop(sp, half, ok, ok, check=False)
+            with pytest.raises(SpaceMismatch, match="body"):
+                make_loop(sp, ok, ok, half, check=False)
 
     def test_empty_space_rejected(self):
         sp = explicit([])
@@ -117,6 +128,16 @@ class TestMakeLoop:
         with pytest.raises(InitEscapesSpace):
             make_loop(sp, order, bad_init, climbing)
 
+    def test_a_cyclic_order_is_refused_before_a_seed_failure(self):
+        # the checks run in report order: order_noetherian, then body_is_seed
+        sp = int_range(0, 2)
+        spin = from_pairs(sp, sp, [(Int(0), Int(1)), (Int(1), Int(0)),
+                                   (Int(2), Int(0))])
+        partial = from_pairs(sp, sp, [(Int(0), Int(1))])
+        init = from_pairs(sp, sp, [])
+        with pytest.raises(OrderNotNoetherian):
+            make_loop(sp, spin, init, partial)
+
     def test_check_false_skips_the_proofs(self):
         sp = int_range(0, 1)
         spin = from_pairs(sp, sp, [(Int(0), Int(1)), (Int(1), Int(0))])
@@ -186,6 +207,31 @@ class TestRun:
                          named("INTGREATER", sp))
         with pytest.raises(FuelExhausted):
             run(loop, Int(3), mode="all", fuel=2)
+
+    def test_all_mode_fuel_budget_is_exact(self):
+        # from 3 under INTGREATER the walk crosses 3 + 2 + 1 = 6 edges
+        sp = int_range(0, 3)
+        init = Relation(sp, sp, lambda a: (a,))
+        loop = make_loop(sp, named("INTGREATER", sp), init,
+                         named("INTGREATER", sp))
+        assert [t.terminal for t in run(loop, Int(3), mode="all", fuel=6)] \
+            == [Int(0)]
+        assert terminals_of(loop, Int(3), fuel=6) == frozenset({Int(0)})
+        with pytest.raises(FuelExhausted):
+            run(loop, Int(3), mode="all", fuel=5)
+        with pytest.raises(FuelExhausted):
+            terminals_of(loop, Int(3), fuel=5)
+
+    def test_validated_all_mode_refuses_a_reachable_cycle(self):
+        # order and body both hold 1 → 2 → 1: every step is in the order,
+        # and no state is terminal
+        sp = int_range(0, 2)
+        spin = from_pairs(sp, sp, [(Int(1), Int(2)), (Int(2), Int(1))])
+        init = from_pairs(sp, sp, [(Int(1), Int(1))])
+        loop = make_loop(sp, spin, init, spin, check=False)
+        assert run(loop, Int(1), mode="all") == []
+        with pytest.raises(NotNoetherian, match="1 → 2 → 1"):
+            run(loop, Int(1), mode="all", validate=True)
 
     def test_unknown_mode(self):
         with pytest.raises(ValueError):
@@ -337,6 +383,18 @@ class TestVerify:
         with pytest.raises(UnknownOracle):
             verify(counting_loop(2, "wishful_thinking"))
 
+    def test_a_cyclic_body_gets_a_report(self):
+        sp = int_range(0, 2)
+        body = from_pairs(sp, sp, [(Int(1), Int(2)), (Int(2), Int(1))])
+        init = from_pairs(sp, sp, [(Int(1), Int(1))])
+        report = verify(make_loop(sp, body, init, body, check=False))
+        by_name = {r.name: r for r in report.results}
+        assert not report.passed
+        assert [r.name for r in report.results] == list(OBLIGATIONS)
+        assert by_name["denotation_agreement"].detail == (
+            "not evaluated: relation admits an infinite descending chain: "
+            "1 → 2 → 1")
+
     def test_obligation_render(self):
         assert ObligationResult("init_range", True).render() == "init_range: pass"
         assert ObligationResult("init_range", False, "boom").render() \
@@ -375,3 +433,121 @@ class TestVariants:
         sp = int_range(0, 2)
         r = variant_to_relation(lambda v: Int(v.value), sp)
         assert r.holds(Int(2), Int(0))
+
+
+class TestEveryLoopOnThreeStates:
+    """Every order on three states, every body inside it (3^9 = 19,683
+    loops), under an init that starts each input in place and one that
+    starts each input in two places. Each row of verify is compared with
+    its definition, computed here from plain pair sets."""
+
+    @staticmethod
+    def closure(ps):
+        out = set(ps)
+        while True:
+            more = {(a, d) for a, b in out for c, d in ps if b == c} - out
+            if not more:
+                return out
+            out |= more
+
+    def test_every_row_matches_its_definition(self):
+        sp = int_range(0, 2)
+        all_pairs = [(a, b) for a in range(3) for b in range(3)]
+        val = [Int(i) for i in range(3)]
+        inits = {"identity": {i: {i} for i in range(3)},
+                 "two starts": {i: {i, (i + 1) % 3} for i in range(3)}}
+        init_rels = {k: from_pairs(sp, sp, [(val[i], val[s])
+                                            for i, ss in m.items() for s in ss])
+                     for k, m in inits.items()}
+
+        def rel_of(ps):
+            return from_pairs(sp, sp, [(val[a], val[b]) for a, b in ps])
+
+        for obits in range(2 ** 9):
+            ops = [p for k, p in enumerate(all_pairs) if obits >> k & 1]
+            order = rel_of(ops)
+            order_cycle = any(a == b for a, b in self.closure(ops))
+            order_dom = {a for a, _ in ops}
+            for bbits in range(2 ** len(ops)):
+                bps = {p for k, p in enumerate(ops) if bbits >> k & 1}
+                body = rel_of(bps)
+                body_cycle = any(a == b for a, b in self.closure(bps))
+                body_dom = {a for a, _ in bps}
+                sinks = {a for a in range(3) if a not in body_dom}
+                # the body is inside the order, so only the domains can differ
+                missing = min(order_dom - body_dom, default=None)
+                for kind, init in init_rels.items():
+                    self.check_loop(sp, order, body, init, inits[kind],
+                                    order_cycle, body_cycle, missing, sinks,
+                                    bps, (obits, bbits, kind))
+
+    def check_loop(self, sp, order, body, init, starts, order_cycle,
+                   body_cycle, missing, sinks, bps, where):
+        loop = make_loop(sp, order, init, body, check=False)
+        report = verify(loop)
+        rows = {r.name: r for r in report.results}
+        assert tuple(rows) == OBLIGATIONS, where
+        assert rows["space_nonempty"] == ObligationResult(
+            "space_nonempty", True, "3 states"), where
+        assert rows["init_range"] == ObligationResult(
+            "init_range", True), where
+
+        order_row = rows["order_noetherian"]
+        assert order_row.passed is not order_cycle, where
+        if order_cycle:
+            cycle = order_row.detail.removeprefix("not Noetherian, cycle: ")
+            steps = [int(v) for v in cycle.split(" → ")]
+            assert steps[0] == steps[-1], where
+            assert all(order.holds(Int(a), Int(b))
+                       for a, b in zip(steps, steps[1:])), where
+
+        seed_row = rows["body_is_seed"]
+        assert seed_row.passed is (missing is None), where
+        if missing is not None:
+            assert seed_row.detail == (f"seed: no, domain mismatch at "
+                                       f"{missing} (larger relation only)")
+
+        assert exit_condition(loop) == [Int(a) for a in sorted(sinks)], where
+        assert rows["exit_nonempty"] == ObligationResult(
+            "exit_nonempty", bool(sinks), f"{len(sinks)} exit states"), where
+        assert rows["postcondition_at_minima"] == ObligationResult(
+            "postcondition_at_minima", True, "no oracle named"), where
+
+        agree_row = rows["denotation_agreement"]
+        if body_cycle:
+            assert not agree_row.passed, where
+            assert agree_row.detail.startswith(
+                "not evaluated: relation admits an infinite descending "
+                "chain: "), where
+        else:
+            assert agree_row == ObligationResult(
+                "denotation_agreement", True), where
+            # the three denotations: every resolution of the run, the
+            # closure cut to the exits, and the limit all end at the
+            # reachable sinks
+            _, terminal = denotation_closure(loop)
+            limit = denotation_limit(loop)
+            for i, ss in starts.items():
+                seen, frontier = set(ss), set(ss)
+                while frontier:
+                    frontier = {b for a, b in bps if a in frontier} - seen
+                    seen |= frontier
+                want = frozenset(Int(a) for a in seen & sinks)
+                assert terminals_of(loop, Int(i)) == want, where
+                assert frozenset(terminal._succ(Int(i))) == want, where
+                assert frozenset(limit._succ(Int(i))) == want, where
+
+        # make_loop raises the first failing construction row's verdict
+        first = next((r for r in report.results[:4] if not r.passed), None)
+        if first is None:
+            assert make_loop(sp, order, init, body).body is body, where
+        elif first.name == "order_noetherian":
+            with pytest.raises(OrderNotNoetherian) as err:
+                make_loop(sp, order, init, body)
+            assert first.detail == f"not Noetherian, cycle: {err.value.witness}"
+        else:
+            assert first.name == "body_is_seed", where
+            with pytest.raises(DomainMismatch) as err:
+                make_loop(sp, order, init, body)
+            assert (err.value.witness, err.value.side) \
+                == (Int(missing), "order_only"), where

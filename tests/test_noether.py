@@ -485,6 +485,16 @@ class TestSeeds:
         with pytest.raises(SpaceMismatch):
             is_seed(rel(3, []), rel(4, []))
 
+    def test_one_mismatched_space_is_enough_to_reject(self):
+        # source and target are guarded separately: a body whose source
+        # matches the order's is still refused when its target does not
+        sp, other = int_range(0, 2), int_range(0, 3)
+        order = from_pairs(sp, sp, [])
+        for body in (Relation(sp, other, lambda a: ()),
+                     Relation(other, sp, lambda a: ())):
+            with pytest.raises(SpaceMismatch):
+                is_seed(body, order)
+
     def test_equal_minima_need_not_mean_equal_limits(self):
         # the seed law is strictly weaker than limit agreement
         sp = explicit([Node("a"), Node("b"), Node("e")])

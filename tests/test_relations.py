@@ -188,6 +188,23 @@ class TestClassify:
         assert f.irreflexive and not f.transitive and not f.order
         assert f.acyclic
 
+    def test_every_flag_matches_its_definition_on_three_values(self):
+        # all 512 relations on three values, self-loops included
+        all_pairs = [(a, b) for a in range(3) for b in range(3)]
+        for bits in range(2 ** len(all_pairs)):
+            ps = {p for k, p in enumerate(all_pairs) if bits >> k & 1}
+            f = rel(3, ps).classify()
+            transitive = all((a, d) in ps for a, b in ps
+                             for c, d in ps if b == c)
+            irreflexive = all(a != b for a, b in ps)
+            assert f.transitive is transitive, ps
+            assert f.irreflexive is irreflexive, ps
+            assert f.asymmetric is all((b, a) not in ps for a, b in ps), ps
+            assert f.order is (transitive and irreflexive), ps
+            assert f.function is all(
+                sum(1 for c, _ in ps if c == a) <= 1 for a in range(3)), ps
+            assert f.acyclic is naive_acyclic(rel(3, ps)), ps
+
     def test_function_flag(self):
         assert rel(3, [(0, 1), (1, 2)]).classify().function
         assert not rel(3, [(0, 1), (0, 2)]).classify().function

@@ -16,8 +16,8 @@ so the claims after it see the same random stream.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from functools import partial
+from typing import NamedTuple
 
 from .errors import MalformedExpr, MalformedInput
 from .noether import MAXDEPTH, NOETHERIAN, REACHABLE_MINIMA, is_noetherian, limit_from
@@ -39,8 +39,7 @@ DEFAULT_SAMPLES = 1000
 DEFAULT_SEED = 0
 
 
-@dataclass(frozen=True, slots=True)
-class AuditFinding:
+class AuditFinding(NamedTuple):
     claim_id: str
     status: str
     restriction: str | None

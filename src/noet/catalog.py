@@ -19,8 +19,8 @@ test, built by ``_pulled_back``.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import partial
+from typing import NamedTuple
 
 from .errors import MalformedExpr, UnknownNamedFunction
 from .noether import (METHOD_CERTIFICATE, NOETHERIAN, NoetherianVerdict,
@@ -33,8 +33,7 @@ from .values import (Int, Interval, IntervalSet, Node, Pair, Seq, Tup,
 CLAIMED_RULES = frozenset({"COMPOSE", "PARENT", "ANCESTOR"})
 
 
-@dataclass(frozen=True, slots=True)
-class NoetherianCert:
+class NoetherianCert(NamedTuple):
     """Why a relation terminates: a rule and its input certificates. A
     certificate is sound when its rule is not merely claimed and every
     premise is sound."""

@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .catalog import induced, measure_descent, named
 from .errors import ParameterOutOfRange
@@ -26,8 +26,7 @@ from .values import (Int, Interval, IntervalSet, Node, Pair, Seq, Tup,
                      sort_values, value_key)
 
 
-@dataclass(frozen=True, slots=True)
-class ExampleInstance:
+class ExampleInstance(NamedTuple):
     name: str
     loop: LoopDef
     input: object

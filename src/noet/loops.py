@@ -13,7 +13,7 @@ verifier live here too.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import oracles
 from .catalog import certify, measure_descent
@@ -28,8 +28,7 @@ from .spaces import Space, same_space
 from .values import Int, render, render_chain, render_set, value_key
 
 
-@dataclass(frozen=True, slots=True)
-class LoopDef:
+class LoopDef(NamedTuple):
     space: Space
     order: Relation
     init: Relation
@@ -37,8 +36,7 @@ class LoopDef:
     postcondition: str | None = None
 
 
-@dataclass(frozen=True, slots=True)
-class ExecTrace:
+class ExecTrace(NamedTuple):
     input: object
     states: tuple
 
@@ -274,8 +272,7 @@ OBLIGATIONS = ("space_nonempty", "init_range", "order_noetherian",
                "denotation_agreement")
 
 
-@dataclass(frozen=True, slots=True)
-class ObligationResult:
+class ObligationResult(NamedTuple):
     name: str
     passed: bool
     detail: str = ""
@@ -285,8 +282,7 @@ class ObligationResult:
         return f"{self.name}: {'pass' if self.passed else 'FAIL'}{tail}"
 
 
-@dataclass(frozen=True, slots=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     results: tuple
     inputs_checked: int
 

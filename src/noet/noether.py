@@ -10,7 +10,7 @@ the two can audit each other.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import (FuelExhausted, NotNoetherian, SpaceMismatch,
                      SpaceTooLarge, ValueOutsideSpace)
@@ -35,8 +35,7 @@ REACHABLE_MINIMA = "reachable_minima"
 LIMIT_MODES = (MAXDEPTH, REACHABLE_MINIMA)
 
 
-@dataclass(frozen=True, slots=True)
-class Chain:
+class Chain(NamedTuple):
     """A descending walk: consecutive elements are relation steps."""
     elements: tuple
 
@@ -48,8 +47,7 @@ class Chain:
         return render_chain(self.elements)
 
 
-@dataclass(frozen=True, slots=True)
-class NoetherianVerdict:
+class NoetherianVerdict(NamedTuple):
     """Outcome of a termination check.
 
     status: noetherian | not_noetherian | unknown_fuel_exhausted
@@ -85,8 +83,7 @@ class NoetherianVerdict:
                 f"without a verdict")
 
 
-@dataclass(frozen=True, slots=True)
-class SeedReport:
+class SeedReport(NamedTuple):
     """Outcome of the seed test: containment plus equal domains."""
     holds: bool
     subset_witness: tuple | None = None

@@ -13,15 +13,14 @@ through pair sets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import FuelExhausted, SpaceMismatch, ValueOutsideSpace
 from .spaces import Space, same_space
 from .values import sort_values, sorted_unique, value_key
 
 
-@dataclass(frozen=True, slots=True)
-class RelationFlags:
+class RelationFlags(NamedTuple):
     """Structural classification of one relation's materialized pairs."""
     acyclic: bool
     irreflexive: bool

@@ -12,13 +12,15 @@ when that object is made. Equal Ints are then the same object, and so
 are equal Pairs of such children, so dict and set hits are identity tests
 and the successor functions mint no duplicates. Hashes keep the formulas
 of the dataclasses they replace, so set order, and every witness printed,
-is unchanged. The other five variants are plain frozen dataclasses.
+is unchanged. The other five variants are hand-written slotted classes
+that are not interned; they keep the dataclass hash formulas, reprs and
+frozenness too. No variant is a dataclass, so importing noet loads neither
+dataclasses nor inspect.
 """
 
 from __future__ import annotations
 
 import weakref
-from dataclasses import FrozenInstanceError, dataclass
 from typing import Union
 
 
@@ -43,16 +45,34 @@ def _release(entry):
         del entry.table[entry.key]
 
 
-class _Interned:
-    """Frozenness and the stored hash, shared by the hash-consed classes."""
+class _Frozen:
+    """Frozenness, and a repr and pickling read from _fields, shared by
+    every variant."""
 
     __slots__ = ()
 
     def __setattr__(self, name, _):
+        # imported only when raised: dataclasses loads inspect, ast and dis,
+        # a large share of what importing noet would cost
+        from dataclasses import FrozenInstanceError
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
 
     def __delattr__(self, name):
+        from dataclasses import FrozenInstanceError
         raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __repr__(self):
+        inner = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__name__}({inner})"
+
+    def __reduce__(self):
+        return (type(self), tuple(getattr(self, f) for f in self._fields))
+
+
+class _Interned(_Frozen):
+    """The stored hash, shared by the hash-consed classes."""
+
+    __slots__ = ()
 
     def __hash__(self):
         return self._hash
@@ -61,7 +81,8 @@ class _Interned:
 class Int(_Interned):
     """An integer. Equal Ints are one object, so equality is identity."""
 
-    __slots__ = ("value", "_hash", "__weakref__")
+    _fields = ("value",)
+    __slots__ = _fields + ("_hash", "__weakref__")
     _table = {}
 
     def __new__(cls, value):
@@ -76,19 +97,14 @@ class Int(_Interned):
         cls._table[value] = _Entry(self, cls._table, value)
         return self
 
-    def __repr__(self):
-        return f"Int(value={self.value!r})"
-
-    def __reduce__(self):
-        return (Int, (self.value,))
-
 
 class Pair(_Interned):
     """An ordered pair of values. Pairs are interned by the identity of
     their children: equal Pairs of interned children are one object.
     Equality stays structural for children that are not interned."""
 
-    __slots__ = ("first", "second", "_hash", "__weakref__")
+    _fields = ("first", "second")
+    __slots__ = _fields + ("_hash", "__weakref__")
     _table = {}
 
     def __new__(cls, first, second):
@@ -114,23 +130,28 @@ class Pair(_Interned):
 
     __hash__ = _Interned.__hash__
 
-    def __repr__(self):
-        return f"Pair(first={self.first!r}, second={self.second!r})"
 
-    def __reduce__(self):
-        return (Pair, (self.first, self.second))
+# The variants below are not interned. Each hashes its fields on every call,
+# by the formula a frozen dataclass uses, since set order follows hashes.
 
-
-@dataclass(frozen=True, slots=True)
-class Interval:
+class Interval(_Frozen):
     """Interval lo..hi of integers. lo == hi + 1 encodes an empty interval."""
 
-    lo: int
-    hi: int
+    __slots__ = _fields = ("lo", "hi")
 
-    def __post_init__(self):
-        if self.lo > self.hi + 1:
-            raise ValueError(f"interval bounds {self.lo}..{self.hi} are malformed")
+    def __init__(self, lo: int, hi: int):
+        if lo > hi + 1:
+            raise ValueError(f"interval bounds {lo}..{hi} are malformed")
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "hi", hi)
+
+    def __eq__(self, other):
+        if type(other) is not Interval:
+            return NotImplemented
+        return self.lo == other.lo and self.hi == other.hi
+
+    def __hash__(self):
+        return hash((self.lo, self.hi))
 
     @property
     def empty(self) -> bool:
@@ -147,16 +168,23 @@ class Interval:
         return range(self.lo, self.hi + 1)
 
 
-@dataclass(frozen=True, slots=True)
-class IntervalSet:
-    members: frozenset
+class IntervalSet(_Frozen):
+    __slots__ = _fields = ("members",)
 
-    def __post_init__(self):
-        ms = frozenset(self.members)
+    def __init__(self, members):
+        ms = frozenset(members)
         for m in ms:
             if not isinstance(m, Interval):
                 raise ValueError(f"interval set member {m!r} is not an interval")
         object.__setattr__(self, "members", ms)
+
+    def __eq__(self, other):
+        if type(other) is not IntervalSet:
+            return NotImplemented
+        return self.members == other.members
+
+    def __hash__(self):
+        return hash((self.members,))
 
     def union_positions(self) -> frozenset:
         out = set()
@@ -168,17 +196,31 @@ class IntervalSet:
         return max((m.width for m in self.members), default=0)
 
 
-@dataclass(frozen=True, slots=True)
-class Seq:
-    items: tuple
+class Seq(_Frozen):
+    __slots__ = _fields = ("items",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "items", tuple(self.items))
+    def __init__(self, items):
+        object.__setattr__(self, "items", tuple(items))
+
+    def __eq__(self, other):
+        if type(other) is not Seq:
+            return NotImplemented
+        return self.items == other.items
+
+    def __hash__(self):
+        return hash((self.items,))
 
 
-@dataclass(frozen=True, slots=True)
-class Node:
-    name: str
+class Node(_Frozen):
+    __slots__ = _fields = ("name",)
+
+    def __init__(self, name: str):
+        object.__setattr__(self, "name", name)
+
+    def __eq__(self, other):
+        if type(other) is not Node:
+            return NotImplemented
+        return self.name == other.name
 
     def __hash__(self):
         # str hashes are salted per process (PYTHONHASHSEED), and set order,
@@ -187,12 +229,19 @@ class Node:
         return hash(int.from_bytes(self.name.encode("utf-8"), "big"))
 
 
-@dataclass(frozen=True, slots=True)
-class Tup:
-    items: tuple
+class Tup(_Frozen):
+    __slots__ = _fields = ("items",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "items", tuple(self.items))
+    def __init__(self, items):
+        object.__setattr__(self, "items", tuple(items))
+
+    def __eq__(self, other):
+        if type(other) is not Tup:
+            return NotImplemented
+        return self.items == other.items
+
+    def __hash__(self):
+        return hash((self.items,))
 
 
 Value = Union[Int, Pair, Interval, IntervalSet, Seq, Node, Tup]

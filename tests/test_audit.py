@@ -1,6 +1,5 @@
 """The claim audit: deterministic findings with reverifiable counterexamples."""
 
-import dataclasses
 import hashlib
 import json
 import random
@@ -111,17 +110,15 @@ class TestReverify:
     def test_tampered_cycle_fails(self):
         ce = dict(FINDINGS[0].counterexample)
         ce["composite"] = {"kind": "extensional", "pairs": []}
-        assert not reverify(dataclasses.replace(FINDINGS[0],
-                                                counterexample=ce))
+        assert not reverify(FINDINGS[0]._replace(counterexample=ce))
 
     def test_tampered_limit_fails(self):
         ce = dict(FINDINGS[1].counterexample)
         ce["limit_r"] = ce["limit_s"]
-        assert not reverify(dataclasses.replace(FINDINGS[1],
-                                                counterexample=ce))
+        assert not reverify(FINDINGS[1]._replace(counterexample=ce))
 
     def test_refuted_finding_without_evidence_fails(self):
-        bare = dataclasses.replace(FINDINGS[0], counterexample=None)
+        bare = FINDINGS[0]._replace(counterexample=None)
         assert not reverify(bare)
 
     def test_unknown_claim_rejected(self):

@@ -2,6 +2,7 @@
 a standard-library module or noet itself."""
 
 import ast
+import subprocess
 import sys
 from pathlib import Path
 
@@ -30,3 +31,13 @@ def test_the_source_tree_is_found():
 def test_every_import_is_standard_library_or_noet(path):
     outside = sorted(set(imported_roots(path)) - ALLOWED)
     assert outside == [], f"{path.name} imports {outside}"
+
+
+def test_importing_noet_loads_neither_dataclasses_nor_inspect():
+    # a fresh interpreter without site, so every module loaded is noet's doing
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import noet, noet.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    done = subprocess.run([sys.executable, "-S", "-E", "-B", "-c", code,
+                           str(SRC.parent)], capture_output=True, text=True,
+                          check=True)
+    assert done.stdout.strip() == "[]"

@@ -167,3 +167,73 @@ class TestInterning:
         assert a == b and hash(a) == hash(b) and len({a, b}) == 1
         assert a != Pair(iv(1, 3), Int(0))
         assert Int(1) != 1 and Pair(Int(0), Int(1)) != (Int(0), Int(1))
+
+
+# one empty and one non-empty Interval, and one of each other hand-written
+# variant: (value, a field, its hash by the dataclass formula, its repr)
+HAND_WRITTEN = [
+    (Interval(3, 2), "lo", hash((3, 2)), "Interval(lo=3, hi=2)"),
+    (Interval(-1, 4), "hi", hash((-1, 4)), "Interval(lo=-1, hi=4)"),
+    (IntervalSet(frozenset({Interval(1, 2)})), "members",
+     hash((frozenset({Interval(1, 2)}),)),
+     "IntervalSet(members=frozenset({Interval(lo=1, hi=2)}))"),
+    (Seq((1, 2)), "items", hash(((1, 2),)), "Seq(items=(1, 2))"),
+    (Node("ab"), "name", hash(int.from_bytes(b"ab", "big")), "Node(name='ab')"),
+    (Tup((Int(0), Node("a"))), "items", hash(((Int(0), Node("a")),)),
+     "Tup(items=(Int(value=0), Node(name='a')))"),
+]
+HAND_WRITTEN_IDS = ["empty_interval", "interval", "interval_set", "seq", "node",
+                    "tup"]
+
+
+class TestHandWrittenVariants:
+    @pytest.mark.parametrize("v, field, h, text", HAND_WRITTEN,
+                             ids=HAND_WRITTEN_IDS)
+    def test_hash_formula_and_repr(self, v, field, h, text):
+        assert hash(v) == h
+        assert repr(v) == text
+
+    @pytest.mark.parametrize("v, field, h, text", HAND_WRITTEN,
+                             ids=HAND_WRITTEN_IDS)
+    def test_fields_are_frozen(self, v, field, h, text):
+        before = getattr(v, field)
+        with pytest.raises(FrozenInstanceError):
+            setattr(v, field, before)
+        with pytest.raises(FrozenInstanceError):
+            delattr(v, field)
+        with pytest.raises(FrozenInstanceError):
+            v.extra = 1
+        assert getattr(v, field) == before
+
+    @pytest.mark.parametrize("v, field, h, text", HAND_WRITTEN,
+                             ids=HAND_WRITTEN_IDS)
+    def test_copy_and_pickle_give_an_equal_value(self, v, field, h, text):
+        for got in (copy.copy(v), copy.deepcopy(v),
+                    pickle.loads(pickle.dumps(v))):
+            assert type(got) is type(v)
+            assert got == v and hash(got) == hash(v)
+
+    def test_keyword_construction(self):
+        assert Interval(lo=1, hi=2) == Interval(1, 2)
+        members = IntervalSet(members=[Interval(1, 2), Interval(1, 2)]).members
+        assert type(members) is frozenset and members == {Interval(1, 2)}
+        assert Seq(items=[1, 2]).items == (1, 2)
+        assert type(Seq(items=[1, 2]).items) is tuple
+        assert Node(name="a") == Node("a")
+        assert Tup(items=[Int(0)]).items == (Int(0),)
+        assert type(Tup(items=[Int(0)]).items) is tuple
+
+    def test_malformed_values_are_refused(self):
+        with pytest.raises(ValueError, match="malformed"):
+            Interval(3, 1)
+        with pytest.raises(ValueError, match="not an interval"):
+            IntervalSet([Interval(1, 2), Int(1)])
+
+    def test_no_cross_variant_or_tuple_equality(self):
+        assert Seq(()) != Tup(())
+        assert Seq((1,)) != Tup((1,))
+        assert Interval(1, 2) != (1, 2)
+        assert Seq((1,)) != ((1,),)
+        assert Node("a") != "a"
+        assert IntervalSet(frozenset()) != frozenset()
+        assert Interval(1, 2) == Interval(1, 2) and Seq(()) == Seq(())

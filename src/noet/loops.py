@@ -211,6 +211,8 @@ def terminals_of(loop: LoopDef, input_value,
                  fuel: int = DEFAULT_FUEL) -> frozenset:
     """All-resolution terminal states, without trace bookkeeping."""
     starts = _start_states(loop, input_value)
+    body = loop.body
+    adj = body._adj
     seen = set(starts)
     frontier = list(starts)
     out = set()
@@ -219,7 +221,8 @@ def terminals_of(loop: LoopDef, input_value,
         nxt_frontier = []
         for state in frontier:
             any_succ = False
-            for nxt in loop.body._succ(state):
+            for nxt in (adj.get(state, ()) if adj is not None
+                        else body._succ(state)):
                 any_succ = True
                 explored += 1
                 if explored > fuel:
@@ -235,7 +238,7 @@ def terminals_of(loop: LoopDef, input_value,
 
 # -- denotations ----------------------------------------------------------------
 
-def denotation_closure(loop: LoopDef):
+def denotation_closure(loop: LoopDef, *, exits=None):
     """(full, terminal): init ; body*, inputs related to every reachable
     state, and the same cut down to exit states.
 
@@ -245,11 +248,15 @@ def denotation_closure(loop: LoopDef):
     records over its start states. The inverse holds the body's pairs
     flipped, so these are the exits of init ; body*, found without the
     forward walk that the runs and the limit make. The cost is the body's
-    pairs plus each exit's ancestors, whatever the number of inputs."""
+    pairs plus each exit's ancestors, whatever the number of inputs.
+    exits, when given, is exit_condition(loop), which is otherwise
+    computed here."""
+    if exits is None:
+        exits = exit_condition(loop)
     full = loop.init.compose(loop.body.star())
     back = loop.body.inverse()
     exits_from = {}
-    for e in exit_condition(loop):
+    for e in exits:
         for s in reach(back, (e,)):
             exits_from.setdefault(s, []).append(e)
     def succ(inp):
@@ -316,7 +323,7 @@ def verify(loop: LoopDef, inputs=None, *, ctx: dict | None = None,
     full_ctx = {**(ctx or {}), "loop": loop}
 
     agree_ok, agree_detail = True, ""
-    _, terminal_rel = denotation_closure(loop)
+    _, terminal_rel = denotation_closure(loop, exits=exits)
     try:
         limit_rel = denotation_limit(loop)
     except NotNoetherian as err:   # a cyclic body has no limit to compare

@@ -110,13 +110,15 @@ def _find_cycle(r: Relation, starts, fuel: int | None):
     or ("fuel", path_elements, explored).
     """
     WHITE, GRAY, BLACK = 0, 1, 2
+    adj = r._adj
     color = {}
     explored = 0
     for root in starts:
         if color.get(root, WHITE) != WHITE:
             continue
         path = [root]
-        iters = [iter(r._succ(root))]
+        iters = [iter(adj.get(root, ()) if adj is not None
+                      else r._succ(root))]
         color[root] = GRAY
         while iters:
             child = next(iters[-1], None)
@@ -135,7 +137,8 @@ def _find_cycle(r: Relation, starts, fuel: int | None):
             if mark == WHITE:
                 color[child] = GRAY
                 path.append(child)
-                iters.append(iter(r._succ(child)))
+                iters.append(iter(adj.get(child, ()) if adj is not None
+                                  else r._succ(child)))
     return "clear", None, explored
 
 
@@ -196,10 +199,11 @@ def height_from(r: Relation, a, fuel: int | None = None) -> int:
         return memo[a]
     if not r.source.contains(a):
         raise ValueOutsideSpace(a, r.source)
-    succ = r._succ
+    # an adjacency list is read, not copied: nothing here mutates kids
+    adj = r._adj
     path = [a]
     on_path = {a}
-    kids = list(succ(a))
+    kids = adj.get(a, ()) if adj is not None else list(r._succ(a))
     explored = len(kids)
     if fuel is not None and explored > fuel:
         raise FuelExhausted(fuel, partial=render_chain(path))
@@ -214,7 +218,7 @@ def height_from(r: Relation, a, fuel: int | None = None) -> int:
                 raise NotNoetherian(render_chain(path[idx:] + [k]))
             path.append(k)
             on_path.add(k)
-            kids = list(succ(k))
+            kids = adj.get(k, ()) if adj is not None else list(r._succ(k))
             explored += len(kids)
             if fuel is not None and explored > fuel:
                 raise FuelExhausted(fuel, partial=render_chain(path))

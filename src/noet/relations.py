@@ -5,7 +5,9 @@ Its pair set is a cache of that function: pairs() walks the source space
 once and fills the pair set and an adjacency together, each adjacency list
 being what the function yields, so stepping a member of the source space
 returns the same successors, in the same order, before and after
-materialization.
+materialization. The walks (reach, after, is_minimal here, the cycle
+search and height walk in noether, terminals_of in loops) read that
+adjacency directly once it is filled, as Relation._succ would.
 Operators build new successor functions, so huge spaces never get
 enumerated just to step through a loop. Equality questions always go
 through pair sets.
@@ -232,6 +234,7 @@ def reach(r: Relation, roots, fuel: int | None = None) -> set:
     included. Level by level; each reached value is expanded once. fuel
     bounds the edges walked, counting those that lead to values already
     reached; past it, FuelExhausted."""
+    adj = r._adj
     seen = set()
     frontier = set(roots)
     explored = 0
@@ -239,7 +242,7 @@ def reach(r: Relation, roots, fuel: int | None = None) -> set:
         seen.update(frontier)
         nxt = set()
         for x in frontier:
-            for y in r._succ(x):
+            for y in (adj.get(x, ()) if adj is not None else r._succ(x)):
                 explored += 1
                 if fuel is not None and explored > fuel:
                     raise FuelExhausted(fuel)
@@ -251,20 +254,22 @@ def reach(r: Relation, roots, fuel: int | None = None) -> set:
 
 def after(r: Relation, a, n: int) -> set:
     """The values exactly n steps of r away from a: a's image under r^n."""
+    adj = r._adj
     frontier = {a}
     for _ in range(n):
         if not frontier:
             break
         nxt = set()
         for x in frontier:
-            nxt.update(r._succ(x))
+            nxt.update(adj.get(x, ()) if adj is not None else r._succ(x))
         frontier = nxt
     return frontier
 
 
 def is_minimal(r: Relation, a) -> bool:
     """a has no successor under r."""
-    for _ in r._succ(a):
+    adj = r._adj
+    for _ in (adj.get(a, ()) if adj is not None else r._succ(a)):
         return False
     return True
 

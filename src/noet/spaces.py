@@ -6,7 +6,9 @@ examples._gcd_core keys its cache by it. A size is exact, by definition or
 by count, so `values()` answers the same under one cap whatever ran before:
 a known size over the cap refuses at once, an unknown one after cap + 1
 distinct members. Membership never consults the cap; bounded exploration
-in noether relies on that.
+in noether relies on that. Once enumerated, a lazy explicit space answers
+membership from its members, by hash, instead of its predicate; the two
+must agree.
 """
 
 from __future__ import annotations
@@ -123,11 +125,17 @@ class Space:
                     if len(seen) > cap:
                         raise SpaceTooLarge(None, cap)
                 out = seen
-            # int_range and product generate in value_key order with no
-            # duplicates (a product of sorted components is lexicographic);
-            # the rest are sorted here
+                if self.kind == "explicit":
+                    # the members answer membership from now on: one hash
+                    # lookup in place of the predicate, which agrees
+                    self._contains = seen.__contains__
+            # no kind generates a repeat: int_range and product generate in
+            # value_key order (a product of sorted components is
+            # lexicographic), the interval kinds distinct values, as their
+            # exact sizes say, and seen drops a factory's repeats; the rest
+            # are sorted here
             if self.kind not in _GENERATED_IN_ORDER:
-                out = sorted_unique(out)
+                out = sort_values(out)
             self._values = tuple(out)
         if len(self._values) > cap:
             raise SpaceTooLarge(len(self._values), cap)
@@ -265,7 +273,9 @@ def lazy_explicit(factory, contains, label=None) -> Space:
 
     factory() yields every member, repeats allowed, and contains(v)
     accepts exactly those; the size is what the factory yields, counted
-    when the space is first enumerated."""
+    when the space is first enumerated. From then on the members answer
+    membership and contains is no longer called, so a predicate that
+    accepted anything else would change its answers."""
     return Space("explicit", factory=factory, contains=contains, label=label)
 
 

@@ -333,6 +333,17 @@ class TestVerify:
         assert lines[-1] == "verdict: pass"
         assert lines[-2].startswith("inputs checked: ")
 
+    @pytest.mark.parametrize("flags,digest", [
+        ([], "91f052199ed932260c0d9ceb2b4ac07411f0e6ee2b512aeeea0889c575c27683"),
+        (["--json"],
+         "8de8197157467bf4469413c6b67f3908457bd1f9169a520be00aef8ebbc0d36d")])
+    def test_gcd_sweep_at_bound_64_is_pinned(self, flags, digest):
+        # the benchmark's gcd_verify workload runs this sweep
+        code, out, err = run_in_process(
+            ["verify", "gcd", "--a-max", "64", "--b-max", "64", *flags])
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
     def test_gcd_sweep_reaches_the_cap_without_a_grid_pass(self):
         # the classes are 1..min(a_max, b_max), listed without taking the
         # gcd of every pair in the grid, so wide bounds reach the cap fast

@@ -14,7 +14,7 @@ from noet.spaces import (DEFAULT_MAX_SPACE, Space, int_range,
                          interval_sets_of, intervals_of, lazy_explicit,
                          product)
 from noet.values import (Int, Interval, IntervalSet, Node, Pair, Seq, Tup,
-                         interval_strictly_within)
+                         interval_strictly_within, sort_values)
 
 
 def drive(inst, **kw):
@@ -385,13 +385,17 @@ class TestGeneratedSpaces:
                                           DEFAULT_MAX_SPACE).space
             want = _gcd_class_as_filter(g, bound)
             assert space.describe() == want.describe()
+            grid = [Pair(Int(a), Int(b))
+                    for a in range(bound + 2) for b in range(bound + 2)]
+            probes = grid + NOT_PAIRS + PAIRS_OF_NON_INTS
+            # the predicates first: once enumerated, both spaces answer
+            # membership from their members, and must answer the same
+            answers = [want.contains(v) for v in probes]
+            assert [space.contains(v) for v in probes] == answers, g
             got, expected = space.values(), want.values()
             assert len(got) == len(expected)
             assert all(a is b for a, b in zip(got, expected))
-            grid = [Pair(Int(a), Int(b))
-                    for a in range(bound + 2) for b in range(bound + 2)]
-            for v in grid + NOT_PAIRS + PAIRS_OF_NON_INTS:
-                assert space.contains(v) == want.contains(v), (g, v)
+            assert [space.contains(v) for v in probes] == answers, g
             total += len(got)
         assert total == bound ** 2
 
@@ -406,11 +410,13 @@ class TestGeneratedSpaces:
                                         x=x, check=False).loop.space
                     want = _intervalset_search_as_filter(t, x)
                     assert space.describe() == want.describe()
-                    assert space.values() == want.values()
                     beyond = [IntervalSet(frozenset({Interval(1, n + 1)}))]
-                    for v in (interval_sets_of(1, n).values() + tuple(extras)
-                              + tuple(beyond)):
-                        assert space.contains(v) == want.contains(v), (t, x, v)
+                    probes = (interval_sets_of(1, n).values() + tuple(extras)
+                              + tuple(beyond))
+                    answers = [want.contains(v) for v in probes]
+                    assert [space.contains(v) for v in probes] == answers
+                    assert space.values() == want.values()
+                    assert [space.contains(v) for v in probes] == answers
 
     def test_proving_a_space_too_large_to_enumerate_says_so(self):
         # as filters over an unsampled grid these spaces had no probe
@@ -504,13 +510,18 @@ LAZY_SPACES = [
                               in enumerate(LAZY_SPACES)])
 def test_factory_yields_exactly_the_contained_values(name, params, superset):
     # verify enumerates through the factory alone, so a factory that drops
-    # a member would go unnoticed without this
+    # a member would go unnoticed without this; and once enumerated the
+    # space answers membership from its members, so the predicate is asked
+    # first, and every answer must stay the same after
+    _gcd_core.cache_clear()   # a gcd core that no other test enumerated
     space = instantiate(name, check=False, **params).loop.space
     assert space.kind == "explicit"
+    around = sort_values(superset(**params)) + NOT_PAIRS
+    answers = [space.contains(v) for v in around]
     members = space.values()
-    around = set(superset(**params))
-    assert set(members) <= around
-    assert {v for v in around if space.contains(v)} == set(members)
+    assert set(members) <= set(around)
+    assert {v for v, ok in zip(around, answers) if ok} == set(members)
+    assert [space.contains(v) for v in around] == answers
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 3])
@@ -529,8 +540,9 @@ def test_arrangement_membership_is_membership_in_the_values(n):
         spaces.append((instantiate("lamsort", t=t, check=False).loop.space,
                        blockings))
         for space, parts in spaces:
+            states = [Tup((u, part)) for u in perms for part in parts]
+            answers = [space.contains(v) for v in states]
             members = set(space.values())
-            for u in perms:
-                for part in parts:
-                    v = Tup((u, part))
-                    assert space.contains(v) == (v in members), (t, v)
+            assert answers == [v in members for v in states], t
+            # enumerated, the space answers from its members
+            assert [space.contains(v) for v in states] == answers, t

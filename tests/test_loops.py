@@ -335,6 +335,24 @@ class TestVerify:
         assert "order_noetherian: pass (Noetherian (certificate))" in text
         assert text.endswith("verdict: pass")
 
+    def test_the_exits_are_found_once(self, monkeypatch):
+        # exit_nonempty and the closure denotation share one exit list
+        calls = []
+        real = loops.exit_condition
+
+        def counted(loop):
+            calls.append(loop)
+            return real(loop)
+
+        monkeypatch.setattr(loops, "exit_condition", counted)
+        loop = branch_loop()
+        assert verify(loop).passed
+        assert len(calls) == 1
+        _, given = denotation_closure(loop, exits=real(loop))
+        _, found = denotation_closure(loop)
+        assert len(calls) == 2
+        assert given.pairs() == found.pairs()
+
     def test_failing_oracle_turns_the_report_red(self):
         # a body that stops early leaves non-minimal terminals behind
         sp = int_range(0, 4)

@@ -2,9 +2,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import any_relation, dag_relation, int_space
-from noet.errors import (FuelExhausted, SpaceMismatch, SpaceTooLarge,
-                         ValueOutsideSpace)
-from noet.noether import is_noetherian
+from noet.errors import (FuelExhausted, NotNoetherian, SpaceMismatch,
+                         SpaceTooLarge, ValueOutsideSpace)
+from noet.loops import make_loop, terminals_of
+from noet.noether import height_from, is_noetherian
 from noet.relations import (Relation, after, from_pairs, identity,
                             is_minimal, reach)
 from noet.spaces import explicit, int_range, max_space
@@ -248,3 +249,72 @@ class TestClassify:
 class TestPrefabs:
     def test_identity(self):
         assert identity(int_space(3)).holds(Int(2), Int(2))
+
+
+def _walk(call):
+    """A walk's answer, or the limit or verdict error it raised."""
+    try:
+        return "value", call()
+    except FuelExhausted as exc:
+        return "fuel", exc.fuel, exc.partial
+    except NotNoetherian as exc:
+        return "cycle", str(exc)
+
+
+class TestMaterializingChangesNoWalk:
+    """Every relation on int_range(0, 2) (2^9 of them), walked through its
+    successor function and again through the adjacency that pairs() fills:
+    the walks read that adjacency directly once it exists, and must give
+    the same answers, witnesses and fuel counts."""
+
+    SPACE = int_range(0, 2)
+
+    def walks(self, adj, materialize):
+        """Every walk's outcome, each on a relation of its own, so that no
+        height memo is shared between calls."""
+        sp = self.SPACE
+
+        def fresh():
+            r = Relation(sp, sp, lambda a: adj.get(a, ()))
+            if materialize:
+                r.pairs()
+            return r
+
+        def tree(a):
+            # the edges a walk from a expands: every reached value's own
+            return sum(len(adj.get(v, ())) for v in reach(fresh(), (a,)))
+
+        def loop():
+            r = fresh()
+            return make_loop(sp, r, identity(sp), r, check=False)
+
+        out = [_walk(lambda: is_noetherian(fresh()))]
+        for a in sp.values():
+            out.append(_walk(lambda: reach(fresh(), (a,))))
+            out.append(_walk(lambda: is_minimal(fresh(), a)))
+            out += [_walk(lambda: after(fresh(), a, n)) for n in range(4)]
+            out.append(_walk(lambda: height_from(fresh(), a)))
+            out.append(_walk(lambda: terminals_of(loop(), a)))
+            edges = tree(a)
+            for fuel in range(edges + 1):
+                out.append(_walk(lambda: reach(fresh(), (a,), fuel)))
+                out.append(_walk(lambda: height_from(fresh(), a, fuel)))
+                out.append(_walk(lambda: terminals_of(loop(), a, fuel)))
+            # the exact edge count passes, one under runs out
+            assert _walk(lambda: reach(fresh(), (a,), edges))[0] == "value"
+            assert _walk(lambda: terminals_of(loop(), a, edges))[0] == "value"
+            if edges:
+                assert _walk(lambda: reach(fresh(), (a,), edges - 1))[0] == "fuel"
+                assert _walk(
+                    lambda: terminals_of(loop(), a, edges - 1))[0] == "fuel"
+        return out
+
+    def test_every_relation_on_three_states(self):
+        vals = self.SPACE.values()
+        cells = [(a, b) for a in vals for b in vals]
+        for bits in range(2 ** len(cells)):
+            adj = {}
+            for k, (a, b) in enumerate(cells):
+                if bits >> k & 1:
+                    adj.setdefault(a, []).append(b)
+            assert self.walks(adj, False) == self.walks(adj, True), bits

@@ -213,6 +213,15 @@ class TestCapRule:
             assert [v.value for v in sp.values()] == [1, 2, 3]
         assert draws[0] == 7
 
+    def test_repeats_enumerate_once_and_keep_every_membership_answer(self):
+        # enumerated, a lazy space answers membership from its members
+        sp = lazy_explicit(lambda: (Int(v) for v in [2, 0, 2, 1, 0]),
+                           lambda v: isinstance(v, Int) and 0 <= v.value <= 2)
+        probes = [Int(v) for v in range(-1, 4)] + [Pair(Int(0), Int(0)), None]
+        answers = [sp.contains(v) for v in probes]
+        assert sp.values() == (Int(0), Int(1), Int(2))
+        assert [sp.contains(v) for v in probes] == answers
+
     def test_a_known_size_refuses_without_generating(self, monkeypatch):
         monkeypatch.setattr(Space, "_generate", None)
         with max_space(100), pytest.raises(

@@ -207,14 +207,23 @@ def _run_all(loop, input_value, fuel, validate) -> list[ExecTrace]:
     return traces
 
 
-def terminals_of(loop: LoopDef, input_value,
-                 fuel: int = DEFAULT_FUEL) -> frozenset:
-    """All-resolution terminal states, without trace bookkeeping."""
+def terminals_of(loop: LoopDef, input_value, fuel: int = DEFAULT_FUEL, *,
+                 known: dict | None = None) -> frozenset:
+    """All-resolution terminal states, without trace bookkeeping.
+
+    known, when given, maps a state to the terminal set already found from
+    it. The walk takes a known state's set instead of expanding it, so no
+    edge past it is charged, and a walk from a single start stores its
+    result under that start. A walk that met one known state and no sink
+    returns that state's set itself. fuel bounds the edges this call
+    walks; a call that runs out leaves known as it was."""
     starts = _start_states(loop, input_value)
+    memo = {} if known is None else known
     body = loop.body
     adj = body._adj
     seen = set(starts)
-    frontier = list(starts)
+    found = [memo[s] for s in starts if s in memo]   # known states' sets
+    frontier = [s for s in starts if s not in memo]
     out = set()
     explored = 0
     while frontier:
@@ -229,11 +238,20 @@ def terminals_of(loop: LoopDef, input_value,
                     raise FuelExhausted(fuel)
                 if nxt not in seen:
                     seen.add(nxt)
-                    nxt_frontier.append(nxt)
+                    if nxt in memo:
+                        found.append(memo[nxt])
+                    else:
+                        nxt_frontier.append(nxt)
             if not any_succ:
                 out.add(state)
         frontier = nxt_frontier
-    return frozenset(out)
+    if not out and len(found) == 1:
+        result = found[0]
+    else:
+        result = frozenset(out.union(*found))
+    if known is not None and len(starts) == 1:
+        known[starts[0]] = result
+    return result
 
 
 # -- denotations ----------------------------------------------------------------
@@ -310,7 +328,12 @@ def verify(loop: LoopDef, inputs=None, *, ctx: dict | None = None,
     construction ones from the checks make_loop raises on. A body cycle
     leaves no limit, so denotation_agreement fails "not evaluated:" with the
     cycle. inputs defaults to the initialized part of the input space. ctx
-    carries oracle context (the loop itself is added under "loop")."""
+    carries oracle context (the loop itself is added under "loop").
+
+    The runs share one terminals_of memo across the inputs, so fuel bounds
+    only the edges each input walks past the states earlier inputs
+    answered. They still walk forward on their own, apart from the closure
+    and the limit they are compared with."""
     results = [ObligationResult(name, passed, detail)
                for name, passed, detail, _ in _construction(loop)]
     exits = exit_condition(loop)
@@ -329,8 +352,9 @@ def verify(loop: LoopDef, inputs=None, *, ctx: dict | None = None,
     except NotNoetherian as err:   # a cyclic body has no limit to compare
         agree_ok, agree_detail = False, f"not evaluated: {err}"
 
+    known = {}
     for inp in inputs:
-        ts = terminals_of(loop, inp, fuel=fuel)
+        ts = terminals_of(loop, inp, fuel=fuel, known=known)
         if loop.postcondition is not None and oracle_ok:
             for t in sorted(ts, key=value_key):
                 if not oracles.check(loop.postcondition, full_ctx, inp, t):

@@ -1,5 +1,6 @@
 """Loop assembly, execution, denotations, and the obligation verifier."""
 
+import collections
 import itertools
 
 import pytest
@@ -257,6 +258,75 @@ class TestRun:
         assert terminals_of(branch_loop(), Int(0)) \
             == frozenset({Node("b"), Node("c")})
         assert terminals_of(counting_loop(), Int(4)) == frozenset({Int(0)})
+
+
+class TestTerminalsMemo:
+    """terminals_of(..., known=) reuses the terminal sets of earlier walks."""
+
+    def test_a_shared_memo_answers_as_fresh_calls_do(self):
+        # every body on three states, cycles included, swept both ways,
+        # under the identity init and one that starts each input twice
+        sp = int_range(0, 2)
+        val = [Int(i) for i in range(3)]
+        inits = [Relation(sp, sp, lambda a: (a,)),
+                 Relation(sp, sp, lambda a: (a, val[(a.value + 1) % 3]))]
+        all_pairs = [(a, b) for a in val for b in val]
+        for bits in range(2 ** 9):
+            body = from_pairs(sp, sp, [p for k, p in enumerate(all_pairs)
+                                       if bits >> k & 1])
+            for init in inits:
+                loop = make_loop(sp, body, init, body, check=False)
+                fresh = {v: terminals_of(loop, v) for v in val}
+                for order in (val, val[::-1]):
+                    known = {}
+                    assert {v: terminals_of(loop, v, known=known)
+                            for v in order} == fresh, bits
+
+    def test_a_sweep_expands_each_state_once(self):
+        sp = int_range(0, 9)
+        calls = collections.Counter()
+
+        def down(a):
+            calls[a] += 1
+            return (Int(a.value - 1),) if a.value else ()
+
+        body = Relation(sp, sp, down)
+        init = Relation(sp, sp, lambda a: (a,))
+        loop = make_loop(sp, named("INTGREATER", sp), init, body, check=False)
+        known = {}
+        for v in sp.values():
+            assert terminals_of(loop, v, fuel=1, known=known) \
+                == frozenset({Int(0)})
+        assert body._adj is None
+        assert calls == {v: 1 for v in sp.values()}
+        # a walk that met one known state and no sink returns its set
+        assert all(s is known[Int(0)] for s in known.values())
+
+    def test_a_known_start_needs_no_fuel(self):
+        loop = counting_loop()
+        known = {Int(3): frozenset({Int(0)})}
+        assert terminals_of(loop, Int(3), fuel=0, known=known) \
+            is known[Int(3)]
+        with pytest.raises(FuelExhausted):
+            terminals_of(loop, Int(3), fuel=0)
+
+    def test_running_out_of_fuel_leaves_the_memo_as_it_was(self):
+        loop = counting_loop()
+        known = {Int(1): frozenset({Int(0)})}
+        with pytest.raises(FuelExhausted):
+            terminals_of(loop, Int(5), fuel=3, known=known)
+        assert known == {Int(1): frozenset({Int(0)})}
+        assert terminals_of(loop, Int(5), fuel=4, known=known) \
+            == frozenset({Int(0)})
+        assert set(known) == {Int(1), Int(5)}
+
+    def test_verify_fuel_bounds_each_input_past_earlier_answers(self):
+        # declared change: verify's runs share one memo, so in value order
+        # each input of a 20-step chain walks one edge; alone, 20 needs 20
+        loop = counting_loop(20)
+        assert verify(loop, fuel=3).passed
+        with pytest.raises(FuelExhausted):
+            terminals_of(loop, Int(20), fuel=3)
 
 
 class TestDenotations:

@@ -1,6 +1,8 @@
-"""Smoke tests for the scripts under scripts/, run in-process on tiny inputs."""
+"""Smoke tests for the scripts under scripts/, run in-process on tiny inputs
+(bench_pairs starts perfbench runs as child processes)."""
 
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
@@ -40,3 +42,23 @@ def test_binary_search_demo(monkeypatch, capsys):
     assert lines[1].lstrip().startswith("midpoint: ")
     assert lines[2].lstrip().startswith("canonical: ")
     assert lines[3].endswith("pass the membership oracle: True")
+
+
+def test_bench_pairs_one_tiny_pair(monkeypatch, capsys, tmp_path):
+    # the same tree on both sides: one run each, parent first
+    root = str(SCRIPTS.parent)
+    out = tmp_path / "runs.jsonl"
+    code = run_script("bench_pairs",
+                      ["--parent", root, "--change", root, "--size", "tiny",
+                       "--pairs", "1", "--seconds", "0.5", "--out", str(out)],
+                      monkeypatch)
+    assert code == 0
+    runs = [json.loads(line) for line in out.read_text().splitlines()]
+    assert [(r["side"], r["pair"], r["first"]) for r in runs] \
+        == [("parent", 1, "parent"), ("change", 1, "parent")]
+    assert all(r["result"]["correct"] and r["result"]["failed"] == 0
+               for r in runs)
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "gcd_verify seed 1: 1 pairs, failed 0 / 0, correct True"
+    assert lines[1].lstrip().startswith("wall_s ")
+    assert all(line.endswith(("0/1", "1/1")) for line in lines[1:])

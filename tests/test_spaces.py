@@ -143,17 +143,22 @@ class TestLimitsAndLazy:
 
 
 
-def _ints(factory):
+def _ints(factory, member=None):
     """A lazy space of Ints whose factory is counted: (space, draws), where
-    draws[0] is the number of values drawn so far."""
+    draws[0] is the number of values drawn so far. member is the plain-int
+    membership test, which must agree with the factory; by default it is
+    membership in one finite draw of the factory."""
     draws = [0]
+    if member is None:
+        member = frozenset(factory()).__contains__
 
     def counted():
         for v in factory():
             draws[0] += 1
             yield Int(v)
 
-    return lazy_explicit(counted, lambda v: isinstance(v, Int)), draws
+    return lazy_explicit(counted, lambda v: isinstance(v, Int)
+                         and member(v.value)), draws
 
 
 class TestCapRule:
@@ -201,7 +206,7 @@ class TestCapRule:
         assert draws[0] == 5
 
     def test_more_than_cap_members_refuse_after_cap_plus_one_draws(self):
-        sp, draws = _ints(itertools.count)
+        sp, draws = _ints(itertools.count, lambda n: n >= 0)
         with max_space(5), pytest.raises(SpaceTooLarge) as exc:
             sp.values()
         assert draws[0] == 6
@@ -212,6 +217,17 @@ class TestCapRule:
         with max_space(3):
             assert [v.value for v in sp.values()] == [1, 2, 3]
         assert draws[0] == 7
+
+    def test_membership_answers_the_same_before_and_after_enumeration(self):
+        probes = [Int(v) for v in range(-1, 8)] + [Pair(Int(4), Int(1)), None]
+        for factory in (lambda: [4, 1, 4, 2], lambda: range(5),
+                        lambda: [1, 2, 1, 2, 1, 2, 3]):
+            sp, _ = _ints(factory)
+            answers = [sp.contains(v) for v in probes]
+            assert answers == [isinstance(v, Int) and v.value in set(factory())
+                               for v in probes]
+            sp.values()
+            assert [sp.contains(v) for v in probes] == answers
 
     def test_repeats_enumerate_once_and_keep_every_membership_answer(self):
         # enumerated, a lazy space answers membership from its members

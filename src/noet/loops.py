@@ -208,22 +208,30 @@ def _run_all(loop, input_value, fuel, validate) -> list[ExecTrace]:
 
 
 def terminals_of(loop: LoopDef, input_value, fuel: int = DEFAULT_FUEL, *,
-                 known: dict | None = None) -> frozenset:
-    """All-resolution terminal states, without trace bookkeeping.
+                 _known: dict | None = None) -> frozenset:
+    """All-resolution terminal states, without trace bookkeeping. fuel
+    bounds the edges this call walks.
 
-    known, when given, maps a state to the terminal set already found from
-    it. The walk takes a known state's set instead of expanding it, so no
-    edge past it is charged, and a walk from a single start stores its
-    result under that start. A walk that met one known state and no sink
-    returns that state's set itself. fuel bounds the edges this call
-    walks; a call that runs out leaves known as it was."""
+    _known is verify's memo across its inputs: a dict from a state to the
+    terminal set already found from it, shared only between calls on the
+    same loop, since nothing ties an entry to the body it came from. The
+    walk takes a known state's set instead of expanding it, so no edge past
+    it is charged, and a walk from a single start stores its result under
+    that start. A walk that met one known state and no sink returns that
+    state's set itself. A call that runs out of fuel leaves the memo as it
+    was."""
     starts = _start_states(loop, input_value)
-    memo = {} if known is None else known
+    memo = {} if _known is None else _known
     body = loop.body
     adj = body._adj
     seen = set(starts)
-    found = [memo[s] for s in starts if s in memo]   # known states' sets
-    frontier = [s for s in starts if s not in memo]
+    found = []   # known states' sets
+    frontier = []
+    for s in starts:
+        if s in memo:
+            found.append(memo[s])
+        else:
+            frontier.append(s)
     out = set()
     explored = 0
     while frontier:
@@ -245,12 +253,14 @@ def terminals_of(loop: LoopDef, input_value, fuel: int = DEFAULT_FUEL, *,
             if not any_succ:
                 out.add(state)
         frontier = nxt_frontier
-    if not out and len(found) == 1:
+    if not found:
+        result = frozenset(out)
+    elif not out and len(found) == 1:
         result = found[0]
     else:
         result = frozenset(out.union(*found))
-    if known is not None and len(starts) == 1:
-        known[starts[0]] = result
+    if _known is not None and len(starts) == 1:
+        _known[starts[0]] = result
     return result
 
 
@@ -354,7 +364,7 @@ def verify(loop: LoopDef, inputs=None, *, ctx: dict | None = None,
 
     known = {}
     for inp in inputs:
-        ts = terminals_of(loop, inp, fuel=fuel, known=known)
+        ts = terminals_of(loop, inp, fuel=fuel, _known=known)
         if loop.postcondition is not None and oracle_ok:
             for t in sorted(ts, key=value_key):
                 if not oracles.check(loop.postcondition, full_ctx, inp, t):

@@ -261,7 +261,7 @@ class TestRun:
 
 
 class TestTerminalsMemo:
-    """terminals_of(..., known=) reuses the terminal sets of earlier walks."""
+    """terminals_of(..., _known=) reuses the terminal sets of earlier walks."""
 
     def test_a_shared_memo_answers_as_fresh_calls_do(self):
         # every body on three states, cycles included, swept both ways,
@@ -279,7 +279,7 @@ class TestTerminalsMemo:
                 fresh = {v: terminals_of(loop, v) for v in val}
                 for order in (val, val[::-1]):
                     known = {}
-                    assert {v: terminals_of(loop, v, known=known)
+                    assert {v: terminals_of(loop, v, _known=known)
                             for v in order} == fresh, bits
 
     def test_a_sweep_expands_each_state_once(self):
@@ -295,7 +295,7 @@ class TestTerminalsMemo:
         loop = make_loop(sp, named("INTGREATER", sp), init, body, check=False)
         known = {}
         for v in sp.values():
-            assert terminals_of(loop, v, fuel=1, known=known) \
+            assert terminals_of(loop, v, fuel=1, _known=known) \
                 == frozenset({Int(0)})
         assert body._adj is None
         assert calls == {v: 1 for v in sp.values()}
@@ -305,7 +305,7 @@ class TestTerminalsMemo:
     def test_a_known_start_needs_no_fuel(self):
         loop = counting_loop()
         known = {Int(3): frozenset({Int(0)})}
-        assert terminals_of(loop, Int(3), fuel=0, known=known) \
+        assert terminals_of(loop, Int(3), fuel=0, _known=known) \
             is known[Int(3)]
         with pytest.raises(FuelExhausted):
             terminals_of(loop, Int(3), fuel=0)
@@ -314,9 +314,9 @@ class TestTerminalsMemo:
         loop = counting_loop()
         known = {Int(1): frozenset({Int(0)})}
         with pytest.raises(FuelExhausted):
-            terminals_of(loop, Int(5), fuel=3, known=known)
+            terminals_of(loop, Int(5), fuel=3, _known=known)
         assert known == {Int(1): frozenset({Int(0)})}
-        assert terminals_of(loop, Int(5), fuel=4, known=known) \
+        assert terminals_of(loop, Int(5), fuel=4, _known=known) \
             == frozenset({Int(0)})
         assert set(known) == {Int(1), Int(5)}
 

@@ -62,3 +62,14 @@ def test_bench_pairs_one_tiny_pair(monkeypatch, capsys, tmp_path):
     assert lines[0] == "gcd_verify seed 1: 1 pairs, failed 0 / 0, correct True"
     assert lines[1].lstrip().startswith("wall_s ")
     assert all(line.endswith(("0/1", "1/1")) for line in lines[1:])
+
+
+def test_bench_pairs_leaves_the_workload_check_to_run_py(monkeypatch, capsys):
+    root = str(SCRIPTS.parent)
+    code = run_script("bench_pairs",
+                      ["--parent", root, "--change", root, "--workload",
+                       "nosuch", "--pairs", "1", "--seconds", "0.5"],
+                      monkeypatch)
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "invalid choice: 'nosuch'" in err

@@ -147,7 +147,12 @@ def _refute_compose(space, first_pairs, second_pairs) -> dict | None:
 
 
 def _limits_everywhere(r: Relation, mode: str):
-    # limit_from's sorted lists: list equality is set equality
+    # limit_from's sorted lists: list equality is set equality. No minima
+    # memo across the starts, unlike limit_relation: on these relations of
+    # at most 6 states a walk is a few edges, and sharing one memo per
+    # relation made these calls about 10% slower (median ratio of 31
+    # paired in-process rounds of run_audit over 12 seeds, faster in 8 of
+    # 31, where an identical memo-free copy read +2%, faster in 11 of 31)
     return {a: limit_from(r, a, mode=mode) for a in r.source.values()}
 
 

@@ -23,7 +23,8 @@ from .errors import (BodyNotSubsetOfOrder, DomainMismatch, EmptySpace,
                      NotNoetherian, OrderNotNoetherian, SpaceMismatch)
 from .noether import (DEFAULT_FUEL, NOETHERIAN, REACHABLE_MINIMA,
                       height_from, is_seed, limit_relation, minima)
-from .relations import Relation, is_minimal, least_failing, reach
+from .relations import (Relation, is_minimal, least_failing, reach,
+                        union_known)
 from .spaces import Space, same_space
 from .values import Int, render, render_chain, render_set, value_key
 
@@ -253,12 +254,7 @@ def terminals_of(loop: LoopDef, input_value, fuel: int = DEFAULT_FUEL, *,
             if not any_succ:
                 out.add(state)
         frontier = nxt_frontier
-    if not found:
-        result = frozenset(out)
-    elif not out and len(found) == 1:
-        result = found[0]
-    else:
-        result = frozenset(out.union(*found))
+    result = union_known(found, out)
     if _known is not None and len(starts) == 1:
         _known[starts[0]] = result
     return result

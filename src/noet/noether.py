@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 from .errors import (FuelExhausted, NotNoetherian, SpaceMismatch,
                      SpaceTooLarge, ValueOutsideSpace)
-from .relations import Relation, after, is_minimal, reach
+from .relations import Relation, after, is_minimal, reach, union_known
 from .spaces import same_space
 # value_key is unused here but stays bound: perfbench's tracer test expects
 # this module to hold the name it wraps
@@ -236,12 +236,16 @@ def height_from(r: Relation, a, fuel: int | None = None) -> int:
 
 # -- reachability and minima ------------------------------------------------
 
-def reachable_from(r: Relation, a, fuel: int | None = None) -> frozenset:
+def reachable_from(r: Relation, a, fuel: int | None = None, *,
+                   _stop=None) -> frozenset:
     """a and every value below it. fuel bounds the edges walked. A start
-    outside r.source raises ValueOutsideSpace."""
+    outside r.source raises ValueOutsideSpace.
+
+    _stop is limit_from's memo: its values are kept but not expanded (see
+    relations.reach), so the edges past them are not charged."""
     if not r.source.contains(a):
         raise ValueOutsideSpace(a, r.source)
-    return frozenset(reach(r, (a,), fuel))
+    return frozenset(reach(r, (a,), fuel, _stop))
 
 
 def minima(r: Relation) -> list:
@@ -251,7 +255,7 @@ def minima(r: Relation) -> list:
 # -- the limit operator ------------------------------------------------------
 
 def limit_from(r: Relation, a, mode: str = REACHABLE_MINIMA,
-               fuel: int | None = None) -> list:
+               fuel: int | None = None, *, _known: dict | None = None) -> list:
     """Values the limit relation pairs with a.
 
     maxdepth: the image of a under r^height(a), the ends of its longest
@@ -263,6 +267,14 @@ def limit_from(r: Relation, a, mode: str = REACHABLE_MINIMA,
     fuel bounds each walk separately: the height walk (free where
     height_from already settled a value on r) and, for reachable_minima,
     the reachability walk.
+
+    _known is limit_relation's memo for reachable_minima, a dict from a
+    start already answered on r to the frozenset of its reachable minima;
+    maxdepth ignores it. The reachability walk keeps a known value but
+    does not expand it, so no edge past it is charged, and the limit is
+    the union of the known sets met and the height-0 values found. It is
+    stored under a when a's height is not 0; a walk that met one known set
+    and nothing new stores that set itself.
     """
     if mode not in LIMIT_MODES:
         raise ValueError(f"unknown limit mode: {mode!r}")
@@ -273,17 +285,31 @@ def limit_from(r: Relation, a, mode: str = REACHABLE_MINIMA,
         return sort_values(after(r, a, h))
     # the height walk settled every value below a; height 0 is minimal
     heights = r._heights
-    return sort_values(v for v in reachable_from(r, a, fuel)
-                       if heights[v] == 0)
+    if _known is None:
+        return sort_values(v for v in reachable_from(r, a, fuel)
+                           if heights[v] == 0)
+    found = []   # known values' limits
+    new = []
+    for v in reachable_from(r, a, fuel, _stop=_known):
+        if heights[v] == 0:   # only starts of height > 0 are stored
+            new.append(v)
+        elif v in _known:
+            found.append(_known[v])
+    lim = _known[a] = union_known(found, new)
+    return sort_values(lim)
 
 
 def limit_relation(r: Relation, mode: str = REACHABLE_MINIMA) -> Relation:
     """The limit as a relation over r's space, materialized here: each
     start steps to its limit_from values, with heights settled for one
-    start reused for the next."""
+    start reused for the next. Under reachable_minima the starts also
+    share one memo of the limits already answered, private to this call,
+    so a walk stops at the first value an earlier start answered."""
     if not same_space(r.source, r.target):
         raise SpaceMismatch("limits need matching source and target")
-    lim = Relation(r.source, r.source, lambda a: limit_from(r, a, mode),
+    known = {}
+    lim = Relation(r.source, r.source,
+                   lambda a: limit_from(r, a, mode, _known=known),
                    name=f"limit[{mode}]")
     lim.pairs()
     return lim

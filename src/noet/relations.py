@@ -229,17 +229,24 @@ class Relation:
 
 # -- walks -------------------------------------------------------------------
 
-def reach(r: Relation, roots, fuel: int | None = None) -> set:
+def reach(r: Relation, roots, fuel: int | None = None, stop=None) -> set:
     """Every value reachable from roots in zero or more steps of r, roots
     included. Level by level; each reached value is expanded once. fuel
     bounds the edges walked, counting those that lead to values already
-    reached; past it, FuelExhausted."""
+    reached; past it, FuelExhausted.
+
+    stop, a set or dict, holds values to keep but not expand: a reached
+    stop value is in the result, and the edges past it are neither walked
+    nor charged. It is taken out of each level's values with one
+    set.difference, which reuses the hashes the level's set stores."""
     adj = r._adj
     seen = set()
     frontier = set(roots)
     explored = 0
     while frontier:
         seen.update(frontier)
+        if stop is not None:
+            frontier = frontier.difference(stop)
         nxt = set()
         for x in frontier:
             for y in (adj.get(x, ()) if adj is not None else r._succ(x)):
@@ -250,6 +257,17 @@ def reach(r: Relation, roots, fuel: int | None = None) -> set:
                     nxt.add(y)
         frontier = nxt
     return seen
+
+
+def union_known(found: list, new) -> frozenset:
+    """The union of the values in new and the memo sets in found, for the
+    walks that stop at answered values. One found set and nothing new is
+    returned itself, so the memo entries of a chain share one frozenset."""
+    if not found:
+        return frozenset(new)
+    if not new and len(found) == 1:
+        return found[0]
+    return frozenset().union(new, *found)
 
 
 def after(r: Relation, a, n: int) -> set:

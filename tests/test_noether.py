@@ -370,9 +370,15 @@ def lazy_relation_on_int_range(draw, cyclic: bool):
     return Relation(sp, sp, lambda a: adj.get(a, ()))
 
 
+def rel_copy(r):
+    """r's successor function on a fresh relation: no pair cache and no
+    height memo."""
+    return Relation(r.source, r.target, r._succ)
+
+
 def limit_by_definition(r, a, mode):
     """limit_from's definition, on a fresh relation with no height memo."""
-    r = Relation(r.source, r.target, r._succ)
+    r = rel_copy(r)
     if mode == MAXDEPTH:
         return sort_values(after(r, a, height_from(r, a)))
     return sort_values(v for v in reachable_from(r, a) if is_minimal(r, v))
@@ -414,6 +420,95 @@ class TestLimitDefinition:
     def test_cyclic_relation_raises_where_a_cycle_is_reachable(self, r, data):
         self.check(r, data)
         self.check(r.plus(), data)
+
+
+class TestLimitMemo:
+    """limit_relation shares one memo of answered starts under
+    reachable_minima: a walk keeps a known value without expanding it and
+    unions its set into the limit."""
+
+    @given(lazy_relation_on_int_range(cyclic=False))
+    def test_agrees_with_the_definition_at_every_start(self, r):
+        # the hidden arrangement is a random permutation, so value order is
+        # not topological and known sets are met partway through walks;
+        # the closure meets several at once
+        for s in (r, r.plus()):
+            lim = limit_relation(s, REACHABLE_MINIMA)
+            for a in s.source.values():
+                assert lim.successors(a) \
+                    == limit_by_definition(s, a, REACHABLE_MINIMA)
+
+    def test_one_known_set_is_reused(self):
+        r = rel(3, [(2, 1), (1, 0)])
+        known = {}
+        assert limit_from(r, Int(1), _known=known) == [Int(0)]
+        assert limit_from(r, Int(2), _known=known) == [Int(0)]
+        assert known[Int(2)] is known[Int(1)]
+
+    def test_known_sets_met_partway_are_unioned_with_new_minima(self):
+        # a reaches b and, one level down, c; both are answered, so neither
+        # is expanded, and e is a minimum no answer holds
+        r = node_rel("abcdefx", [("a", "b"), ("a", "x"), ("x", "c"),
+                                 ("x", "e"), ("b", "d"), ("c", "f")])
+        fresh = rel_copy(r)
+        known = {}
+        for v in "bc":
+            limit_from(r, Node(v), _known=known)
+            limit_from(fresh, Node(v))
+        assert known == {Node("b"): frozenset({Node("d")}),
+                         Node("c"): frozenset({Node("f")})}
+        # with b and c settled, the height walk charges a -> b, a -> x,
+        # x -> c and x -> e; so does the minima walk, never b -> d or c -> f
+        assert limit_from(r, Node("a"), fuel=4, _known=known) \
+            == [Node("d"), Node("e"), Node("f")]
+        assert known[Node("a")] == frozenset(Node(v) for v in "def")
+        # without the memo the minima walk expands b and c too
+        with pytest.raises(FuelExhausted):
+            limit_from(fresh, Node("a"), fuel=4)
+        assert limit_from(fresh, Node("a"), fuel=6) \
+            == [Node("d"), Node("e"), Node("f")]
+
+    def test_a_chain_in_descending_value_order_hits_nothing(self):
+        # 0 -> 1 -> 2: each start comes before the values below it
+        r = rel(3, [(0, 1), (1, 2)])
+        known = {}
+        for a in r.source.values():
+            limit_from(r, a, _known=known)
+        assert known == {Int(0): frozenset({Int(2)}),
+                         Int(1): frozenset({Int(2)})}
+        assert known[Int(0)] is not known[Int(1)]
+        lim = limit_relation(rel_copy(r), REACHABLE_MINIMA)
+        assert lim.sorted_pairs() == [(Int(a), Int(2)) for a in range(3)]
+
+    @given(lazy_relation_on_int_range(cyclic=True))
+    def test_cyclic_relation_raises_the_memo_free_witness(self, r):
+        want = None
+        fresh = rel_copy(r)
+        try:
+            for a in fresh.source.values():
+                limit_from(fresh, a, REACHABLE_MINIMA)
+        except NotNoetherian as exc:
+            want = str(exc)
+        assert want is not None
+        with pytest.raises(NotNoetherian) as got:
+            limit_relation(r, REACHABLE_MINIMA)
+        assert str(got.value) == want
+
+    def test_public_calls_answer_and_charge_as_without_a_memo(self):
+        # SUCCESSOR over 0..20: 20 -> 19 -> ... -> 0, twenty edges
+        r = named("SUCCESSOR", int_range(0, 20))
+        top = Int(20)
+        for warm in (False, True):
+            if warm:
+                # settles every height on r; its minima memo stays private
+                limit_relation(r, REACHABLE_MINIMA)
+            assert reachable_from(r, top, fuel=20) \
+                == frozenset(Int(i) for i in range(21))
+            with pytest.raises(FuelExhausted):
+                reachable_from(r, top, fuel=19)
+            assert limit_from(r, top, fuel=20) == [Int(0)]
+            with pytest.raises(FuelExhausted):
+                limit_from(r, top, fuel=19)
 
 
 class TestMinimalStart:

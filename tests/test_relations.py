@@ -118,6 +118,47 @@ class TestOperations:
         with pytest.raises(FuelExhausted):
             reach(r, [Int(0)], fuel=3)
 
+    def test_stop_values_are_kept_but_not_expanded(self):
+        r = rel(5, [(0, 1), (1, 2), (2, 3), (0, 4)])
+        ints = lambda vs: {v.value for v in vs}
+        assert ints(reach(r, [Int(0)], stop={Int(1)})) == {0, 1, 4}
+        assert ints(reach(r, [Int(0)], stop={Int(2), Int(4)})) == {0, 1, 2, 4}
+        # a stop root is kept and walks nothing
+        assert ints(reach(r, [Int(0)], fuel=0, stop={Int(0)})) == {0}
+
+    def test_stop_values_charge_no_fuel_for_edges_past_them(self):
+        # 0 -> 1, 0 -> 2, 1 -> 3, 1 -> 4, 2 -> 5: five edges, three of
+        # them walked when 1 stops the walk
+        r = rel(6, [(0, 1), (0, 2), (1, 3), (1, 4), (2, 5)])
+        ints = lambda vs: {v.value for v in vs}
+        assert ints(reach(r, [Int(0)], fuel=3, stop={Int(1)})) == {0, 1, 2, 5}
+        with pytest.raises(FuelExhausted):
+            reach(r, [Int(0)], fuel=2, stop={Int(1)})
+        with pytest.raises(FuelExhausted):
+            reach(r, [Int(0)], fuel=4)
+
+    @given(any_relation())
+    def test_without_stop_the_sets_keep_their_insertion_order(self, r):
+        # the level walk reach had before it took stop; closures, and the
+        # cycle witnesses found on them, iterate these sets in this order
+        def level_walk(roots):
+            seen, frontier = set(), set(roots)
+            while frontier:
+                seen.update(frontier)
+                nxt = set()
+                for x in frontier:
+                    for y in r._succ(x):
+                        if y not in seen:
+                            nxt.add(y)
+                frontier = nxt
+            return seen
+
+        p = r.plus()
+        for a in r.source.values():
+            assert list(reach(r, (a,))) == list(level_walk((a,)))
+            assert list(reach(r, (a,), stop=set())) == list(level_walk((a,)))
+            assert list(p._succ(a)) == list(level_walk(r._succ(a)))
+
     def test_closure_cycle_witness_follows_the_walk_order(self):
         # found by comparing witnesses over 20,000 random cyclic relations
         # with a copy of reach that walked each frontier in reverse; this

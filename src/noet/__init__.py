@@ -26,7 +26,7 @@ from .noether import (DEFAULT_FUEL, Chain, MAXDEPTH, NOETHERIAN,
                       NOT_NOETHERIAN, REACHABLE_MINIMA, UNKNOWN,
                       NoetherianVerdict, SeedReport, height_from, is_minimal,
                       is_noetherian, is_seed, limit_from, limit_relation,
-                      minima, reachable_from)
+                      limits, minima, reachable_from)
 from .catalog import (NAMED_FUNCTIONS, NoetherianCert, RULES, certify,
                       closure_of, component_of, compose_rel, induced,
                       inverse_of, make_depth_fn, measure_descent, named,

@@ -11,6 +11,11 @@ claim. A sample is drawn as a list of pairs; its relations are built only
 when the refuter evaluates it, which happens only while nothing has
 refuted the claim. A claim its fixture refutes still draws every sample,
 so the claims after it see the same random stream.
+
+The limit claims evaluate a sample with noether.limits, one walk per
+relation that yields every value's limit. reverify re-checks a finding
+through limit_from at the one value it names, so the evidence does not
+rest on the walk that found it.
 """
 
 from __future__ import annotations
@@ -20,8 +25,9 @@ from functools import partial
 from typing import NamedTuple
 
 from .errors import MalformedExpr, MalformedInput
-from .noether import MAXDEPTH, NOETHERIAN, REACHABLE_MINIMA, is_noetherian, limit_from
-from .relations import Relation, from_pairs
+from .noether import (MAXDEPTH, NOETHERIAN, REACHABLE_MINIMA, is_noetherian,
+                      limit_from, limits)
+from .relations import from_pairs
 from .serialize import (canonical_json, parse_space, parse_value, parse_rel,
                         rel_doc_extensional, space_doc, value_doc)
 from .spaces import Space, explicit, int_range
@@ -146,19 +152,9 @@ def _refute_compose(space, first_pairs, second_pairs) -> dict | None:
             "cycle": [value_doc(v) for v in verdict.witness.elements]}
 
 
-def _limits_everywhere(r: Relation, mode: str):
-    # limit_from's sorted lists: list equality is set equality. No minima
-    # memo across the starts, unlike limit_relation: on these relations of
-    # at most 6 states a walk is a few edges, and sharing one memo per
-    # relation made these calls about 10% slower (median ratio of 31
-    # paired in-process rounds of run_audit over 12 seeds, faster in 8 of
-    # 31, where an identical memo-free copy read +2%, faster in 11 of 31)
-    return {a: limit_from(r, a, mode=mode) for a in r.source.values()}
-
-
 def _limit_pair_counterexample(space, r, s, mode) -> dict | None:
-    lr = _limits_everywhere(r, mode)
-    ls = _limits_everywhere(s, mode)
+    lr = limits(r, mode=mode)
+    ls = limits(s, mode=mode)
     for a in space.values():
         if lr[a] != ls[a]:
             return {"space": space_doc(space),
@@ -166,8 +162,8 @@ def _limit_pair_counterexample(space, r, s, mode) -> dict | None:
                     "s": rel_doc_extensional(s),
                     "mode": mode,
                     "at": value_doc(a),
-                    "limit_r": [value_doc(v) for v in lr[a]],
-                    "limit_s": [value_doc(v) for v in ls[a]]}
+                    "limit_r": [value_doc(v) for v in sort_values(lr[a])],
+                    "limit_s": [value_doc(v) for v in sort_values(ls[a])]}
     return None
 
 

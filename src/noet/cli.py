@@ -37,13 +37,28 @@ _EXAMPLE_FLAGS = {flag: kind.rstrip("?")
                   for flag, kind in params}
 
 
+def _non_negative(raw: str) -> int:
+    """A budget or cap flag's value: a non-negative integer, else a usage
+    error, which argparse reports with exit code 2."""
+    try:
+        value = int(raw)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid int value: {raw!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(
+            f"must be non-negative, got {value}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true",
                         help="emit a machine-readable document")
-    common.add_argument("--fuel", type=int, default=DEFAULT_FUEL,
+    common.add_argument("--fuel", type=_non_negative, default=DEFAULT_FUEL,
                         help="step budget for unbounded explorations")
-    common.add_argument("--max-space", type=int, default=DEFAULT_MAX_SPACE,
+    common.add_argument("--max-space", type=_non_negative,
+                        default=DEFAULT_MAX_SPACE,
                         help="most values enumerated from any one space")
 
     top = argparse.ArgumentParser(

@@ -315,6 +315,67 @@ def limit_relation(r: Relation, mode: str = REACHABLE_MINIMA) -> Relation:
     return lim
 
 
+def limits(r: Relation, mode: str = REACHABLE_MINIMA) -> dict:
+    """Every value's limit at once: a dict from each value of r's
+    enumerable source to the frozenset limit_from would list for it.
+
+    This is the limit fold of ROADMAP item 2, one post-order walk over
+    the whole space on an explicit stack, so a long chain cannot reach
+    the recursion limit. A minimal value's limit is itself. Any other
+    value's limit is the union of its successors' limits, under maxdepth
+    only those of the successors one height lower; a value with one such
+    successor shares that successor's set. A cycle raises NotNoetherian
+    with the cycle the walk meets.
+
+    limit_relation moves onto this walk once the benchmark's traced gates
+    no longer need its limit_from and reachable_from calls (ROADMAP item
+    1); reachable_from and limit_relation's private memo then go."""
+    if mode not in LIMIT_MODES:
+        raise ValueError(f"unknown limit mode: {mode!r}")
+    if not same_space(r.source, r.target):
+        raise SpaceMismatch("limits need matching source and target")
+    adj = r._adj
+    maxdepth = mode == MAXDEPTH
+    lim = {}
+    height = {}
+    for root in r.source.values():
+        if root in lim:
+            continue
+        path = [root]
+        on_path = {root}
+        kids = adj.get(root, ()) if adj is not None else list(r._succ(root))
+        lists = [kids]
+        iters = [iter(kids)]
+        while iters:
+            for k in iters[-1]:
+                if k in lim:
+                    continue
+                if k in on_path:
+                    idx = path.index(k)
+                    raise NotNoetherian(render_chain(path[idx:] + [k]))
+                path.append(k)
+                on_path.add(k)
+                kids = adj.get(k, ()) if adj is not None else list(r._succ(k))
+                lists.append(kids)
+                iters.append(iter(kids))
+                break
+            else:
+                iters.pop()
+                kids = lists.pop()
+                node = path.pop()
+                on_path.discard(node)
+                if not kids:
+                    height[node] = 0
+                    lim[node] = frozenset((node,))
+                    continue
+                if maxdepth:
+                    h = height[node] = 1 + max([height[k] for k in kids])
+                    kids = [k for k in kids if height[k] == h - 1]
+                lim[node] = (lim[kids[0]] if len(kids) == 1
+                             else frozenset().union(*[lim[k] for k in kids]))
+    return lim
+
+
 # -- seeds -----------------------------------------------------------------
 
 def is_seed(body: Relation, order: Relation) -> SeedReport:

@@ -194,11 +194,24 @@ class TestSkippedSamples:
         assert len(calls) == 1
 
     def test_limit_subset_checks_only_its_fixture(self, monkeypatch):
-        # three values on each of the fixture's two relations
-        calls = self.counting(monkeypatch, "limit_from")
+        # the fixture's r and s, once each: they differ under
+        # reachable_minima, so maxdepth is never asked
+        calls = self.counting(monkeypatch, "limits")
         finding = self.audit_claim(CLAIM_LIMIT_SUBSET, None, 200)
         assert finding.status == REFUTED and finding.sample_size == 200
-        assert len(calls) == 6
+        assert [kwargs["mode"] for _, kwargs in calls] \
+            == [REACHABLE_MINIMA, REACHABLE_MINIMA]
+
+    def test_reverify_of_a_limit_finding_goes_through_limit_from(
+            self, monkeypatch):
+        # the evidence is re-checked one value at a time, not by the walk
+        # that found it: r and s at the finding's value
+        finding = self.audit_claim(CLAIM_LIMIT_SUBSET, None, 0)
+        assert finding.status == REFUTED
+        walks = self.counting(monkeypatch, "limits")
+        calls = self.counting(monkeypatch, "limit_from")
+        assert reverify(finding)
+        assert len(calls) == 2 and walks == []
 
     def test_compose_builds_only_its_fixture(self, monkeypatch):
         calls = self.counting(monkeypatch, "from_pairs")
@@ -220,19 +233,11 @@ class TestSkippedSamples:
     def test_validated_claim_evaluates_every_sample(self, monkeypatch,
                                                     claim_id, mode,
                                                     restriction):
-        # replay the draws: every value of every sample space gets a limit
-        # on r and one on plus(r)
-        replay = random.Random(0)
-        spaces = audit._sample_spaces()
-        want = 0
-        for _ in range(50):
-            sp = audit._random_space(replay, spaces)
-            audit._random_pairs(replay, sp)
-            want += 2 * len(sp.values())
-        calls = self.counting(monkeypatch, "limit_from")
+        # every sample gets one limit walk on r and one on plus(r)
+        calls = self.counting(monkeypatch, "limits")
         finding = self.audit_claim(claim_id, restriction, 50)
         assert finding.status == VALIDATED and finding.sample_size == 50
-        assert len(calls) == want
+        assert len(calls) == 2 * 50
         assert {kwargs["mode"] for _, kwargs in calls} == {mode}
 
 

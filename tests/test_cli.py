@@ -568,6 +568,32 @@ class TestErrors:
         assert main(["check", tmp_rel_file(SUCC_FILE), "--fuel", "99",
                      "--max-space", "50000"]) == 0
 
+    # each once ran: check gave a verdict (exit 0), height blamed fuel -1,
+    # and verify reported a cap of -1
+    @pytest.mark.parametrize("argv,flag", [
+        (["check", "SUCC", "--fuel", "-1"], "--fuel"),
+        (["height", "SUCC", "--from", "4", "--fuel", "-1"], "--fuel"),
+        (["verify", "gcd", "--a-max", "2", "--b-max", "2",
+          "--max-space", "-1"], "--max-space"),
+    ], ids=["check-fuel", "height-fuel", "verify-max-space"])
+    def test_negative_budget_is_a_usage_error(self, tmp_rel_file, argv, flag):
+        argv = [tmp_rel_file(SUCC_FILE) if w == "SUCC" else w for w in argv]
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err), \
+                pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert out.getvalue() == ""
+        assert err.getvalue().endswith(
+            f"error: argument {flag}: must be non-negative, got -1\n")
+
+    def test_zero_budget_is_accepted(self, tmp_rel_file, capsys):
+        args = _build_parser().parse_args(
+            ["check", "rel.json", "--fuel", "0", "--max-space", "0"])
+        assert (args.fuel, args.max_space) == (0, 0)
+        assert main(["check", tmp_rel_file(SUCC_FILE), "--fuel", "0"]) == 0
+        assert capsys.readouterr().out == "Noetherian (exhaustive)\n"
+
     @pytest.mark.parametrize("relation", [
         {"kind": "named", "name": ["SUCCESSOR"]},
         {"kind": "induced", "fn": ["max"], "over": nm("INTGREATER"),

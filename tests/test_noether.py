@@ -10,7 +10,7 @@ from noet.errors import (FuelExhausted, NotNoetherian, SpaceMismatch,
 from noet.noether import (MAXDEPTH, NOETHERIAN, NOT_NOETHERIAN,
                           REACHABLE_MINIMA, Chain, height_from, is_minimal,
                           is_noetherian, is_seed, limit_from, limit_relation,
-                          minima, reachable_from)
+                          limits, minima, reachable_from)
 from noet.relations import Relation, after, from_pairs, reach
 from noet.spaces import (explicit, int_range, interval_sets_of, lazy_explicit,
                          max_space, product)
@@ -540,6 +540,98 @@ class TestMinimalStart:
             calls.clear()
             assert limit_from(Relation(sp, sp, succ), Int(0), mode) == [Int(0)]
             assert calls == [Int(0)]
+
+
+def every_relation_on_three_values():
+    """All 512 relations on int_range(0, 2), materialized."""
+    sp = int_range(0, 2)
+    cells = [(a, b) for a in sp.values() for b in sp.values()]
+    for mask in range(1 << len(cells)):
+        yield from_pairs(sp, sp, [c for i, c in enumerate(cells)
+                                  if mask >> i & 1])
+
+
+def limits_one_start_at_a_time(r, mode):
+    """{a: frozenset(limit_from(r, a, mode))} on a fresh relation, or None
+    when some start's limit_from raises NotNoetherian."""
+    fresh = rel_copy(r)
+    try:
+        return {a: frozenset(limit_from(fresh, a, mode))
+                for a in fresh.source.values()}
+    except NotNoetherian:
+        return None
+
+
+def assert_real_cycle(r, witness):
+    # integer witnesses render as their digits, joined by arrows
+    chain = [Int(int(x)) for x in witness.split(" → ")]
+    assert len(chain) >= 2 and chain[0] == chain[-1]
+    assert all(r.holds(a, b) for a, b in zip(chain, chain[1:]))
+
+
+class TestLimits:
+    """limits(r, mode) maps every value to the set limit_from lists for
+    it, from one post-order walk over the whole space."""
+
+    @pytest.mark.parametrize("mode", [MAXDEPTH, REACHABLE_MINIMA])
+    def test_every_relation_on_three_values(self, mode):
+        cyclic = 0
+        for r in every_relation_on_three_values():
+            want = limits_one_start_at_a_time(r, mode)
+            if want is None:
+                cyclic += 1
+                with pytest.raises(NotNoetherian) as exc:
+                    limits(r, mode)
+                assert_real_cycle(r, exc.value.witness)
+            else:
+                assert limits(r, mode) == want
+        # 25 acyclic relations on three labelled values (OEIS A003024)
+        assert cyclic == 512 - 25
+
+    def test_modes_disagree_on_the_split_fixture(self):
+        assert limits(SPLIT, MAXDEPTH)[Node("a")] == frozenset({Node("d")})
+        assert limits(SPLIT, REACHABLE_MINIMA)[Node("a")] \
+            == frozenset({Node("b"), Node("d")})
+
+    @given(dag_relation(max_n=8))
+    def test_dags_with_shuffled_labels_and_their_closures(self, r):
+        # the hidden arrangement is a random permutation of the labels, so
+        # value order is not topological and roots meet settled values
+        for s in (r, r.plus()):
+            for mode in (MAXDEPTH, REACHABLE_MINIMA):
+                assert limits(s, mode) == limits_one_start_at_a_time(s, mode)
+
+    @given(lazy_relation_on_int_range(cyclic=False))
+    def test_a_relation_never_materialized(self, r):
+        for mode in (MAXDEPTH, REACHABLE_MINIMA):
+            assert limits(r, mode) == limits_one_start_at_a_time(r, mode)
+        assert r._pairs is None and r._adj is None
+
+    @given(lazy_relation_on_int_range(cyclic=True))
+    def test_a_cycle_never_materialized_raises(self, r):
+        for mode in (MAXDEPTH, REACHABLE_MINIMA):
+            with pytest.raises(NotNoetherian) as exc:
+                limits(r, mode)
+            assert_real_cycle(r, exc.value.witness)
+        assert r._pairs is None
+
+    def test_a_long_chain_stays_off_the_recursion_limit(self):
+        # SUCCESSOR over 0..4999: 4999 -> 4998 -> ... -> 0, one successor
+        # each, so every value shares the one set of the minimum
+        r = named("SUCCESSOR", int_range(0, 4999))
+        for mode in (MAXDEPTH, REACHABLE_MINIMA):
+            lim = limits(r, mode)
+            assert len(lim) == 5000
+            assert all(s is lim[Int(0)] for s in lim.values())
+            assert lim[Int(0)] == frozenset({Int(0)})
+
+    def test_unknown_mode_rejected(self):
+        with pytest.raises(ValueError):
+            limits(SPLIT, "sideways")
+
+    def test_space_mismatch_rejected(self):
+        with pytest.raises(SpaceMismatch):
+            limits(Relation(int_range(0, 2), int_range(0, 3), lambda a: ()))
 
 
 class TestSeeds:

@@ -10,9 +10,17 @@ of the host's speed falls on both sides alike. Every run is written as
 one JSON line (side, workload, seed, seconds, pair, first, and run.py's
 result), the form the `runs` list of a BENCH_<pr>.json takes. For each
 workload and seed the script then prints, per end-to-end metric, the
-median and quartiles of each side and the number of pairs the change
-won, the direction of "better" being read from the change's
-BENCHMARK.json. Standard library only.
+median and quartiles of each side, whether the change shows a gain and
+whether it is past the metric's bound, and the number of pairs the change
+won. Each metric's direction of "better" and its bound are read from the
+change's BENCHMARK.json.
+
+A gain needs at least ten pairs, the change better in at least nine tenths
+of them (ties count for neither side), and the change's median better than
+the parent's by more than the distance between the parent's quartiles. A
+metric is past its bound when the change's median is worse than the
+parent's by more than the bound, a fraction of the parent's median.
+Standard library only.
 """
 
 from __future__ import annotations
@@ -57,10 +65,11 @@ def run_pairs(dirs, workloads, seeds, pairs, seconds, size, sink):
                     yield rec
 
 
-def directions(checkout) -> dict:
-    """metric name -> "lower" or "higher", from the checkout's BENCHMARK.json."""
+def end_to_end_metrics(checkout) -> dict:
+    """metric name -> its entry in the checkout's BENCHMARK.json, which
+    holds "better" ("lower" or "higher") and "bound"."""
     doc = json.loads((pathlib.Path(checkout) / "BENCHMARK.json").read_text())
-    return {m["name"]: m["better"] for m in doc["end_to_end"]}
+    return {m["name"]: m for m in doc["end_to_end"]}
 
 
 def quartiles(xs) -> list:
@@ -70,8 +79,9 @@ def quartiles(xs) -> list:
     return [q[0], q[2]]
 
 
-def summarise(records, better) -> dict:
-    """{"workload seed N": figures} over paired runs."""
+def summarise(records, rules) -> dict:
+    """{"workload seed N": figures} over paired runs, rules being
+    end_to_end_metrics' dict."""
     groups = {}
     for rec in records:
         key = f"{rec['workload']} seed {rec['seed']}"
@@ -84,15 +94,20 @@ def summarise(records, better) -> dict:
         for name in pairs[0]["parent"]["metrics"]:
             vals = {s: [p[s]["metrics"][name]["value"] for p in pairs]
                     for s in SIDES}
-            lower = better[name] == "lower"
+            lower = rules[name]["better"] == "lower"
             won = sum((c < p) if lower else (c > p)
                       for p, c in zip(vals["parent"], vals["change"]))
             pm, cm = (statistics.median(vals[s]) for s in SIDES)
+            q1, q3 = quartiles(vals["parent"])
+            better_by = (pm - cm) if lower else (cm - pm)
             metrics[name] = {
                 "parent_median": round(pm, 6),
-                "parent_q1_q3": [round(v, 6) for v in quartiles(vals["parent"])],
+                "parent_q1_q3": [round(q1, 6), round(q3, 6)],
                 "change_median": round(cm, 6),
                 "change_q1_q3": [round(v, 6) for v in quartiles(vals["change"])],
+                "gain": (len(pairs) >= 10 and 10 * won >= 9 * len(pairs)
+                         and better_by > q3 - q1),
+                "past_bound": -better_by > rules[name]["bound"] * pm,
                 "change_better_in_pairs": f"{won}/{len(pairs)}",
                 "median_change_pct": round(100 * (cm - pm) / pm, 2),
             }
@@ -103,6 +118,10 @@ def summarise(records, better) -> dict:
                                    for s in SIDES),
                     "metrics": metrics}
     return out
+
+
+def _yes_no(flag) -> str:
+    return "yes" if flag else "no"
 
 
 def render(summary) -> str:
@@ -119,6 +138,8 @@ def render(summary) -> str:
                 f"change {f['change_median']:.6g} "
                 f"[{f['change_q1_q3'][0]:.6g}, {f['change_q1_q3'][1]:.6g}]  "
                 f"{f['median_change_pct']:+.2f}%  "
+                f"gain {_yes_no(f['gain'])}  "
+                f"past bound {_yes_no(f['past_bound'])}  "
                 f"change better in {f['change_better_in_pairs']}")
     return "\n".join(lines)
 
@@ -152,7 +173,7 @@ def main(argv=None) -> int:
     finally:
         if sink is not None:
             sink.close()
-    print(render(summarise(records, directions(args.change))))
+    print(render(summarise(records, end_to_end_metrics(args.change))))
     return 0
 
 

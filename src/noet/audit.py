@@ -7,10 +7,13 @@ counterexamples that can be re-verified from the document alone, and
 identical seeds reproduce the report byte for byte.
 
 Samples are drawn from five spaces, int_range(0, 1..5), built once per
-claim. A sample is drawn as a list of pairs; its relations are built only
-when the refuter evaluates it, which happens only while nothing has
-refuted the claim. A claim its fixture refutes still draws every sample,
-so the claims after it see the same random stream.
+claim. A sample is drawn as one list of pairs per relation; its relations
+are built only when the refuter evaluates it, which happens only while
+nothing has refuted the claim. A sample equal to one the claim has already
+evaluated (same space, same pair set for each relation) is drawn but not
+evaluated again: refuters are deterministic, so it cannot refute where its
+first occurrence did not. A claim its fixture refutes still draws every
+sample, so the claims after it see the same random stream.
 
 The limit claims evaluate a sample with noether.limits, one walk per
 relation that yields every value's limit. reverify re-checks a finding
@@ -106,12 +109,8 @@ def _random_pairs(rng: random.Random, space: Space) -> list:
     arrangement."""
     vals = list(space.values())
     rng.shuffle(vals)
-    pairs = []
-    for i in range(len(vals)):
-        for j in range(i + 1, len(vals)):
-            if rng.random() < 0.4:
-                pairs.append((vals[i], vals[j]))
-    return pairs
+    return [(a, b) for i, a in enumerate(vals) for b in vals[i + 1:]
+            if rng.random() < 0.4]
 
 
 def _draw_one(rng: random.Random, space: Space):
@@ -123,8 +122,9 @@ def _draw_two(rng: random.Random, space: Space):
 
 
 def _seed_pairs(rng: random.Random, space: Space):
-    """(pairs of r, s) with r a subset of s over the same domain."""
-    s = from_pairs(space, space, _random_pairs(rng, space))
+    """(pairs of r, pairs of s) with r a subset of s over the same domain."""
+    s_pairs = _random_pairs(rng, space)
+    s = from_pairs(space, space, s_pairs)
     pairs = []
     for a in sort_values(s.domain()):
         succs = s.successors(a)
@@ -132,7 +132,7 @@ def _seed_pairs(rng: random.Random, space: Space):
         if not kept:
             kept = [succs[rng.randrange(len(succs))]]
         pairs.extend((a, b) for b in kept)
-    return pairs, s
+    return pairs, s_pairs
 
 
 # -- the claims ------------------------------------------------------------------
@@ -167,10 +167,11 @@ def _limit_pair_counterexample(space, r, s, mode) -> dict | None:
     return None
 
 
-def _refute_limit_subset(space, r_pairs, s) -> dict | None:
+def _refute_limit_subset(space, r_pairs, s_pairs) -> dict | None:
     """Does a seed r of s have the limits of s, under minima and then
     maxdepth?"""
     r = from_pairs(space, space, r_pairs)
+    s = from_pairs(space, space, s_pairs)
     return (_limit_pair_counterexample(space, r, s, REACHABLE_MINIMA)
             or _limit_pair_counterexample(space, r, s, MAXDEPTH))
 
@@ -183,9 +184,9 @@ def _refute_plus_limits(space, pairs, mode) -> dict | None:
     closure, which is never Noetherian (every element loops on itself),
     so the limit is undefined there."""
     r = from_pairs(space, space, pairs)
-    s = r.plus()
-    s.pairs()   # one closure walk; the limits read its adjacency
-    return _limit_pair_counterexample(space, r, s, mode)
+    # limits steps the closure once per value; its pair set is built only
+    # for a counterexample document
+    return _limit_pair_counterexample(space, r, r.plus(), mode)
 
 
 def _compose_fixture():
@@ -195,15 +196,15 @@ def _compose_fixture():
 
 def _limit_fixture():
     space = explicit([Node("a"), Node("b"), Node("e")])
-    s = from_pairs(space, space,
-                   [(Node("a"), Node("b")), (Node("a"), Node("e"))])
-    return space, [(Node("a"), Node("b"))], s
+    return (space, [(Node("a"), Node("b"))],
+            [(Node("a"), Node("b")), (Node("a"), Node("e"))])
 
 
 # (claim id, restriction, fixture or None, draw(rng, space), refute(space,
 # ...)), in report order. A fixture returns a space and refute's other
-# arguments, a draw returns those arguments for a drawn space, and refute
-# builds the sample's relations and returns a counterexample or None.
+# arguments, a draw returns those arguments for a drawn space (one list of
+# pairs per relation), and refute builds the sample's relations and returns
+# a counterexample or None.
 CLAIMS = (
     (CLAIM_COMPOSE, None, _compose_fixture, _draw_two, _refute_compose),
     (CLAIM_LIMIT_SUBSET, None, _limit_fixture, _seed_pairs,
@@ -215,18 +216,38 @@ CLAIMS = (
 )
 
 
+def _sample_key(positions: dict, args) -> int:
+    """A small int naming a sample of one space: with n values, the k-th
+    relation's pair of the i-th and j-th value sets bit (k * n + i) * n + j.
+    Equal keys mean equal pair sets, relation by relation."""
+    n = len(positions)
+    key = 0
+    for k, pairs in enumerate(args):
+        for a, b in pairs:
+            key |= 1 << ((k * n + positions[a]) * n + positions[b])
+    return key
+
+
 def _audit_claim(claim, rng, samples, seed) -> AuditFinding:
     """Evaluate the fixture, then draw every sample and evaluate it while
-    nothing has refuted the claim. A refuted claim keeps drawing, so the
-    claims after it see the same random stream."""
+    nothing has refuted the claim, skipping a sample already evaluated. A
+    refuted claim keeps drawing, so the claims after it see the same random
+    stream."""
     claim_id, restriction, fixture, draw, refute = claim
     counterexample = refute(*fixture()) if fixture else None
     spaces = _sample_spaces()
+    # per space: each value's position and the keys of the samples evaluated
+    evaluated = {space: ({v: i for i, v in enumerate(space.values())}, set())
+                 for space in spaces}
     for _ in range(samples):
         space = _random_space(rng, spaces)
         args = draw(rng, space)
         if counterexample is None:
-            counterexample = refute(space, *args)
+            positions, seen = evaluated[space]
+            key = _sample_key(positions, args)
+            if key not in seen:
+                seen.add(key)
+                counterexample = refute(space, *args)
     status = VALIDATED if counterexample is None else REFUTED
     return AuditFinding(claim_id, status, restriction, counterexample,
                         samples, seed)

@@ -338,42 +338,41 @@ def limits(r: Relation, mode: str = REACHABLE_MINIMA) -> dict:
     maxdepth = mode == MAXDEPTH
     lim = {}
     height = {}
-    for root in r.source.values():
-        if root in lim:
-            continue
-        path = [root]
-        on_path = {root}
-        kids = adj.get(root, ()) if adj is not None else list(r._succ(root))
-        lists = [kids]
-        iters = [iter(kids)]
-        while iters:
-            for k in iters[-1]:
-                if k in lim:
-                    continue
-                if k in on_path:
-                    idx = path.index(k)
-                    raise NotNoetherian(render_chain(path[idx:] + [k]))
-                path.append(k)
-                on_path.add(k)
-                kids = adj.get(k, ()) if adj is not None else list(r._succ(k))
-                lists.append(kids)
-                iters.append(iter(kids))
-                break
-            else:
-                iters.pop()
-                kids = lists.pop()
-                node = path.pop()
-                on_path.discard(node)
-                if not kids:
-                    height[node] = 0
-                    lim[node] = frozenset((node,))
-                    continue
-                if maxdepth:
-                    h = height[node] = 1 + max([height[k] for k in kids])
-                    kids = [k for k in kids if height[k] == h - 1]
-                lim[node] = (lim[kids[0]] if len(kids) == 1
-                             else frozenset().union(*[lim[k] for k in kids]))
-    return lim
+    # the source's values are the children of a root that is never settled;
+    # a value without successors is settled without a frame of its own
+    path = []
+    on_path = set()
+    lists = []
+    iters = [iter(r.source.values())]
+    while True:
+        for k in iters[-1]:
+            if k in lim:
+                continue
+            if k in on_path:
+                idx = path.index(k)
+                raise NotNoetherian(render_chain(path[idx:] + [k]))
+            kids = adj.get(k, ()) if adj is not None else list(r._succ(k))
+            if not kids:
+                height[k] = 0
+                lim[k] = frozenset((k,))
+                continue
+            path.append(k)
+            on_path.add(k)
+            lists.append(kids)
+            iters.append(iter(kids))
+            break
+        else:
+            if not path:
+                return lim
+            iters.pop()
+            kids = lists.pop()
+            node = path.pop()
+            on_path.discard(node)
+            if maxdepth:
+                h = height[node] = 1 + max([height[k] for k in kids])
+                kids = [k for k in kids if height[k] == h - 1]
+            lim[node] = (lim[kids[0]] if len(kids) == 1
+                         else frozenset().union(*[lim[k] for k in kids]))
 
 
 # -- seeds -----------------------------------------------------------------

@@ -154,13 +154,12 @@ def test_small_scope_exhaustion():
     least = None
     for n, found in dags.items():
         for space, s_pairs in found:
-            s = from_pairs(space, space, s_pairs)
             domain = {a for a, _ in s_pairs}
             for r_pairs in sub_pairs(s_pairs):
                 if {a for a, _ in r_pairs} != domain:
                     continue
                 seeds[n] += 1
-                ce = audit._refute_limit_subset(space, r_pairs, s)
+                ce = audit._refute_limit_subset(space, r_pairs, s_pairs)
                 if least is None and ce is not None:
                     least = ce
     assert list(seeds.values()) == [3, 43, 2823]

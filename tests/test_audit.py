@@ -3,6 +3,7 @@
 import hashlib
 import json
 import random
+from functools import partial
 
 import pytest
 from hypothesis import given, strategies as st
@@ -16,7 +17,7 @@ from noet.errors import MalformedInput
 from noet.noether import (MAXDEPTH, NOETHERIAN, REACHABLE_MINIMA,
                           is_noetherian, is_seed)
 from noet.relations import from_pairs
-from noet.values import Int
+from noet.values import Int, render
 
 # small sample count keeps the suite quick; the acceptance sweep runs the
 # full default
@@ -233,12 +234,93 @@ class TestSkippedSamples:
     def test_validated_claim_evaluates_every_sample(self, monkeypatch,
                                                     claim_id, mode,
                                                     restriction):
-        # every sample gets one limit walk on r and one on plus(r)
+        # every distinct sample gets one limit walk on r and one on
+        # plus(r); the distinct ones are found by replaying the claim's draw
+        claim, = [c for c in audit.CLAIMS if c[:2] == (claim_id, restriction)]
+        rng = random.Random(0)
+        spaces = audit._sample_spaces()
+        distinct = set()
+        for _ in range(50):
+            space = audit._random_space(rng, spaces)
+            pairs, = claim[3](rng, space)
+            distinct.add((space.hi, frozenset(pairs)))
+        assert len(distinct) < 50
         calls = self.counting(monkeypatch, "limits")
         finding = self.audit_claim(claim_id, restriction, 50)
         assert finding.status == VALIDATED and finding.sample_size == 50
-        assert len(calls) == 2 * 50
+        assert len(calls) == 2 * len(distinct)
         assert {kwargs["mode"] for _, kwargs in calls} == {mode}
+
+
+def reference_audit_claim(claim, rng, samples, seed) -> AuditFinding:
+    """The audit loop that evaluates every sample, repeated or not, while
+    nothing has refuted the claim."""
+    claim_id, restriction, fixture, draw, refute = claim
+    counterexample = refute(*fixture()) if fixture else None
+    spaces = audit._sample_spaces()
+    for _ in range(samples):
+        space = audit._random_space(rng, spaces)
+        args = draw(rng, space)
+        if counterexample is None:
+            counterexample = refute(space, *args)
+    status = VALIDATED if counterexample is None else REFUTED
+    return AuditFinding(claim_id, status, restriction, counterexample,
+                        samples, seed)
+
+
+def reference_run_audit(seed, samples) -> list:
+    rng = random.Random(seed)
+    return [reference_audit_claim(claim, rng, samples, seed)
+            for claim in audit.CLAIMS]
+
+
+class TestRepeatedSamples:
+    """A sample equal to one already evaluated is drawn but not evaluated
+    again, and the findings are those of evaluating every sample."""
+
+    @staticmethod
+    def draw(rng, space):
+        # a few pair lists over the space's two least values; the last two
+        # are one pair set in two orders
+        a, b = space.values()[:2]
+        pool = ([], [(a, b)], [(a, b), (b, a)], [(b, a), (a, b)])
+        return (pool[rng.randrange(len(pool))],)
+
+    @staticmethod
+    def refute(space, pairs, calls):
+        # refutes the one-pair sample on the largest space only, which on
+        # the smaller spaces sets the same bits
+        calls.append((len(space.values()), pairs))
+        if len(space.values()) == 6 and len(pairs) == 1:
+            return {"size": 6, "pairs": [[render(a), render(b)]
+                                         for a, b in pairs]}
+        return None
+
+    # seeds whose stream repeats samples, and draws the one-pair sample on
+    # a smaller space, before the refuting one: 7 to 14 distinct samples in
+    # 16 to 32 draws
+    @pytest.mark.parametrize("seed", [1, 4, 9])
+    def test_a_refutation_on_a_repeated_sample_matches_the_reference(
+            self, seed):
+        calls, reference_calls = [], []
+        claim = ("stub", None, None, self.draw,
+                 partial(self.refute, calls=calls))
+        reference = ("stub", None, None, self.draw,
+                     partial(self.refute, calls=reference_calls))
+        got = audit._audit_claim(claim, random.Random(seed), 200, seed)
+        want = reference_audit_claim(reference, random.Random(seed), 200,
+                                     seed)
+        assert got == want and got.status == REFUTED
+        # the refuting sample comes after repeats the audit did not
+        # re-evaluate, and it is the reference's last evaluation too
+        assert len(calls) < len(reference_calls)
+        assert calls[-1] == reference_calls[-1]
+
+    @pytest.mark.parametrize("samples", [50, 300])
+    def test_run_audit_matches_the_reference(self, samples):
+        for seed in range(10):
+            assert report_json(run_audit(seed, samples)) \
+                == report_json(reference_run_audit(seed, samples))
 
 
 class TestGenerators:
@@ -260,8 +342,9 @@ class TestGenerators:
     @given(st.integers(0, 2 ** 32 - 1), st.integers(0, 4))
     def test_seed_pairs_make_a_seed(self, seed, idx):
         sp = audit._sample_spaces()[idx]
-        r_pairs, s = audit._seed_pairs(random.Random(seed), sp)
+        r_pairs, s_pairs = audit._seed_pairs(random.Random(seed), sp)
         r = from_pairs(sp, sp, r_pairs)
+        s = from_pairs(sp, sp, s_pairs)
         assert is_seed(r, s).holds
         assert r.pairs() <= s.pairs()
         assert r.domain() == s.domain()

@@ -475,6 +475,16 @@ class TestAudit:
         main(["audit", "--samples", "25", "--json"])
         assert capsys.readouterr().out == report_json(run_audit(0, 25))
 
+    def test_default_sample_count_report_bytes_are_pinned(self, capsys,
+                                                           monkeypatch):
+        # the full sha256 of the default-size run, where repeated samples
+        # are most common
+        monkeypatch.delenv("NOET_SEED", raising=False)
+        assert main(["audit", "--samples", "1000", "--json"]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
+            "da93b084bc9eaf4d2afcab2eaee1ce3f099be39c01013d6ea433aaf2e1e3cdba")
+
     def test_negative_samples_exit_two(self, capsys):
         assert main(["audit", "--samples", "-5"]) == 2
         captured = capsys.readouterr()

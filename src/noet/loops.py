@@ -223,8 +223,7 @@ def terminals_of(loop: LoopDef, input_value, fuel: int = DEFAULT_FUEL, *,
     was."""
     starts = _start_states(loop, input_value)
     memo = {} if _known is None else _known
-    body = loop.body
-    adj = body._adj
+    step = loop.body._step
     seen = set(starts)
     found = []   # known states' sets
     frontier = []
@@ -239,8 +238,7 @@ def terminals_of(loop: LoopDef, input_value, fuel: int = DEFAULT_FUEL, *,
         nxt_frontier = []
         for state in frontier:
             any_succ = False
-            for nxt in (adj.get(state, ()) if adj is not None
-                        else body._succ(state)):
+            for nxt in step(state) or ():
                 any_succ = True
                 explored += 1
                 if explored > fuel:

@@ -110,15 +110,14 @@ def _find_cycle(r: Relation, starts, fuel: int | None):
     or ("fuel", path_elements, explored).
     """
     WHITE, GRAY, BLACK = 0, 1, 2
-    adj = r._adj
+    step = r._step
     color = {}
     explored = 0
     for root in starts:
         if color.get(root, WHITE) != WHITE:
             continue
         path = [root]
-        iters = [iter(adj.get(root, ()) if adj is not None
-                      else r._succ(root))]
+        iters = [iter(step(root) or ())]
         color[root] = GRAY
         while iters:
             child = next(iters[-1], None)
@@ -137,8 +136,7 @@ def _find_cycle(r: Relation, starts, fuel: int | None):
             if mark == WHITE:
                 color[child] = GRAY
                 path.append(child)
-                iters.append(iter(adj.get(child, ()) if adj is not None
-                                  else r._succ(child)))
+                iters.append(iter(step(child) or ()))
     return "clear", None, explored
 
 
@@ -199,11 +197,13 @@ def height_from(r: Relation, a, fuel: int | None = None) -> int:
         return memo[a]
     if not r.source.contains(a):
         raise ValueOutsideSpace(a, r.source)
-    # an adjacency list is read, not copied: nothing here mutates kids
-    adj = r._adj
+    # a list from _step is read, not copied: nothing here mutates kids
+    step = r._step
     path = [a]
     on_path = {a}
-    kids = adj.get(a, ()) if adj is not None else list(r._succ(a))
+    kids = step(a) or []
+    if type(kids) is not list:
+        kids = list(kids)
     explored = len(kids)
     if fuel is not None and explored > fuel:
         raise FuelExhausted(fuel, partial=render_chain(path))
@@ -218,7 +218,9 @@ def height_from(r: Relation, a, fuel: int | None = None) -> int:
                 raise NotNoetherian(render_chain(path[idx:] + [k]))
             path.append(k)
             on_path.add(k)
-            kids = adj.get(k, ()) if adj is not None else list(r._succ(k))
+            kids = step(k) or []
+            if type(kids) is not list:
+                kids = list(kids)
             explored += len(kids)
             if fuel is not None and explored > fuel:
                 raise FuelExhausted(fuel, partial=render_chain(path))
@@ -334,7 +336,7 @@ def limits(r: Relation, mode: str = REACHABLE_MINIMA) -> dict:
         raise ValueError(f"unknown limit mode: {mode!r}")
     if not same_space(r.source, r.target):
         raise SpaceMismatch("limits need matching source and target")
-    adj = r._adj
+    step = r._step
     maxdepth = mode == MAXDEPTH
     lim = {}
     height = {}
@@ -351,7 +353,9 @@ def limits(r: Relation, mode: str = REACHABLE_MINIMA) -> dict:
             if k in on_path:
                 idx = path.index(k)
                 raise NotNoetherian(render_chain(path[idx:] + [k]))
-            kids = adj.get(k, ()) if adj is not None else list(r._succ(k))
+            kids = step(k) or []
+            if type(kids) is not list:
+                kids = list(kids)
             if not kids:
                 height[k] = 0
                 lim[k] = frozenset((k,))

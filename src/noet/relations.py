@@ -5,9 +5,10 @@ Its pair set is a cache of that function: pairs() walks the source space
 once and fills the pair set and an adjacency together, each adjacency list
 being what the function yields, so stepping a member of the source space
 returns the same successors, in the same order, before and after
-materialization. The walks (reach, after, is_minimal here, the cycle
-search and height walk in noether, terminals_of in loops) read that
-adjacency directly once it is filled, as Relation._succ would.
+materialization. Every walk (reach, after, is_minimal here, the cycle
+search, height walk and limits in noether, terminals_of in loops) binds
+Relation._step once, the function or, once filled, that adjacency's
+dict.get, and steps a value as step(a) or (): a missing value gets None.
 Operators build new successor functions, so huge spaces never get
 enumerated just to step through a loop. Equality questions always go
 through pair sets.
@@ -33,8 +34,8 @@ class RelationFlags(NamedTuple):
 
 
 class Relation:
-    __slots__ = ("source", "target", "name", "_cert", "_pairs", "_adj",
-                 "_heights", "_succ_fn", "_holds_fn")
+    __slots__ = ("source", "target", "name", "_cert", "_pairs", "_step",
+                 "_heights", "_holds_fn")
 
     def __init__(self, source: Space, target: Space, succ, *, holds=None,
                  name: str | None = None):
@@ -42,10 +43,9 @@ class Relation:
         self.target = target
         self.name = name
         self._cert = None      # only the catalog sets it, on what it built
-        self._pairs = None     # pairs() fills this and _adj together
-        self._adj = None
+        self._pairs = None     # pairs() fills this and repoints _step
+        self._step = succ      # the successor lookup every walk reads
         self._heights = None   # noether.height_from's memo, made on first use
-        self._succ_fn = succ
         self._holds_fn = holds
 
     def __repr__(self):
@@ -60,13 +60,11 @@ class Relation:
     # -- stepping ---------------------------------------------------------
 
     def _succ(self, a):
-        """Raw successor collection, no membership checks. Hot path: once
-        the pair cache is filled, every step reads its adjacency, which
-        holds what the successor function yields for each member of the
-        source space (no successors for anything else)."""
-        if self._adj is not None:
-            return self._adj.get(a, ())
-        return self._succ_fn(a)
+        """Raw successor collection, no membership checks, read as every
+        walk reads _step: a filled adjacency's dict.get gives None for a
+        value it lacks (a from_pairs sink, or a value outside the source),
+        and `or ()` turns that into no successors without a call."""
+        return self._step(a) or ()
 
     def successors(self, a) -> list:
         """Canonically sorted, deduplicated successors of one value."""
@@ -77,22 +75,22 @@ class Relation:
             return self._holds_fn(a, b)
         if self._pairs is not None:
             return (a, b) in self._pairs
-        return any(b == c for c in self._succ_fn(a))
+        return any(b == c for c in self._step(a))
 
     # -- materialization ----------------------------------------------------
 
     def pairs(self) -> frozenset:
         """The pair set, walking the source space once on first use; the
         same walk caches each value's successors as the function yields
-        them."""
+        them, and _step then reads that adjacency."""
         if self._pairs is None:
             got = set()
             adj = {}
             for a in self.source.values():
-                bs = adj[a] = list(self._succ_fn(a))
+                bs = adj[a] = list(self._step(a))
                 for b in bs:
                     got.add((a, b))
-            self._adj = adj
+            self._step = adj.get
             self._pairs = frozenset(got)
         return self._pairs
 
@@ -239,7 +237,7 @@ def reach(r: Relation, roots, fuel: int | None = None, stop=None) -> set:
     stop value is in the result, and the edges past it are neither walked
     nor charged. It is taken out of each level's values with one
     set.difference, which reuses the hashes the level's set stores."""
-    adj = r._adj
+    step = r._step
     seen = set()
     frontier = set(roots)
     explored = 0
@@ -249,7 +247,7 @@ def reach(r: Relation, roots, fuel: int | None = None, stop=None) -> set:
             frontier = frontier.difference(stop)
         nxt = set()
         for x in frontier:
-            for y in (adj.get(x, ()) if adj is not None else r._succ(x)):
+            for y in step(x) or ():
                 explored += 1
                 if fuel is not None and explored > fuel:
                     raise FuelExhausted(fuel)
@@ -272,22 +270,21 @@ def union_known(found: list, new) -> frozenset:
 
 def after(r: Relation, a, n: int) -> set:
     """The values exactly n steps of r away from a: a's image under r^n."""
-    adj = r._adj
+    step = r._step
     frontier = {a}
     for _ in range(n):
         if not frontier:
             break
         nxt = set()
         for x in frontier:
-            nxt.update(adj.get(x, ()) if adj is not None else r._succ(x))
+            nxt.update(step(x) or ())
         frontier = nxt
     return frontier
 
 
 def is_minimal(r: Relation, a) -> bool:
     """a has no successor under r."""
-    adj = r._adj
-    for _ in (adj.get(a, ()) if adj is not None else r._succ(a)):
+    for _ in r._step(a) or ():
         return False
     return True
 
@@ -326,8 +323,8 @@ def from_pairs(source: Space, target: Space, pairs, *,
     adj = {}
     for a, b in frozen:
         adj.setdefault(a, []).append(b)
-    r = Relation(source, target, lambda a: adj.get(a, ()), name=name)
-    r._pairs, r._adj = frozen, adj
+    r = Relation(source, target, adj.get, name=name)
+    r._pairs = frozen
     return r
 
 

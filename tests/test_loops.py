@@ -297,7 +297,7 @@ class TestTerminalsMemo:
         for v in sp.values():
             assert terminals_of(loop, v, fuel=1, _known=known) \
                 == frozenset({Int(0)})
-        assert body._adj is None
+        assert body._pairs is None
         assert calls == {v: 1 for v in sp.values()}
         # a walk that met one known state and no sink returns its set
         assert all(s is known[Int(0)] for s in known.values())

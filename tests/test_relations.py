@@ -5,7 +5,8 @@ from conftest import any_relation, dag_relation, int_space
 from noet.errors import (FuelExhausted, NotNoetherian, SpaceMismatch,
                          SpaceTooLarge, ValueOutsideSpace)
 from noet.loops import make_loop, terminals_of
-from noet.noether import height_from, is_noetherian
+from noet.noether import (LIMIT_MODES, height_from, is_noetherian,
+                          limit_from, limits)
 from noet.relations import (Relation, after, from_pairs, identity,
                             is_minimal, reach)
 from noet.spaces import explicit, int_range, max_space
@@ -305,8 +306,8 @@ def _walk(call):
 class TestMaterializingChangesNoWalk:
     """Every relation on int_range(0, 2) (2^9 of them), walked through its
     successor function and again through the adjacency that pairs() fills:
-    the walks read that adjacency directly once it exists, and must give
-    the same answers, witnesses and fuel counts."""
+    the walks step through Relation._step, which reads that adjacency once
+    it exists, and must give the same answers, witnesses and fuel counts."""
 
     SPACE = int_range(0, 2)
 
@@ -330,7 +331,10 @@ class TestMaterializingChangesNoWalk:
             return make_loop(sp, r, identity(sp), r, check=False)
 
         out = [_walk(lambda: is_noetherian(fresh()))]
+        out += [_walk(lambda: limits(fresh(), mode)) for mode in LIMIT_MODES]
         for a in sp.values():
+            out += [_walk(lambda: limit_from(fresh(), a, mode))
+                    for mode in LIMIT_MODES]
             out.append(_walk(lambda: reach(fresh(), (a,))))
             out.append(_walk(lambda: is_minimal(fresh(), a)))
             out += [_walk(lambda: after(fresh(), a, n)) for n in range(4)]
@@ -359,3 +363,41 @@ class TestMaterializingChangesNoWalk:
                 if bits >> k & 1:
                     adj.setdefault(a, []).append(b)
             assert self.walks(adj, False) == self.walks(adj, True), bits
+
+
+class TestLookupMisses:
+    """A from_pairs adjacency holds only the values that have successors.
+    A sink of the space and a value outside it miss that adjacency: they
+    step to nothing in every walk, and the misses leave the pair set, the
+    domain and the pair test as they were."""
+
+    SINK, OUTSIDE = Int(2), Int(9)
+
+    def reads(self, r):
+        vals = list(r.source.values()) + [self.OUTSIDE]
+        return (r.pairs(), r.sorted_pairs(), r.domain(),
+                [r.holds(a, b) for a in vals for b in vals])
+
+    def test_a_sink_and_an_outside_value_step_to_nothing(self):
+        r = rel(3, [(0, 1), (1, 2), (0, 2)])
+        sp = r.source
+        before = self.reads(r)
+        # init reaches the outside value from an input space that holds it
+        inputs = int_range(0, 9)
+        loop = make_loop(sp, r, Relation(inputs, sp, lambda a: (a,)), r,
+                         check=False)
+        for v in (self.SINK, self.OUTSIDE):
+            assert list(r._succ(v)) == []
+            assert r.successors(v) == []
+            assert reach(r, (v,)) == {v}
+            assert after(r, v, 1) == set()
+            assert is_minimal(r, v)
+            assert terminals_of(loop, v) == frozenset({v})
+        for mode in LIMIT_MODES:
+            lims = limits(r, mode)
+            assert lims[self.SINK] == frozenset({self.SINK})
+            assert self.OUTSIDE not in lims
+        assert height_from(r, self.SINK) == 0
+        with pytest.raises(ValueOutsideSpace):
+            height_from(r, self.OUTSIDE)
+        assert self.reads(r) == before

@@ -4,6 +4,9 @@
         [--workload W ...] [--seed N ...] [--pairs N] [--seconds S]
         [--size full|tiny] [--out runs.jsonl]
 
+--workload and --seed each take one or more values and may be repeated:
+`--seed 1 20251017` and `--seed 1 --seed 20251017` ask for the same runs.
+
 Each pair runs `perfbench/run.py --trace 0` once in each checkout, the
 parent first in odd pairs and the change first in even ones, so a drift
 of the host's speed falls on both sides alike. Every run is written as
@@ -149,10 +152,11 @@ def main(argv=None) -> int:
     p.add_argument("--parent", required=True,
                    help="checkout of the parent commit")
     p.add_argument("--change", required=True, help="checkout of the change")
-    p.add_argument("--workload", action="append",
-                   help="repeatable, checked by run.py; default gcd_verify")
-    p.add_argument("--seed", action="append", type=int,
-                   help="repeatable; default 1")
+    p.add_argument("--workload", nargs="+", action="extend",
+                   help="one or more, repeatable, checked by run.py; "
+                        "default gcd_verify")
+    p.add_argument("--seed", nargs="+", action="extend", type=int,
+                   help="one or more, repeatable; default 1")
     p.add_argument("--pairs", type=int, default=10)
     p.add_argument("--seconds", type=float, default=8.0)
     p.add_argument("--size", default="full",

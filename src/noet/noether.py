@@ -189,6 +189,12 @@ def height_from(r: Relation, a, fuel: int | None = None) -> int:
     its whole reach is, and that reach is acyclic, so entries stay valid
     when a call raises and skipping them never changes which cycle is
     reported.
+
+    A start whose successors are all settled (limit_relation's starts,
+    when they come in an order the relation descends against) is settled
+    in place after its successors are charged, with no path or iterator
+    stack built. A start with a self-loop is never settled that way, since
+    it is not in the memo yet.
     """
     memo = r._heights
     if memo is None:
@@ -199,14 +205,25 @@ def height_from(r: Relation, a, fuel: int | None = None) -> int:
         raise ValueOutsideSpace(a, r.source)
     # a list from _step is read, not copied: nothing here mutates kids
     step = r._step
-    path = [a]
-    on_path = {a}
     kids = step(a) or []
     if type(kids) is not list:
         kids = list(kids)
     explored = len(kids)
     if fuel is not None and explored > fuel:
-        raise FuelExhausted(fuel, partial=render_chain(path))
+        raise FuelExhausted(fuel, partial=render_chain([a]))
+    # a start whose successors are all settled settles here, without a walk
+    h = -1
+    for k in kids:
+        hk = memo.get(k)
+        if hk is None:
+            break
+        if hk > h:
+            h = hk
+    else:
+        memo[a] = h + 1
+        return h + 1
+    path = [a]
+    on_path = {a}
     lists = [kids]
     iters = [reversed(kids)]
     while iters:
@@ -284,12 +301,12 @@ def limit_from(r: Relation, a, mode: str = REACHABLE_MINIMA,
     if h == 0:
         return [a]
     if mode == MAXDEPTH:
-        return sort_values(after(r, a, h))
+        return _listed(after(r, a, h))
     # the height walk settled every value below a; height 0 is minimal
     heights = r._heights
     if _known is None:
-        return sort_values(v for v in reachable_from(r, a, fuel)
-                           if heights[v] == 0)
+        return _listed([v for v in reachable_from(r, a, fuel)
+                        if heights[v] == 0])
     found = []   # known values' limits
     new = []
     for v in reachable_from(r, a, fuel, _stop=_known):
@@ -298,7 +315,12 @@ def limit_from(r: Relation, a, mode: str = REACHABLE_MINIMA,
         elif v in _known:
             found.append(_known[v])
     lim = _known[a] = union_known(found, new)
-    return sort_values(lim)
+    return _listed(lim)
+
+
+def _listed(lim) -> list:
+    """A limit's values in value order; one value needs no sort."""
+    return list(lim) if len(lim) == 1 else sort_values(lim)
 
 
 def limit_relation(r: Relation, mode: str = REACHABLE_MINIMA) -> Relation:

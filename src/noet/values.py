@@ -8,7 +8,9 @@ deterministic tie-breaking and output.
 Int and Pair, the values the exhaustive walks meet most, are
 hash-consed: each constructor returns the one live object for its value
 from a per-class table of weak references, and the hash is computed once,
-when that object is made. Equal Ints are then the same object, and so
+when that object is made. A table entry is made by weakref.ref's own C
+constructor, without running Python code, and the table's one callback
+drops it when its value dies. Equal Ints are then the same object, and so
 are equal Pairs of such children, so dict and set hits are identity tests
 and the successor functions mint no duplicates. Hashes keep the formulas
 of the dataclasses they replace, so set order, and every witness printed,
@@ -21,28 +23,22 @@ dataclasses nor inspect.
 from __future__ import annotations
 
 import weakref
+from functools import partial
 from typing import Union
 
 
 class _Entry(weakref.ref):
     """A table entry: a weak reference that remembers its key, so that its
-    callback can remove it once the value dies."""
+    table's callback can remove it once the value dies. It defines no
+    __new__ or __init__, so weakref.ref's C constructor makes it."""
 
-    __slots__ = ("key", "table")
-
-    def __new__(cls, value, table, key):
-        return super().__new__(cls, value, _release)
-
-    def __init__(self, value, table, key):
-        super().__init__(value, _release)
-        self.key = key
-        self.table = table
+    __slots__ = ("key",)
 
 
-def _release(entry):
+def _release(table, entry):
     # a later value with the same key may already have replaced this entry
-    if entry.table.get(entry.key) is entry:
-        del entry.table[entry.key]
+    if table.get(entry.key) is entry:
+        del table[entry.key]
 
 
 class _Frozen:
@@ -84,6 +80,9 @@ class Int(_Interned):
     _fields = ("value",)
     __slots__ = _fields + ("_hash", "__weakref__")
     _table = {}
+    # read through the class only: Python 3.13 warns when a partial is
+    # read through an instance, as a method
+    _released = partial(_release, _table)
 
     def __new__(cls, value):
         entry = cls._table.get(value)
@@ -94,7 +93,9 @@ class Int(_Interned):
         self = object.__new__(cls)
         object.__setattr__(self, "value", value)
         object.__setattr__(self, "_hash", hash((value,)))
-        cls._table[value] = _Entry(self, cls._table, value)
+        entry = _Entry(self, cls._released)
+        entry.key = value
+        cls._table[value] = entry
         return self
 
 
@@ -106,6 +107,7 @@ class Pair(_Interned):
     _fields = ("first", "second")
     __slots__ = _fields + ("_hash", "__weakref__")
     _table = {}
+    _released = partial(_release, _table)   # read through the class only
 
     def __new__(cls, first, second):
         key = (id(first), id(second))
@@ -118,7 +120,9 @@ class Pair(_Interned):
         object.__setattr__(self, "first", first)
         object.__setattr__(self, "second", second)
         object.__setattr__(self, "_hash", hash((first, second)))
-        cls._table[key] = _Entry(self, cls._table, key)
+        entry = _Entry(self, cls._released)
+        entry.key = key
+        cls._table[key] = entry
         return self
 
     def __eq__(self, other):

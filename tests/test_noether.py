@@ -265,6 +265,66 @@ class TestWalkOrder:
         assert exc.value.partial == "0 → 5 → 6 → 7"
 
 
+class TestSettledStart:
+    """A start whose successors are all settled is settled in place; the
+    answers, the memo, the fuel charged and the errors are a walk's."""
+
+    @given(dag_relation(), st.sampled_from(["value", "shuffled", "bottom_up"]),
+           st.data())
+    def test_heights_and_memo_match_a_fresh_full_walk(self, r, order, data):
+        full = rel_copy(r)
+        for a in r.source.values():
+            height_from(full, a)
+        starts = list(r.source.values())
+        if order == "shuffled":
+            starts = data.draw(st.permutations(starts))
+        elif order == "bottom_up":   # every start finds its successors settled
+            starts.sort(key=full._heights.__getitem__)
+        seen = set()
+        for a in starts:
+            assert height_from(r, a) == height_from(rel_copy(r), a)
+            seen |= reachable_from(full, a)
+            assert r._heights == {v: full._heights[v] for v in seen}
+
+    def test_fuel_charges_the_start_its_successors(self):
+        # 4 steps to 0..3, all settled first: k = 4
+        def settled():
+            r = greater_on(5)
+            assert height_from(r, Int(3)) == 3
+            return r
+        assert height_from(settled(), Int(4), fuel=4) == 4
+        r = settled()
+        with pytest.raises(FuelExhausted) as exc:
+            height_from(r, Int(4), fuel=3)
+        assert exc.value.partial == "4"
+        assert Int(4) not in r._heights
+
+    @pytest.mark.parametrize("settle_zero_first", [False, True])
+    def test_a_self_loop_start_raises_its_cycle(self, settle_zero_first):
+        # 1 steps to 0 and to itself
+        r = rel(2, [(1, 0), (1, 1)])
+        if settle_zero_first:
+            assert height_from(r, Int(0)) == 0
+        with pytest.raises(NotNoetherian) as exc:
+            height_from(r, Int(1))
+        assert str(exc.value) == (
+            "relation admits an infinite descending chain: 1 → 1")
+        assert Int(1) not in r._heights
+
+    @pytest.mark.parametrize("materialize_first", [False, True])
+    def test_a_start_outside_the_space_memoizes_nothing(self,
+                                                        materialize_first):
+        # every value, 7 too, steps to 0 only, and 0 is settled
+        sp = int_range(0, 3)
+        r = Relation(sp, sp, lambda a: [Int(0)] if a.value else [])
+        if materialize_first:
+            r.pairs()   # 7 is then a lookup miss: no successors at all
+        assert height_from(r, Int(0)) == 0
+        with pytest.raises(ValueOutsideSpace):
+            height_from(r, Int(7))
+        assert r._heights == {Int(0): 0}
+
+
 class TestChainEnumeration:
     def test_chain_steps(self):
         c = Chain((Int(3), Int(1), Int(0)))

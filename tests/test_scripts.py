@@ -73,6 +73,30 @@ def test_bench_pairs_one_tiny_pair(monkeypatch, capsys, tmp_path):
     assert all("  gain no  past bound " in line for line in lines[1:])
 
 
+def asked_runs(argv, monkeypatch):
+    """The workloads and seeds bench_pairs' main asks run_pairs for."""
+    bench_pairs = load_script("bench_pairs", monkeypatch)
+    asked = []
+    monkeypatch.setattr(bench_pairs, "run_pairs",
+                        lambda dirs, workloads, seeds, *rest:
+                        asked.append((workloads, seeds)) or [])
+    root = str(SCRIPTS.parent)
+    assert bench_pairs.main(["--parent", root, "--change", root, *argv]) == 0
+    return asked
+
+
+@pytest.mark.parametrize("argv", [
+    ["--workload", "audit", "gcd_verify", "--seed", "1", "20251017"],
+    ["--workload", "audit", "--workload", "gcd_verify",
+     "--seed", "1", "--seed", "20251017"],
+    ["--workload", "audit", "--seed", "1", "20251017",
+     "--workload", "gcd_verify"],
+])
+def test_bench_pairs_takes_several_values_per_flag(monkeypatch, argv):
+    assert asked_runs(argv, monkeypatch) == [(["audit", "gcd_verify"],
+                                              [1, 20251017])]
+
+
 def test_bench_pairs_leaves_the_workload_check_to_run_py(monkeypatch, capsys):
     root = str(SCRIPTS.parent)
     code = run_script("bench_pairs",

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from noet.values import (Int, Interval, IntervalSet, Node, Pair, Seq, Tup,
-                         interval_strictly_within, render,
+                         _Entry, interval_strictly_within, render,
                          render_chain, render_set, sort_values, value_key)
 
 ints = st.builds(Int, st.integers(-20, 20))
@@ -161,6 +161,45 @@ class TestInterning:
         gc.collect()
         assert ref() is None
         assert Int(918273645).value == 918273645
+
+    @pytest.mark.parametrize("make", [
+        lambda: Int(918273646),
+        lambda: Pair(Int(918273647), Int(-918273647)),
+    ])
+    def test_a_dead_value_leaves_its_table(self, make):
+        table = type(make())._table
+        gc.collect()
+        before = len(table)
+        v = make()
+        assert len(table) == before + 1
+        ref = weakref.ref(v)
+        del v
+        gc.collect()
+        assert ref() is None and len(table) == before
+
+    def test_a_stale_entry_leaves_a_newer_one_in_place(self):
+        p = Pair(Int(918273650), Int(0))
+        key = (id(p.first), id(p.second))
+        entry = Pair._table[key]
+        stale = _Entry(p)   # another entry under p's key
+        stale.key = key
+        Pair._released(stale)
+        assert Pair._table[key] is entry and entry() is p
+        del p
+        gc.collect()
+        assert key not in Pair._table
+
+    def test_a_value_made_again_is_interned_again(self):
+        # its first object died, so a new entry took the key
+        for make in (lambda: Int(918273648),
+                     lambda: Pair(Int(1), Int(918273649))):
+            ref = weakref.ref(make())
+            gc.collect()
+            assert ref() is None
+            v = make()
+            assert make() is v
+            assert copy.copy(v) is v and copy.deepcopy(v) is v
+            assert pickle.loads(pickle.dumps(v)) is v
 
     def test_pairs_of_uninterned_children_compare_structurally(self):
         a, b = Pair(iv(1, 2), Int(0)), Pair(iv(1, 2), Int(0))

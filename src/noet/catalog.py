@@ -8,12 +8,14 @@ them are wrong on purpose (composition being the canonical offender).
 
 A relation's certificate is read-only, and only this module sets it, on a
 relation it has just built, so a certificate always covers the relation
-that carries it. The families that share a shape share a table and a
-builder: ``_MEASURES`` (a space guard and an integer measure, built by
-``measure_descent``), ``_SCANNED`` (a scan of the space by a pair test)
-and ``_INT_WINDOWS`` (a step over an integer window). The scanned
-families, ``induced`` and ``projection`` are all pull-backs of a pair
-test, built by ``_pulled_back``.
+that carries it. At each value of its space, a relation built here with a
+sound certificate steps to exactly the values of the space its pair test
+accepts; noether.is_seed relies on that. The families that share a shape
+share a table and a builder: ``_MEASURES`` (a space guard and an integer
+measure, built by ``measure_descent``), ``_SCANNED`` (a scan of the space
+by a pair test) and ``_INT_WINDOWS`` (a step over an integer window). The
+scanned families, ``induced`` and ``projection`` are all pull-backs of a
+pair test, built by ``_pulled_back``.
 """
 
 from __future__ import annotations

@@ -1,14 +1,14 @@
 """Binary relations between finite spaces, with the operator algebra on them.
 
 A Relation is one successor function (optionally with a direct pair test).
-Its pair set is a cache of that function: pairs() walks the source space
-once and fills the pair set and an adjacency together, each adjacency list
-being what the function yields, so stepping a member of the source space
-returns the same successors, in the same order, before and after
-materialization. Every walk (reach, after, is_minimal here, the cycle
-search, height walk and limits in noether, terminals_of in loops) binds
-Relation._step once, the function or, once filled, that adjacency's
-dict.get, and steps a value as step(a) or (): a missing value gets None.
+Its adjacency (_filled) walks the source space once and keeps each value's
+successors as the function yields them, so stepping a member of the source
+space returns the same successors, in the same order, before and after;
+its pair set (pairs) is built from that adjacency only when read. Every
+walk (reach, after, is_minimal here, the cycle search, height walk and
+limits in noether, terminals_of in loops) binds Relation._step once, the
+function or, once filled, the adjacency's dict.get, and steps a value as
+step(a) or (): a missing value gets None.
 Operators build new successor functions, so huge spaces never get
 enumerated just to step through a loop. Equality questions always go
 through pair sets.
@@ -34,8 +34,8 @@ class RelationFlags(NamedTuple):
 
 
 class Relation:
-    __slots__ = ("source", "target", "name", "_cert", "_pairs", "_step",
-                 "_heights", "_holds_fn")
+    __slots__ = ("source", "target", "name", "_cert", "_adj", "_pairs",
+                 "_step", "_heights", "_holds_fn")
 
     def __init__(self, source: Space, target: Space, succ, *, holds=None,
                  name: str | None = None):
@@ -43,7 +43,8 @@ class Relation:
         self.target = target
         self.name = name
         self._cert = None      # only the catalog sets it, on what it built
-        self._pairs = None     # pairs() fills this and repoints _step
+        self._adj = None       # _filled() fills this and repoints _step
+        self._pairs = None     # pairs() builds this from _adj
         self._step = succ      # the successor lookup every walk reads
         self._heights = None   # noether.height_from's memo, made on first use
         self._holds_fn = holds
@@ -75,22 +76,27 @@ class Relation:
             return self._holds_fn(a, b)
         if self._pairs is not None:
             return (a, b) in self._pairs
-        return any(b == c for c in self._step(a))
+        return any(b == c for c in self._step(a) or ())
 
     # -- materialization ----------------------------------------------------
 
+    def _filled(self) -> dict:
+        """The adjacency, from one walk of the source space on first use;
+        _step then reads its dict.get."""
+        if self._adj is None:
+            self._adj = {a: list(self._step(a)) for a in self.source.values()}
+            self._step = self._adj.get
+        return self._adj
+
     def pairs(self) -> frozenset:
-        """The pair set, walking the source space once on first use; the
-        same walk caches each value's successors as the function yields
-        them, and _step then reads that adjacency."""
+        """The pair set, built from the adjacency on first use. Pairs are
+        added in space order, then successor order, so the set iterates as
+        one filled by the source walk itself."""
         if self._pairs is None:
             got = set()
-            adj = {}
-            for a in self.source.values():
-                bs = adj[a] = list(self._step(a))
+            for a, bs in self._filled().items():
                 for b in bs:
                     got.add((a, b))
-            self._step = adj.get
             self._pairs = frozenset(got)
         return self._pairs
 
@@ -171,12 +177,13 @@ class Relation:
 
     def is_subset_of(self, other: "Relation"):
         """(True, None) or (False, witness_pair), the witness being the
-        least pair of self that other lacks. A relation whose pairs
-        enumerate is its own subset: holds agrees with the successors."""
-        pairs = self.pairs()
+        least pair in self's adjacency that other lacks. A relation whose
+        pairs enumerate is its own subset."""
+        adj = self._filled()
         if other is self:
             return True, None
-        witness = least_failing(pairs, other._holds_fn or other.holds)
+        witness = least_failing(((a, b) for a, bs in adj.items() for b in bs),
+                                other._holds_fn or other.holds)
         return witness is None, witness
 
     def same_pairs(self, other: "Relation") -> bool:
@@ -324,6 +331,7 @@ def from_pairs(source: Space, target: Space, pairs, *,
     for a, b in frozen:
         adj.setdefault(a, []).append(b)
     r = Relation(source, target, adj.get, name=name)
+    r._adj = adj
     r._pairs = frozen
     return r
 

@@ -99,15 +99,56 @@ class TestEveryNamedFamily:
         expect_sound = rule not in CLAIMED_RULES
         assert r.cert.sound == expect_sound
 
+    def test_the_fixtures_cover_every_family(self):
+        assert sorted(f[0] for f in NAMED_FIXTURES) == sorted(_BUILDERS)
+
     @pytest.mark.parametrize("rule,space,params", NAMED_FIXTURES,
                              ids=[f[0] for f in NAMED_FIXTURES])
     def test_pair_test_agrees_with_the_successors(self, rule, space, params):
-        r = named(rule, space, **params)
-        vals = space.values()
-        for a in vals:
-            succ = set(r._succ(a))
-            for b in vals:
-                assert r.holds(a, b) == (b in succ), (a, b)
+        assert_enumeration_agrees(named(rule, space, **params))
+
+
+def assert_enumeration_agrees(r):
+    """At every value of r's space, the successors are exactly the values
+    of the space the pair test accepts: the invariant the seed test leans
+    on for an order with a sound certificate."""
+    vals = r.source.values()
+    for a in vals:
+        assert set(r._succ(a)) == {b for b in vals if r.holds(a, b)}, a
+
+
+# each constructor that can mint a sound certificate besides the named
+# families, over a certified base, on a small space of its shape
+DERIVED_FIXTURES = {
+    "measure_descent": lambda: measure_descent(
+        PAIRS22, lambda v: v.first.value * 3 - v.second.value),
+    "induced": lambda: induced(resolve_function("max"),
+                               named("INTGREATER", int_range(0, 2)), PAIRS22),
+    "induced_identity": lambda: induced(None, named("INTGREATER",
+                                                    int_range(0, 6)),
+                                        int_range(1, 4)),
+    "projection": lambda: projection(
+        1, named("SUCCESSOR", int_range(0, 2)),
+        product(int_range(0, 1), int_range(0, 2))),
+    "restrict_to": lambda: restrict_to([Int(1), Int(3)],
+                                       named("INTGREATER", int_range(0, 4))),
+    "restrict_to_scanned": lambda: restrict_to(
+        [Seq((1, 2)), Seq((1, 2, 3))],
+        named("SUPSET", powerset_space([1, 2, 3]))),
+    "closure_of": lambda: closure_of(named("SUCCESSOR", int_range(0, 4))),
+    "subrel": lambda: subrel(named("INTGREATER", int_range(0, 4)),
+                             [(Int(3), Int(1)), (Int(2), Int(0))]),
+    "inverse_of": lambda: inverse_of(named("INTLESSER", int_range(0, 3))),
+}
+
+
+class TestDerivedEnumerationAgrees:
+    @pytest.mark.parametrize("build", DERIVED_FIXTURES.values(),
+                             ids=list(DERIVED_FIXTURES))
+    def test_pair_test_agrees_with_the_successors(self, build):
+        r = build()
+        assert r.cert.sound
+        assert_enumeration_agrees(r)
 
 
 class TestWideWindows:

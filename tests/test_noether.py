@@ -4,17 +4,18 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import any_relation, dag_relation, int_space
-from noet.catalog import compose_rel, inverse_of, named
+from noet.catalog import (_stamp, compose_rel, induced, inverse_of, named,
+                          restrict_to)
 from noet.errors import (FuelExhausted, NotNoetherian, SpaceMismatch,
                          ValueOutsideSpace)
 from noet.noether import (MAXDEPTH, NOETHERIAN, NOT_NOETHERIAN,
-                          REACHABLE_MINIMA, Chain, height_from, is_minimal,
-                          is_noetherian, is_seed, limit_from, limit_relation,
-                          limits, minima, reachable_from)
+                          REACHABLE_MINIMA, Chain, SeedReport, height_from,
+                          is_minimal, is_noetherian, is_seed, limit_from,
+                          limit_relation, limits, minima, reachable_from)
 from noet.relations import Relation, after, from_pairs, reach
 from noet.spaces import (explicit, int_range, interval_sets_of, lazy_explicit,
                          max_space, product)
-from noet.values import Int, IntervalSet, Node, Pair, sort_values
+from noet.values import Int, IntervalSet, Node, Pair, sort_values, value_key
 
 
 def rel(n, pairs):
@@ -752,6 +753,159 @@ class TestSeeds:
         assert minima(body) == minima(order)
         assert limit_from(body, Node("a"), REACHABLE_MINIMA) \
             != limit_from(order, Node("a"), REACHABLE_MINIMA)
+
+
+def seed_by_full_scan(body, order):
+    """The seed test as one scan that probes both relations at every state,
+    sharing nothing with is_seed: the reference its reports must equal."""
+    vals = body.source.values()
+    test = order._holds_fn or order.holds
+    missing = [(a, b) for a in vals for b in body._succ(a) if not test(a, b)]
+    if missing:
+        return SeedReport(False, subset_witness=min(
+            missing, key=lambda p: (value_key(p[0]), value_key(p[1]))))
+    for a in vals:
+        in_body = not is_minimal(body, a)
+        in_order = not is_minimal(order, a)
+        if in_body and not in_order:
+            return SeedReport(False, domain_witness=a, domain_side="body_only")
+        if in_order and not in_body:
+            return SeedReport(False, domain_witness=a, domain_side="order_only")
+    return SeedReport(True)
+
+
+def _adjacency(cells):
+    adj = {}
+    for a, b in cells:
+        adj.setdefault(Int(a), []).append(Int(b))
+    return adj
+
+
+# orders over int_range(0, hi), each kind built from (hi, cells, extra):
+# the catalog's certified orders, whose successors agree with their pair
+# test on the space; orders whose pair test reads their successors; and
+# orders whose pair test accepts the extra cells their successors omit
+SEED_ORDERS = {
+    "SUCCESSOR": lambda hi, cells, extra: named("SUCCESSOR", int_range(0, hi)),
+    "INTGREATER": lambda hi, cells, extra: named("INTGREATER",
+                                                 int_range(0, hi)),
+    "INTLESSER": lambda hi, cells, extra: named("INTLESSER", int_range(0, hi)),
+    "restricted": lambda hi, cells, extra: restrict_to(
+        [Int(a) for a, _ in cells], named("INTGREATER", int_range(0, hi))),
+    "induced": lambda hi, cells, extra: induced(
+        None, named("INTGREATER", int_range(0, hi + 1)), int_range(0, hi)),
+    "extensional": lambda hi, cells, extra: from_pairs(
+        int_range(0, hi), int_range(0, hi),
+        [(Int(a), Int(b)) for a, b in cells]),
+    "lazy": lambda hi, cells, extra: Relation(
+        int_range(0, hi), int_range(0, hi),
+        lambda a, adj=_adjacency(cells): adj.get(a, ())),
+    "disagreeing": lambda hi, cells, extra: Relation(
+        int_range(0, hi), int_range(0, hi),
+        lambda a, adj=_adjacency(cells): adj.get(a, ()),
+        holds=lambda a, b, ok=frozenset(cells) | frozenset(extra):
+            (a.value, b.value) in ok),
+}
+
+
+def build_seed_case(case):
+    """A fresh (body, order) for one drawn case. The body steps through a
+    successor function or a from_pairs adjacency, and may leave the space."""
+    kind, hi, cells, extra, body_cells, extensional_body = case
+    order = SEED_ORDERS[kind](hi, cells, extra)
+    sp = order.source
+    if extensional_body:
+        body = from_pairs(sp, sp, [(Int(a), Int(b)) for a, b in body_cells],
+                          check=False)
+    else:
+        adj = _adjacency(body_cells)
+        body = Relation(sp, sp, lambda a: adj.get(a, ()))
+    return body, order
+
+
+@st.composite
+def seed_case(draw):
+    kind = draw(st.sampled_from(sorted(SEED_ORDERS)))
+    hi = draw(st.integers(0, 3))
+    inside = [(a, b) for a in range(hi + 1) for b in range(hi + 1)]
+    # one value below the space and one above it
+    reachable = [(a, b) for a in range(hi + 1) for b in range(-1, hi + 2)]
+    cells = draw(st.lists(st.sampled_from(inside), unique=True))
+    extra = draw(st.lists(st.sampled_from(reachable), unique=True,
+                          max_size=3))
+    order = SEED_ORDERS[kind](hi, cells, extra)
+    accepted = [p for p in reachable
+                if order.holds(Int(p[0]), Int(p[1]))]
+    # mostly pairs the order accepts, so that the domain scan is reached
+    body_cells = draw(st.lists(st.sampled_from(accepted), unique=True)
+                      if accepted else st.just([]))
+    body_cells += draw(st.lists(st.sampled_from(reachable), max_size=1))
+    return kind, hi, cells, extra, body_cells, draw(st.booleans())
+
+
+class TestSeedsAgainstAFullScan:
+    @given(seed_case())
+    def test_reports_equal_the_full_scan(self, case):
+        want = seed_by_full_scan(*build_seed_case(case))
+        assert is_seed(*build_seed_case(case)) == want
+
+    def test_a_body_stepping_below_the_space_at_an_exit_of_the_order(self):
+        # 0 > -1 passes the order's pair test, but the order has no
+        # successor at 0 in the space
+        sp = int_range(0, 3)
+        body = from_pairs(sp, sp, [(Int(0), Int(-1))], check=False)
+        order = named("INTGREATER", sp)
+        rep = is_seed(body, order)
+        assert rep == seed_by_full_scan(body, named("INTGREATER", sp))
+        assert rep == SeedReport(False, domain_witness=Int(0),
+                                 domain_side="body_only")
+        assert rep.render() == ("seed: no, domain mismatch at 0 "
+                                "(smaller relation only)")
+
+    def test_a_body_stepping_below_the_space_where_the_order_steps(self):
+        # 1 -> -1 leaves the space, but the order steps at 1 as well
+        sp = int_range(0, 3)
+        body = from_pairs(sp, sp, [(Int(1), Int(-1)), (Int(2), Int(1)),
+                                   (Int(3), Int(2))], check=False)
+        rep = is_seed(body, named("INTGREATER", sp))
+        assert rep == seed_by_full_scan(body, named("INTGREATER", sp))
+        assert rep == SeedReport(True)
+
+    def test_a_claimed_certificate_does_not_vouch_for_the_enumeration(self):
+        # TestSeeds' under-reporting order, stamped with a claimed rule: the
+        # probe where the body steps stays, as it does without a certificate
+        body = rel(4, [(3, 1), (2, 0)])
+        order = _stamp(Relation(body.source, body.target,
+                                lambda a: body._succ(a) if a == Int(3) else (),
+                                holds=body.holds), "PARENT")
+        assert order.cert is not None and not order.cert.sound
+        assert is_seed(body, order).render() == (
+            "seed: no, domain mismatch at 2 (smaller relation only)")
+
+    def test_a_relation_is_its_own_seed_without_a_walk(self):
+        sp = int_range(0, 3)
+
+        def unwalked(a):
+            raise AssertionError(f"stepped {a}")
+
+        r = Relation(sp, sp, unwalked, holds=lambda a, b: False)
+        assert is_seed(r, r) == SeedReport(True)
+        assert r._adj is None and r._pairs is None
+
+    @given(seed_case())
+    def test_a_filled_body_iterates_its_pairs_as_before(self, case):
+        # the pair set built from the adjacency that is_seed filled
+        # iterates as the one the source walk itself used to fill; a
+        # from_pairs body starts with its pair set, so it is left out
+        case = case[:-1] + (False,)
+        body, order = build_seed_case(case)
+        twin, _ = build_seed_case(case)
+        is_seed(body, order)
+        got = set()
+        for a in twin.source.values():
+            for b in list(twin._step(a) or ()):
+                got.add((a, b))
+        assert list(body.pairs()) == list(frozenset(got))
 
 
 class TestNoetherianStructure:

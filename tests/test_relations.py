@@ -6,7 +6,7 @@ from noet.errors import (FuelExhausted, NotNoetherian, SpaceMismatch,
                          SpaceTooLarge, ValueOutsideSpace)
 from noet.loops import make_loop, terminals_of
 from noet.noether import (LIMIT_MODES, height_from, is_noetherian,
-                          limit_from, limits)
+                          limit_from, limit_relation, limits)
 from noet.relations import (Relation, after, from_pairs, identity,
                             is_minimal, reach)
 from noet.spaces import explicit, int_range, max_space
@@ -401,3 +401,19 @@ class TestLookupMisses:
         with pytest.raises(ValueOutsideSpace):
             height_from(r, self.OUTSIDE)
         assert self.reads(r) == before
+
+    def test_a_filled_adjacency_answers_the_pair_test_without_a_pair_set(self):
+        # is_subset_of and limit_relation fill the adjacency alone; the
+        # pair test then reads it, and a value it lacks is in no pair
+        sp = int_range(0, 2)
+        down = lambda a: [Int(a.value - 1)] if a.value else []
+        r = Relation(sp, sp, down)
+        assert r.is_subset_of(Relation(sp, sp, down)) == (True, None)
+        lim = limit_relation(r)
+        for filled in (r, lim):
+            assert filled._adj is not None and filled._pairs is None
+            assert not filled.holds(self.OUTSIDE, Int(0))
+            assert not filled.holds(Int(2), self.OUTSIDE)
+        assert r.holds(Int(2), Int(1)) and not r.holds(Int(0), Int(0))
+        assert lim.holds(Int(2), Int(0)) and lim.holds(Int(0), Int(0))
+        assert r._pairs is None and lim._pairs is None

@@ -89,10 +89,11 @@ def _gcd_core(g: int, bound: int, check: bool, max_space: int) -> LoopDef:
     def members():
         # class g is exactly (g*x, g*y) for coprime x, y in 1..bound//g
         k = bound // g
+        ints = [Int(g * x) for x in range(k + 1)]   # ints[x] is Int(g*x)
         for x in range(1, k + 1):
             for y in range(1, k + 1):
                 if math.gcd(x, y) == 1:
-                    yield Pair(Int(g * x), Int(g * y))
+                    yield Pair(ints[x], ints[y])
 
     space = lazy_explicit(members, in_class,
                           label=f"filtered({base.describe()}, gcd={g})")

@@ -7,8 +7,8 @@ One generator states the construction obligations: make_loop raises the
 first that fails, verify reports each. The loop stops exactly on the
 states the body cannot leave, so the exit condition is computed, never
 declared. Runs, the closure denotation (init ; body* cut to the exits,
-walked backwards over the body's inverse), the limit denotation and the
-verifier live here too.
+walked backwards over the body's flipped adjacency), the limit denotation
+and the verifier live here too.
 """
 
 from __future__ import annotations
@@ -265,10 +265,12 @@ def denotation_closure(loop: LoopDef, *, exits=None):
     state, and the same cut down to exit states.
 
     terminal does not go through full. It walks backwards from the exits:
-    one reach over the body's inverse per exit records, for each state,
-    the exits it reaches, and an input's terminals are the union of those
-    records over its start states. The inverse holds the body's pairs
-    flipped, so these are the exits of init ; body*, found without the
+    one reach per exit over the body's adjacency flipped (a private dict
+    from each state to the states that step to it, made from the body's
+    filled adjacency, with no pair set built) records, for each state, the
+    exits it reaches, and an input's terminals are the union of those
+    records over its start states. The flipped adjacency holds the body's
+    pairs, so these are the exits of init ; body*, found without the
     forward walk that the runs and the limit make. The cost is the body's
     pairs plus each exit's ancestors, whatever the number of inputs.
     exits, when given, is exit_condition(loop), which is otherwise
@@ -276,7 +278,11 @@ def denotation_closure(loop: LoopDef, *, exits=None):
     if exits is None:
         exits = exit_condition(loop)
     full = loop.init.compose(loop.body.star())
-    back = loop.body.inverse()
+    sources = {}
+    for a, bs in loop.body._filled().items():
+        for b in bs:
+            sources.setdefault(b, []).append(a)
+    back = Relation(loop.space, loop.space, sources.get)
     exits_from = {}
     for e in exits:
         for s in reach(back, (e,)):

@@ -263,7 +263,11 @@ def value_key(v):
     if t is Int:
         return (0, v.value)
     if t is Pair:
-        return (1, value_key(v.first), value_key(v.second))
+        # an Int child's key is written here rather than asked for, the
+        # same tuple with one call per Pair instead of three
+        a, b = v.first, v.second
+        return (1, (0, a.value) if type(a) is Int else value_key(a),
+                (0, b.value) if type(b) is Int else value_key(b))
     if t is Interval:
         return (2, v.lo, v.hi)
     if t is IntervalSet:
@@ -282,9 +286,17 @@ def sort_values(values):
 
 
 def sorted_unique(values) -> list:
-    """Values in value_key order with equal neighbours dropped. Sorting
-    first keeps the output in value order whatever the input order; for
-    interned values the neighbour comparison is an identity test."""
+    """Values in value_key order with equal neighbours dropped, as a new
+    list. Sorting first keeps the output in value order whatever the input
+    order; for interned values the neighbour comparison is an identity
+    test. Fewer than two values are returned unsorted, since they are in
+    order already, but a lone one still goes through value_key, so anything
+    that is not a value raises TypeError as it does in a sort."""
+    values = list(values)
+    if len(values) < 2:
+        if values:
+            value_key(values[0])
+        return values
     out, prev = [], object()
     for v in sort_values(values):
         if v != prev:

@@ -388,6 +388,41 @@ class TestDenotations:
                     assert frozenset(terminal._succ(i)) == forward, (bits, i)
 
 
+    def test_the_closure_builds_no_pair_set_of_the_body(self):
+        loop = counting_loop(4)     # the seed test filled the body
+        assert loop.body._adj is not None and loop.body._pairs is None
+        denotation_closure(loop)
+        assert loop.body._pairs is None
+        sp = int_range(0, 3)
+        body = Relation(sp, sp, lambda a: [Int(a.value - 1)] if a.value else [])
+        init = Relation(sp, sp, lambda a: (a,), name="start-here")
+        loop = make_loop(sp, named("INTGREATER", sp), init, body, check=False)
+        _, terminal = denotation_closure(loop)
+        assert terminal._succ(Int(3)) == {Int(0)}
+        assert body._adj is not None and body._pairs is None
+
+    def test_terminal_equals_the_walk_over_the_inverse(self):
+        # a body that leaves the space (1 -> -1) and still passes the
+        # construction checks; the flipped adjacency holds what the inverse
+        # holds, so the terminal sets are equal, in the same order
+        sp = int_range(0, 3)
+        body = from_pairs(sp, sp, [(Int(1), Int(-1)), (Int(2), Int(1)),
+                                   (Int(3), Int(2))], check=False)
+        init = Relation(sp, sp, lambda a: (a,), name="start-here")
+        loop = make_loop(sp, named("INTGREATER", sp), init, body)
+        back = body.inverse()
+        exits_from = {}
+        for e in exit_condition(loop):
+            for s in reach(back, (e,)):
+                exits_from.setdefault(s, []).append(e)
+        _, terminal = denotation_closure(loop)
+        for i in list(sp.values()) + [Int(-1)]:
+            want = {e for s in init._succ(i) for e in exits_from.get(s, ())}
+            assert list(terminal._succ(i)) == list(want), i
+        assert not terminal._succ(Int(3))
+        assert terminal._succ(Int(0)) == {Int(0)}
+
+
 class TestVerify:
     def test_obligation_names_pinned(self):
         assert OBLIGATIONS == ("space_nonempty", "init_range",

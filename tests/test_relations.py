@@ -50,6 +50,29 @@ class TestConstruction:
         r = rel(4, [(0, 3), (0, 1), (0, 3), (0, 2)])
         assert [v.value for v in r.successors(Int(0))] == [1, 2, 3]
 
+    def test_successors_are_a_new_list(self):
+        # one value and none skip the sort, but still come back as a new
+        # list: changing it leaves the adjacency and the pair set as they were
+        r = rel(3, [(0, 1), (1, 2), (1, 0)])
+        for a in (0, 1, 2):
+            got = r.successors(Int(a))
+            got.append(Int(2))
+            got.reverse()
+        assert r._adj[Int(0)] == [Int(1)]
+        assert Int(2) not in r._adj
+        assert r.successors(Int(0)) == [Int(1)] and r.successors(Int(2)) == []
+        assert r.pairs() == {(Int(0), Int(1)), (Int(1), Int(2)), (Int(1), Int(0))}
+        shared = [Int(1)]
+        lazy = Relation(int_space(2), int_space(2), lambda a: shared)
+        assert lazy.successors(Int(0)) is not shared
+
+    def test_a_lone_non_value_successor_raises(self):
+        sp = int_space(2)
+        with pytest.raises(TypeError, match="not a value"):
+            Relation(sp, sp, lambda a: (7,)).successors(Int(0))
+        with pytest.raises(TypeError, match="not a value"):
+            explicit([7])
+
     def test_holds(self):
         r = rel(3, [(0, 1)])
         assert r.holds(Int(0), Int(1))

@@ -7,9 +7,11 @@ from dataclasses import FrozenInstanceError
 import pytest
 from hypothesis import given, strategies as st
 
+from noet.spaces import explicit
 from noet.values import (Int, Interval, IntervalSet, Node, Pair, Seq, Tup,
                          _Entry, interval_strictly_within, render,
-                         render_chain, render_set, sort_values, value_key)
+                         render_chain, render_set, sort_values,
+                         sorted_unique, value_key)
 
 ints = st.builds(Int, st.integers(-20, 20))
 
@@ -111,6 +113,64 @@ class TestOrdering:
                  Pair(Int(0), Int(0)), IntervalSet(frozenset())]
         ranked = [type(v).__name__ for v in sort_values(mixed)]
         assert ranked == ["Int", "Pair", "Interval", "IntervalSet", "Seq", "Node"]
+
+
+def structural_key(v):
+    """value_key by plain recursion, without the inline Int children."""
+    if type(v) is Pair:
+        return (1, structural_key(v.first), structural_key(v.second))
+    if type(v) is Tup:
+        return (6, tuple(structural_key(x) for x in v.items))
+    return value_key(v)
+
+
+nested_values = st.recursive(
+    values,
+    lambda inner: st.one_of(st.builds(Pair, inner, inner),
+                            st.builds(Tup, st.lists(inner, max_size=2))),
+    max_leaves=6)
+
+# a small pool, so that short lists often repeat a value
+few_values = st.lists(
+    st.one_of(values, st.sampled_from([Int(1), Int(-1), Pair(Int(1), Int(2)),
+                                       Node("a")])),
+    max_size=3)
+
+
+class TestSortedUnique:
+    @given(few_values)
+    def test_equals_sorting_the_distinct_values(self, vs):
+        assert sorted_unique(vs) == sorted(set(vs), key=value_key)
+        assert sorted_unique(iter(vs)) == sorted(set(vs), key=value_key)
+
+    def test_empty_input_gives_an_empty_list(self):
+        assert sorted_unique([]) == [] and sorted_unique(()) == []
+
+    def test_the_result_is_a_new_list(self):
+        for given_list in ([], [Int(1)], [Int(2), Int(1)]):
+            got = sorted_unique(given_list)
+            assert got is not given_list
+            got.append(Int(9))
+            assert Int(9) not in given_list
+
+    @pytest.mark.parametrize("bad", [7, "x", None, (Int(1),)])
+    def test_a_lone_non_value_raises(self, bad):
+        with pytest.raises(TypeError, match="not a value"):
+            sorted_unique([bad])
+        with pytest.raises(TypeError, match="not a value"):
+            explicit([bad])
+
+
+class TestPairKeys:
+    @given(nested_values)
+    def test_value_key_equals_the_structural_recursion(self, v):
+        assert value_key(v) == structural_key(v)
+
+    def test_mixed_children(self):
+        p = Pair(Int(3), Pair(Node("b"), Int(-2)))
+        assert value_key(p) == (1, (0, 3), (1, (5, "b"), (0, -2)))
+        with pytest.raises(TypeError, match="not a value"):
+            value_key(Pair(Int(1), 7))
 
 
 class TestInterning:

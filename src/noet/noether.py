@@ -3,9 +3,10 @@
 A relation is treated as pointing downward: successors of a value are the
 one-step-smaller values. Certifying it means proving no infinite descending
 chain exists, which over finite reachable sets is exactly the absence of a
-reachable cycle. The cycle search here is a three-color depth-first walk,
-kept deliberately separate from the Kahn peeling in relations.classify so
-the two can audit each other.
+reachable cycle. Three algorithms stay apart, so each can audit the others:
+the three-color depth-first cycle search behind is_noetherian, the
+post-order walk (_settle) that settles heights (height_from) and limits
+(limits), and the Kahn peeling in relations.classify.
 """
 
 from __future__ import annotations
@@ -172,29 +173,83 @@ def is_noetherian(r: Relation, fuel: int | None = None) -> NoetherianVerdict:
 
 # -- heights ---------------------------------------------------------------
 
-def height_from(r: Relation, a, fuel: int | None = None) -> int:
-    """Longest descending chain length from one value.
+def _settle(r: Relation, roots, height: dict | None, lim: dict | None = None,
+            fuel: int | None = None) -> None:
+    """The post-order walk behind height_from and limits, on explicit
+    stacks so a long chain cannot reach the recursion limit. It settles
+    each value reachable from roots and not yet in height (in lim, when
+    given), trying successors last first. A value with no successors is
+    height 0 and its own limit; any other's height is one more than its
+    successors' greatest, its limit the union of theirs (with heights,
+    maxdepth: only those one lower), one such successor lending its set.
+    A successor on the path raises NotNoetherian with the loop. fuel
+    bounds the edges, charged at each value's first expansion; past it,
+    FuelExhausted carries the path to the value that overran it."""
+    step = r._step
+    rev = list.__reversed__   # bound once: reversed() looks it up per call
+    settled = height if lim is None else lim
+    explored = 0
+    path = []
+    on_path = set()
+    lists = []
+    iters = [iter(roots)]
+    while True:
+        for k in iters[-1]:
+            if k in settled:
+                continue
+            if k in on_path:
+                idx = path.index(k)
+                raise NotNoetherian(render_chain(path[idx:] + [k]))
+            # a list from _step is read, not copied: nothing here mutates kids
+            kids = step(k) or []
+            if type(kids) is not list:
+                kids = list(kids)
+            if fuel is not None:
+                explored += len(kids)
+                if explored > fuel:
+                    raise FuelExhausted(fuel, partial=render_chain(path + [k]))
+            if not kids:
+                if height is not None:
+                    height[k] = 0
+                if lim is not None:
+                    lim[k] = frozenset((k,))
+                continue
+            path.append(k)
+            on_path.add(k)
+            lists.append(kids)
+            iters.append(rev(kids))
+            break
+        else:
+            if not path:
+                return
+            iters.pop()
+            kids = lists.pop()
+            node = path.pop()
+            on_path.discard(node)
+            if height is not None:
+                h = height[node] = 1 + max([height[k] for k in kids])
+                if lim is None:
+                    continue
+                kids = [k for k in kids if height[k] == h - 1]
+            lim[node] = (lim[kids[0]] if len(kids) == 1
+                         else frozenset().union(*[lim[k] for k in kids]))
 
-    Computed bottom up over the reachable part by a depth-first walk on
-    one iterator stack: each value on the path keeps its successor list
-    and an iterator over it, last successor first, and the value's height
-    is settled when that iterator runs out. A successor already on the
-    path is a cycle, reported through NotNoetherian with the offending
-    loop. A start outside r.source raises ValueOutsideSpace.
+
+def height_from(r: Relation, a, fuel: int | None = None) -> int:
+    """Longest descending chain length from one value, settled by the
+    walk of _settle from a. A reachable cycle raises NotNoetherian with
+    the loop the walk meets; a start outside r.source, ValueOutsideSpace.
 
     Heights are memoized on r and shared by later calls, so fuel bounds
-    the edges this call walks: a value is charged its successor count when
-    first expanded, and values whose height an earlier call on r already
-    settled are neither walked nor charged. A value is settled only once
-    its whole reach is, and that reach is acyclic, so entries stay valid
-    when a call raises and skipping them never changes which cycle is
-    reported.
+    the edges this call walks: settled values are neither walked nor
+    charged. A value is settled only once its whole reach is, and that
+    reach is acyclic, so entries stay valid when a call raises and
+    skipping them never changes which cycle is reported.
 
     A start whose successors are all settled (limit_relation's starts,
     when they come in an order the relation descends against) is settled
-    in place after its successors are charged, with no path or iterator
-    stack built. A start with a self-loop is never settled that way, since
-    it is not in the memo yet.
+    in place after its successors are charged; a self-loop start never
+    is, since it is not in the memo yet.
     """
     memo = r._heights
     if memo is None:
@@ -203,15 +258,9 @@ def height_from(r: Relation, a, fuel: int | None = None) -> int:
         return memo[a]
     if not r.source.contains(a):
         raise ValueOutsideSpace(a, r.source)
-    # a list from _step is read, not copied: nothing here mutates kids
-    step = r._step
-    kids = step(a) or []
+    kids = r._step(a) or []
     if type(kids) is not list:
         kids = list(kids)
-    explored = len(kids)
-    if fuel is not None and explored > fuel:
-        raise FuelExhausted(fuel, partial=render_chain([a]))
-    # a start whose successors are all settled settles here, without a walk
     h = -1
     for k in kids:
         hk = memo.get(k)
@@ -220,36 +269,11 @@ def height_from(r: Relation, a, fuel: int | None = None) -> int:
         if hk > h:
             h = hk
     else:
+        if fuel is not None and len(kids) > fuel:
+            raise FuelExhausted(fuel, partial=render_chain([a]))
         memo[a] = h + 1
         return h + 1
-    path = [a]
-    on_path = {a}
-    lists = [kids]
-    iters = [reversed(kids)]
-    while iters:
-        for k in iters[-1]:
-            if k in memo:
-                continue
-            if k in on_path:
-                idx = path.index(k)
-                raise NotNoetherian(render_chain(path[idx:] + [k]))
-            path.append(k)
-            on_path.add(k)
-            kids = step(k) or []
-            if type(kids) is not list:
-                kids = list(kids)
-            explored += len(kids)
-            if fuel is not None and explored > fuel:
-                raise FuelExhausted(fuel, partial=render_chain(path))
-            lists.append(kids)
-            iters.append(reversed(kids))
-            break
-        else:
-            iters.pop()
-            kids = lists.pop()
-            node = path.pop()
-            on_path.discard(node)
-            memo[node] = 1 + max([memo[k] for k in kids]) if kids else 0
+    _settle(r, (a,), memo, fuel=fuel)
     return memo[a]
 
 
@@ -288,12 +312,12 @@ def limit_from(r: Relation, a, mode: str = REACHABLE_MINIMA,
     the reachability walk.
 
     _known is limit_relation's memo for reachable_minima, a dict from a
-    start already answered on r to the frozenset of its reachable minima;
-    maxdepth ignores it. The reachability walk keeps a known value but
-    does not expand it, so no edge past it is charged, and the limit is
-    the union of the known sets met and the height-0 values found. It is
-    stored under a when a's height is not 0; a walk that met one known set
-    and nothing new stores that set itself.
+    start already answered on r to the frozenset of its reachable minima
+    (empty on a public call; maxdepth ignores it). The reachability walk
+    keeps a known value but does not expand it, so no edge past it is
+    charged, and the limit is the union of the known sets met and the
+    height-0 values found. It is stored under a when a's height is not 0;
+    a walk that met one known set and nothing new stores that set itself.
     """
     if mode not in LIMIT_MODES:
         raise ValueError(f"unknown limit mode: {mode!r}")
@@ -305,8 +329,7 @@ def limit_from(r: Relation, a, mode: str = REACHABLE_MINIMA,
     # the height walk settled every value below a; height 0 is minimal
     heights = r._heights
     if _known is None:
-        return _listed([v for v in reachable_from(r, a, fuel)
-                        if heights[v] == 0])
+        _known = {}
     found = []   # known values' limits
     new = []
     for v in reachable_from(r, a, fuel, _stop=_known):
@@ -343,13 +366,12 @@ def limits(r: Relation, mode: str = REACHABLE_MINIMA) -> dict:
     """Every value's limit at once: a dict from each value of r's
     enumerable source to the frozenset limit_from would list for it.
 
-    This is the limit fold of ROADMAP item 2, one post-order walk over
-    the whole space on an explicit stack, so a long chain cannot reach
-    the recursion limit. A minimal value's limit is itself. Any other
-    value's limit is the union of its successors' limits, under maxdepth
-    only those of the successors one height lower; a value with one such
-    successor shares that successor's set. A cycle raises NotNoetherian
-    with the cycle the walk meets.
+    This is the limit fold of ROADMAP item 2: height_from's walk
+    (_settle), rooted at every value in value order. A minimal value's
+    limit is itself; any other's is the union of its successors' limits,
+    under maxdepth only of those one height lower, and one such successor
+    lends its set. A cycle raises the NotNoetherian that height_from
+    raises first on a fresh copy of r, taking starts in value order.
 
     limit_relation moves onto this walk once the benchmark's traced gates
     no longer need its limit_from and reachable_from calls (ROADMAP item
@@ -358,47 +380,10 @@ def limits(r: Relation, mode: str = REACHABLE_MINIMA) -> dict:
         raise ValueError(f"unknown limit mode: {mode!r}")
     if not same_space(r.source, r.target):
         raise SpaceMismatch("limits need matching source and target")
-    step = r._step
-    maxdepth = mode == MAXDEPTH
     lim = {}
-    height = {}
-    # the source's values are the children of a root that is never settled;
-    # a value without successors is settled without a frame of its own
-    path = []
-    on_path = set()
-    lists = []
-    iters = [iter(r.source.values())]
-    while True:
-        for k in iters[-1]:
-            if k in lim:
-                continue
-            if k in on_path:
-                idx = path.index(k)
-                raise NotNoetherian(render_chain(path[idx:] + [k]))
-            kids = step(k) or []
-            if type(kids) is not list:
-                kids = list(kids)
-            if not kids:
-                height[k] = 0
-                lim[k] = frozenset((k,))
-                continue
-            path.append(k)
-            on_path.add(k)
-            lists.append(kids)
-            iters.append(iter(kids))
-            break
-        else:
-            if not path:
-                return lim
-            iters.pop()
-            kids = lists.pop()
-            node = path.pop()
-            on_path.discard(node)
-            if maxdepth:
-                h = height[node] = 1 + max([height[k] for k in kids])
-                kids = [k for k in kids if height[k] == h - 1]
-            lim[node] = (lim[kids[0]] if len(kids) == 1
-                         else frozenset().union(*[lim[k] for k in kids]))
+    # heights only where maxdepth reads them
+    _settle(r, r.source.values(), {} if mode == MAXDEPTH else None, lim)
+    return lim
 
 
 # -- seeds -----------------------------------------------------------------

@@ -5,10 +5,10 @@ Its adjacency (_filled) walks the source space once and keeps each value's
 successors as the function yields them, so stepping a member of the source
 space returns the same successors, in the same order, before and after;
 its pair set (pairs) is built from that adjacency only when read. Every
-walk (reach, after, is_minimal here, the cycle search, height walk and
-limits in noether, terminals_of in loops) binds Relation._step once, the
-function or, once filled, the adjacency's dict.get, and steps a value as
-step(a) or (): a missing value gets None.
+walk (reach, after, is_minimal here, the cycle search and the one
+post-order walk of heights and limits in noether, terminals_of in loops)
+binds Relation._step once, the function or, once filled, the adjacency's
+dict.get, and steps a value as step(a) or (): a missing value gets None.
 Operators build new successor functions, so huge spaces never get
 enumerated just to step through a loop. Equality questions always go
 through pair sets.

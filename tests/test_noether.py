@@ -1,5 +1,8 @@
 """Termination checking, descent measures, limits, and seeds."""
 
+import hashlib
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -15,7 +18,8 @@ from noet.noether import (MAXDEPTH, NOETHERIAN, NOT_NOETHERIAN,
 from noet.relations import Relation, after, from_pairs, reach
 from noet.spaces import (explicit, int_range, interval_sets_of, lazy_explicit,
                          max_space, product)
-from noet.values import Int, IntervalSet, Node, Pair, sort_values, value_key
+from noet.values import (Int, IntervalSet, Node, Pair, render_chain,
+                         sort_values, value_key)
 
 
 def rel(n, pairs):
@@ -326,6 +330,65 @@ class TestSettledStart:
         assert r._heights == {Int(0): 0}
 
 
+def every_adjacency_on_three_values():
+    """All 512 relations on int_range(0, 2) as adjacency dicts, each
+    value's successors listed in value order, so the walks' orders do not
+    depend on any set's iteration order."""
+    vals = int_range(0, 2).values()
+    cells = [(a, b) for a in vals for b in vals]
+    for mask in range(1 << len(cells)):
+        adj = {}
+        for i, (a, b) in enumerate(cells):
+            if mask >> i & 1:
+                adj.setdefault(a, []).append(b)
+        yield adj
+
+
+def _pinned_outcome(fn, *args):
+    try:
+        got = fn(*args)
+    except FuelExhausted as exc:
+        return f"{type(exc).__name__}: {exc} [{exc.partial}]"
+    except NotNoetherian as exc:
+        return f"{type(exc).__name__}: {exc}"
+    return str(got) if type(got) is int else render_chain(got)
+
+
+class TestWalkPins:
+    """height_from and limit_from answer, raise and charge fuel exactly as
+    they did before heights and limits shared one walker: the digest was
+    recorded on the two hand-written walks."""
+
+    DIGEST = (
+        "8f3e0469c8319ddcb883fb668b8bb0eadae1d7bfcb3f64a69264767b5da3a0ff")
+
+    def test_every_start_fuel_and_mode_on_three_values(self):
+        sp = int_range(0, 2)
+        calls = ((height_from,), (limit_from, MAXDEPTH),
+                 (limit_from, REACHABLE_MINIMA))
+        h = hashlib.sha256()
+
+        def record(fn, r, a, mode, fuel):
+            h.update(_pinned_outcome(fn, r, a, *mode, fuel).encode("utf-8"))
+            h.update(b"\n")
+
+        for adj in every_adjacency_on_three_values():
+            succ = lambda a, adj=adj: adj.get(a, ())
+            edges = sum(len(kids) for kids in adj.values())
+            for fuel in (None, *range(edges + 1)):
+                for a in sp.values():   # each call on a fresh relation
+                    for fn, *mode in calls:
+                        record(fn, Relation(sp, sp, succ), a, mode, fuel)
+                # every start on one relation, its memo warmed by the
+                # earlier calls, up and then down the value order
+                for starts in (sp.values(), sp.values()[::-1]):
+                    warm = Relation(sp, sp, succ)
+                    for a in starts:
+                        for fn, *mode in calls:
+                            record(fn, warm, a, mode, fuel)
+        assert h.hexdigest() == self.DIGEST
+
+
 class TestChainEnumeration:
     def test_chain_steps(self):
         c = Chain((Int(3), Int(1), Int(0)))
@@ -623,6 +686,89 @@ def limits_one_start_at_a_time(r, mode):
         return None
 
 
+def seeded_relations(count, seed=20251022):
+    """count relations on 3 to 7 values, each with its own edge density,
+    from one seeded generator: most of them cyclic."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        sp = int_range(0, rng.randint(2, 6))
+        vals = sp.values()
+        p = rng.uniform(0.1, 0.5)
+        yield from_pairs(sp, sp, [(a, b) for a in vals for b in vals
+                                  if rng.random() < p])
+
+
+def first_height_cycle(r):
+    """The witness of the first height_from that raises NotNoetherian on
+    a fresh copy of r, taking starts in value order, or None."""
+    fresh = rel_copy(r)
+    for a in fresh.source.values():
+        try:
+            height_from(fresh, a)
+        except NotNoetherian as exc:
+            return str(exc)
+    return None
+
+
+def reference_limits(r):
+    """{a: (height, reachable minima, maxdepth limit)} built from r.pairs()
+    alone, with no walk of noether's: None for a start that reaches a
+    cycle. The height is the last n with a nonempty image of a under r^n,
+    and the maxdepth limit is that image."""
+    vals = r.source.values()
+    succ = {a: set() for a in vals}
+    for a, b in r.pairs():
+        succ[a].add(b)
+    below = {a: set(succ[a]) for a in vals}   # one or more steps away
+    grown = True
+    while grown:
+        grown = False
+        for a in vals:
+            more = set().union(*[below[b] for b in below[a]]) - below[a]
+            if more:
+                below[a] |= more
+                grown = True
+    out = {}
+    for a in vals:
+        reached = below[a] | {a}
+        if any(v in below[v] for v in reached):
+            out[a] = None
+            continue
+        image, n = {a}, 0
+        while True:
+            nxt = set().union(*[succ[v] for v in image])
+            if not nxt:
+                break
+            image, n = nxt, n + 1
+        out[a] = (n, frozenset(v for v in reached if not succ[v]),
+                  frozenset(image))
+    return out
+
+
+def check_against_the_reference(r):
+    want = reference_limits(r)
+    s = rel_copy(r)   # one memo for every start, warmed as they go
+    for a, row in want.items():
+        if row is None:
+            for walk in (lambda: height_from(s, a),
+                         lambda: limit_from(s, a, MAXDEPTH),
+                         lambda: limit_from(s, a, REACHABLE_MINIMA)):
+                with pytest.raises(NotNoetherian):
+                    walk()
+            continue
+        height, least, deepest = row
+        assert height_from(s, a) == height
+        assert limit_from(s, a, REACHABLE_MINIMA) == sort_values(least)
+        assert limit_from(s, a, MAXDEPTH) == sort_values(deepest)
+    for mode, col in ((REACHABLE_MINIMA, 1), (MAXDEPTH, 2)):
+        if None in want.values():
+            with pytest.raises(NotNoetherian):
+                limits(rel_copy(r), mode)
+        else:
+            assert limits(rel_copy(r), mode) \
+                == {a: row[col] for a, row in want.items()}
+
+
 def assert_real_cycle(r, witness):
     # integer witnesses render as their digits, joined by arrows
     chain = [Int(int(x)) for x in witness.split(" → ")]
@@ -693,6 +839,29 @@ class TestLimits:
     def test_space_mismatch_rejected(self):
         with pytest.raises(SpaceMismatch):
             limits(Relation(int_range(0, 2), int_range(0, 3), lambda a: ()))
+
+    @pytest.mark.parametrize("mode", [MAXDEPTH, REACHABLE_MINIMA])
+    def test_the_cycle_met_is_the_one_height_from_meets(self, mode):
+        cyclic = 0
+        for r in (*every_relation_on_three_values(), *seeded_relations(3500)):
+            want = first_height_cycle(r)
+            if want is None:
+                limits(rel_copy(r), mode)   # acyclic: answers, raises nothing
+                continue
+            cyclic += 1
+            with pytest.raises(NotNoetherian) as exc:
+                limits(rel_copy(r), mode)
+            assert str(exc.value) == want
+        assert cyclic > 3000
+
+    def test_every_relation_on_three_values_against_the_reference(self):
+        for r in every_relation_on_three_values():
+            check_against_the_reference(r)
+
+    @given(dag_relation(max_n=7))
+    def test_dags_and_their_closures_against_the_reference(self, r):
+        check_against_the_reference(r)
+        check_against_the_reference(r.plus())
 
 
 class TestSeeds:

@@ -15,7 +15,10 @@ share a table and a builder: ``_MEASURES`` (a space guard and an integer
 measure, built by ``measure_descent``), ``_SCANNED`` (a scan of the space
 by a pair test) and ``_INT_WINDOWS`` (a step over an integer window). The
 scanned families, ``induced`` and ``projection`` are all pull-backs of a
-pair test, built by ``_pulled_back``.
+pair test, built by ``_pulled_back``; ``induced`` and ``projection`` also
+hand it the relation they pull back, which answers a value whose image it
+steps to nothing from without a scan, when that relation's source is
+smaller than the space and its successors agree with its pair test.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ import itertools
 from functools import partial
 from typing import NamedTuple
 
-from .errors import MalformedExpr, UnknownNamedFunction
+from .errors import MalformedExpr, SpaceTooLarge, UnknownNamedFunction
 from .noether import (METHOD_CERTIFICATE, NOETHERIAN, NoetherianVerdict,
                       _find_cycle, is_noetherian)
 from .relations import Relation, from_pairs, pair_values
@@ -123,20 +126,64 @@ def _leaf(space, succ, holds, name) -> Relation:
     return _stamp(Relation(space, space, succ, holds=holds, name=name), name)
 
 
-def _pulled_back(test, space, fn=None):
+def _pulled_back(test, space, fn=None, parent=None):
     """(succ, holds) for the pair test pulled back through fn over space:
     a steps to b when test(fn(a), fn(b)), with fn=None the identity.
     Successors are a lazy scan of the space in value order, so emptiness
-    probes stop at the first hit."""
+    probes stop at the first hit.
+
+    parent is the relation test came from, if any. When its successors
+    agree with test (it has no pair test of its own, or a sound
+    certificate), a value whose image lies in the parent's source and
+    steps to nothing there is answered without a scan: no member whose
+    image lies in that source can follow it, so only the members whose
+    images lie outside it are tested, listed once in value order (normally
+    none). The parent is asked only when its source's size is known and
+    smaller than space, so asking it never enumerates as much as the scan
+    would; where space's size is not known yet, that is decided on the
+    first query."""
     if fn is None:
-        def succ(a):
-            return (b for b in space.values() if test(a, b))
-        return succ, test
+        holds = test
+        def scan(fa):
+            return (b for b in space.values() if test(fa, b))
+    else:
+        def holds(a, b):
+            return test(fn(a), fn(b))
+        def scan(fa):
+            return (b for b in space.values() if test(fa, fn(b)))
+    plain = scan if fn is None else lambda a: scan(fn(a))
+    if parent is None:
+        return plain, holds
+    src = parent.source
+    size, n = src.size(), space.size()
+    if (size is None or (n is not None and size >= n)
+            or not (parent._holds_fn is None
+                    or (parent.cert and parent.cert.sound))):
+        return plain, holds
+    asks = None      # size < len(space.values()), once space is enumerated
+    outside = None   # the members whose images lie outside src
+
     def succ(a):
-        fa = fn(a)
-        return (b for b in space.values() if test(fa, fn(b)))
-    def holds(a, b):
-        return test(fn(a), fn(b))
+        nonlocal asks, outside
+        if asks is None:
+            try:
+                asks = size < len(space.values())
+            except SpaceTooLarge:
+                return plain(a)   # which raises it when read, as ever
+        if not asks:
+            return plain(a)
+        fa = a if fn is None else fn(a)
+        if not src.contains(fa):
+            return scan(fa)
+        for _ in parent._step(fa) or ():
+            return scan(fa)
+        if outside is None:
+            outside = [b for b in space.values()
+                       if not src.contains(b if fn is None else fn(b))]
+        if not outside:
+            return ()
+        return [b for b in outside if test(fa, b if fn is None else fn(b))]
+
     return succ, holds
 
 
@@ -432,8 +479,13 @@ def induced(fn, over: Relation, space: Space,
             fn_name: str | None = None) -> Relation:
     """Pull a relation back through a function: a steps to b when fn(a)
     steps to fn(b) in the underlying relation. fn=None is the identity,
-    which restricts the relation's own pair test to space."""
-    succ, holds = _pulled_back(over._holds_fn or over.holds, space, fn)
+    which restricts the relation's own pair test to space.
+
+    over is the parent _pulled_back may ask: where fn(a) lies in its
+    source and it steps to nothing there, a's successors are found
+    without a scan of space, when its source is smaller than space and
+    its successors agree with its pair test."""
+    succ, holds = _pulled_back(over._holds_fn or over.holds, space, fn, over)
     label = f"induced[{fn_name}]" if fn_name else "induced"
     out = Relation(space, space, succ, holds=holds, name=label)
     return _stamp(out, "INDUCED", over)

@@ -174,7 +174,7 @@ def is_noetherian(r: Relation, fuel: int | None = None) -> NoetherianVerdict:
 # -- heights ---------------------------------------------------------------
 
 def _settle(r: Relation, roots, height: dict | None, lim: dict | None = None,
-            fuel: int | None = None) -> None:
+            fuel: int | None = None, first: list | None = None) -> None:
     """The post-order walk behind height_from and limits, on explicit
     stacks so a long chain cannot reach the recursion limit. It settles
     each value reachable from roots and not yet in height (in lim, when
@@ -184,15 +184,20 @@ def _settle(r: Relation, roots, height: dict | None, lim: dict | None = None,
     maxdepth: only those one lower), one such successor lending its set.
     A successor on the path raises NotNoetherian with the loop. fuel
     bounds the edges, charged at each value's first expansion; past it,
-    FuelExhausted carries the path to the value that overran it."""
+    FuelExhausted carries the path to the value that overran it. first,
+    when given, is the successor list of roots' one value, which the
+    caller read and charged: that value is expanded from it, not stepped
+    again."""
     step = r._step
     rev = list.__reversed__   # bound once: reversed() looks it up per call
     settled = height if lim is None else lim
-    explored = 0
-    path = []
-    on_path = set()
-    lists = []
-    iters = [iter(roots)]
+    if first is None:
+        explored = 0
+        path, lists, iters = [], [], [iter(roots)]
+    else:
+        explored = len(first)
+        path, lists, iters = list(roots), [first], [iter(()), rev(first)]
+    on_path = set(path)
     while True:
         for k in iters[-1]:
             if k in settled:
@@ -246,10 +251,11 @@ def height_from(r: Relation, a, fuel: int | None = None) -> int:
     reach is acyclic, so entries stay valid when a call raises and
     skipping them never changes which cycle is reported.
 
-    A start whose successors are all settled (limit_relation's starts,
-    when they come in an order the relation descends against) is settled
-    in place after its successors are charged; a self-loop start never
-    is, since it is not in the memo yet.
+    The start is stepped once and its successors charged here. A start
+    whose successors are all settled (limit_relation's starts, when they
+    come in an order the relation descends against) is settled in place; a
+    self-loop start never is, since it is not in the memo yet. Any other
+    is handed to _settle with that successor list.
     """
     memo = r._heights
     if memo is None:
@@ -261,6 +267,8 @@ def height_from(r: Relation, a, fuel: int | None = None) -> int:
     kids = r._step(a) or []
     if type(kids) is not list:
         kids = list(kids)
+    if fuel is not None and len(kids) > fuel:
+        raise FuelExhausted(fuel, partial=render_chain([a]))
     h = -1
     for k in kids:
         hk = memo.get(k)
@@ -269,11 +277,9 @@ def height_from(r: Relation, a, fuel: int | None = None) -> int:
         if hk > h:
             h = hk
     else:
-        if fuel is not None and len(kids) > fuel:
-            raise FuelExhausted(fuel, partial=render_chain([a]))
         memo[a] = h + 1
         return h + 1
-    _settle(r, (a,), memo, fuel=fuel)
+    _settle(r, (a,), memo, fuel=fuel, first=kids)
     return memo[a]
 
 

@@ -15,7 +15,7 @@ from noet.catalog import _BUILDERS
 from noet.errors import (MalformedExpr, OrderNotNoetherian,
                          UnknownNamedFunction, ValueOutsideSpace)
 from noet.loops import make_loop
-from noet.noether import is_noetherian
+from noet.noether import is_minimal, is_noetherian
 from noet.relations import Relation, from_pairs
 from noet.spaces import (explicit, int_range, interval_sets_of, intervals_of,
                          product)
@@ -149,6 +149,59 @@ class TestDerivedEnumerationAgrees:
         r = build()
         assert r.cert.sound
         assert_enumeration_agrees(r)
+
+
+def scan_successors(r, a):
+    """a's successors as a full scan of r's space by its pair test finds
+    them, in value order: what a pull-back's lazy scan yields."""
+    return [b for b in r.source.values() if r.holds(a, b)]
+
+
+def shifted_greater():
+    """INTGREATER on 0..3 pulled back through v - 1: the image of 1 is
+    the parent's least value, and the image of 0, -1, lies outside the
+    parent's space, where its pair test still says 0 > -1."""
+    return induced(lambda v: Int(v.value - 1),
+                   named("INTGREATER", int_range(0, 3)), int_range(0, 3))
+
+
+class TestPulledBackAnswersFromItsParent:
+    """A pull-back whose parent steps to nothing at a value's image skips
+    the scan; its successors stay the scan's, in content and in order."""
+
+    def test_a_member_imaged_outside_the_parent_still_follows(self):
+        r = shifted_greater()
+        assert list(r._succ(Int(1))) == [Int(0)]
+        assert not is_minimal(r, Int(1)) and is_minimal(r, Int(0))
+        for a in r.source.values():
+            assert list(r._succ(a)) == scan_successors(r, a), a
+
+    def test_a_parent_larger_than_the_space_is_not_asked(self):
+        # asking INTDIFF would measure its million pairs and raise
+        # SpaceTooLarge; the scan of four values answers instead
+        r = induced(lambda v: Pair(v, v),
+                    named("INTDIFF", product(int_range(0, 999),
+                                             int_range(0, 999))),
+                    int_range(0, 3))
+        assert all(is_minimal(r, a) for a in r.source.values())
+        assert all(list(r._succ(a)) == [] for a in r.source.values())
+
+    @pytest.mark.parametrize("minimal_first", [True, False])
+    def test_the_order_of_queries_does_not_matter(self, minimal_first):
+        r, ref = shifted_greater(), shifted_greater()
+        vals = list(r.source.values())
+        # 1 is the value whose image is minimal in the parent
+        vals.sort(key=lambda v: (v != Int(1)) == minimal_first)
+        for a in vals:
+            assert list(r._succ(a)) == scan_successors(ref, a), a
+            assert is_minimal(r, a) == (not scan_successors(ref, a))
+
+    @pytest.mark.parametrize("name", ["induced", "induced_identity",
+                                      "projection"])
+    def test_the_derived_fixtures_agree_with_the_scan(self, name):
+        r = DERIVED_FIXTURES[name]()
+        for a in r.source.values():
+            assert list(r._succ(a)) == scan_successors(r, a), a
 
 
 class TestWideWindows:

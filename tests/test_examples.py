@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+import noet.examples as examples_module
 from noet.catalog import induced, named
 from noet.errors import ParameterOutOfRange, SpaceTooLarge
 from noet.examples import EXAMPLE_NAMES, EXAMPLES, _gcd_core, instantiate
@@ -329,6 +330,27 @@ class TestCatalogOrders:
         vals = space.values()
         assert all(order.holds(a, b) == twin.holds(a, b)
                    for a in vals for b in vals)
+
+    def test_partition_seed_test_asks_the_cut_order_at_most_once_a_state(
+            self, monkeypatch):
+        # at each body exit the cut order answers from SUPINTERVAL, which
+        # steps to nothing at an empty cut, instead of scanning the space
+        calls = 0
+        real = examples_module.induced
+
+        def counting_induced(fn, over, space, fn_name=None):
+            test = over._holds_fn
+
+            def counted(a, b):
+                nonlocal calls
+                calls += 1
+                return test(a, b)
+            over._holds_fn = counted
+            return real(fn, over, space, fn_name)
+
+        monkeypatch.setattr(examples_module, "induced", counting_induced)
+        inst = instantiate("partition", t=(3, 1, 4, 1), pivot=2, check=True)
+        assert 0 < calls <= len(inst.loop.space.values())
 
     @pytest.mark.parametrize("name", EXAMPLE_NAMES)
     def test_order_verifies_by_its_certificate(self, name):

@@ -304,6 +304,17 @@ class TestSettledStart:
         assert exc.value.partial == "4"
         assert Int(4) not in r._heights
 
+    def test_an_unsettled_start_is_stepped_once(self):
+        # the walk expands the start from the list the settled-start check
+        # read, so an unfilled successor function runs once per value
+        log = []
+        def succ(a):
+            log.append(a.value)
+            return [Int(a.value - 1)] if a.value else []
+        sp = int_range(0, 3)
+        assert height_from(Relation(sp, sp, succ), Int(3)) == 3
+        assert log == [3, 2, 1, 0]
+
     @pytest.mark.parametrize("settle_zero_first", [False, True])
     def test_a_self_loop_start_raises_its_cycle(self, settle_zero_first):
         # 1 steps to 0 and to itself
